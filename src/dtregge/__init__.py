@@ -78,4 +78,4 @@ __all__ = [
     "total_form",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -13,7 +13,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .catalog import CONVENTION_VERSION, Catalog
+from .catalog import CONVENTION_VERSION, Catalog, check_feasible, enumerate_triangulations
 from .measure import incidence_matrix
 from .ribbon import aut_boundary, canonical_code
 from .triangulation import curvature_assignments, gauss_bonnet_check
@@ -103,6 +103,43 @@ def verify_catalog(catalog: Catalog) -> list[str]:
             problems.append(f"entry {i}: duplicate canonical code")
         codes.add(entry.code)
     return problems
+
+
+def cached_catalog(
+    genus: int,
+    n0: int,
+    q,
+    max_faces: int = 12,
+    workers: int = 1,
+    path: Path | None = None,
+    read: bool = True,
+    write: bool = True,
+) -> tuple[Catalog, Path]:
+    """The catalog of a key, from the cache file when it holds a verified
+    catalog of that key, else enumerated (and written when ``write``).
+
+    The key and the face cap are checked before any file is read.  A file
+    that cannot be loaded, belongs to another key or fails verification is
+    ignored.  ``path`` defaults to the key's file in the cache directory.
+    """
+    q = tuple(q)
+    check_feasible(genus, n0, q, max_faces)
+    path = catalog_path(genus, n0, q) if path is None else Path(path)
+    if read and path.is_file():
+        try:
+            candidate = load_catalog(path)
+        except (OSError, ValueError, KeyError, TypeError):
+            candidate = None
+        if (
+            candidate is not None
+            and (candidate.genus, candidate.vertex_count, candidate.q) == (genus, n0, q)
+            and not verify_catalog(candidate)
+        ):
+            return candidate, path
+    catalog = enumerate_triangulations(genus, n0, q, max_faces=max_faces, workers=workers)
+    if write:
+        atomic_write_json(path, catalog.to_dict())
+    return catalog, path
 
 
 def list_cache(directory: Path | None = None) -> list[Path]:

@@ -4,7 +4,10 @@ Triangulations are enumerated up to orientation-preserving,
 label-preserving isomorphism, with chirality distinguished: a map and its
 mirror are separate entries unless an orientation-preserving isomorphism
 relates them.  The gluing search runs once per face count and is shared by
-every key with that face count.
+every key with that face count: each gluing is classified once, by its
+genus and its sorted corner-class sizes, into a signature index, and a key
+(g, N0, q) reads its gluings straight from the index entry
+(g, sorted(q)).  Only those gluings go on to label assignment.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
+from types import MappingProxyType
 
 from .ribbon import RibbonGraph, aut_boundary, canonical_code, dualize
 from .triangulation import Triangulation, build_triangulation, corner_classes
@@ -38,8 +42,11 @@ def face_count(genus: int, n0: int) -> int:
     return n2
 
 
-def check_feasible(genus: int, n0: int, q) -> int:
-    """Validate a catalog key; returns the face count N2."""
+def check_feasible(genus: int, n0: int, q, max_faces: int | None = None) -> int:
+    """Validate a catalog key; returns the face count N2.
+
+    With ``max_faces`` a key needing more faces raises ResourceCapError.
+    """
     q = tuple(q)
     if genus < 0 or n0 < 1 or len(q) != n0:
         raise InfeasibleKeyError("need genus >= 0 and one q entry per vertex")
@@ -50,6 +57,8 @@ def check_feasible(genus: int, n0: int, q) -> int:
         )
     if any(qk < 2 for qk in q):
         raise InfeasibleKeyError("curvature assignments below 2 produce dual loops")
+    if max_faces is not None and n2 > max_faces:
+        raise ResourceCapError(f"key needs {n2} faces, above the cap of {max_faces}")
     return n2
 
 
@@ -230,6 +239,26 @@ def _gluing_genus(n2: int, class_count: int) -> int:
     return (2 - chi) // 2
 
 
+@lru_cache(maxsize=None)
+def _gluings_by_signature(n2: int) -> MappingProxyType:
+    """Gluings of ``enumerate_gluings(n2)`` grouped by signature.
+
+    The signature of a gluing is ``(genus, sorted corner-class sizes)``, so
+    the gluings of a key (g, N0, q) are the entry at ``(g, sorted(q))``.
+    Gluings keep their ``enumerate_gluings`` order within an entry.  The
+    index is cached, so it is returned read-only.
+    """
+    index: dict[tuple, list] = {}
+    for gluing in enumerate_gluings(n2):
+        classes = _gluing_classes(n2, gluing)
+        signature = (
+            _gluing_genus(n2, len(classes)),
+            tuple(sorted(len(cls) for cls in classes)),
+        )
+        index.setdefault(signature, []).append(gluing)
+    return MappingProxyType({signature: tuple(g) for signature, g in index.items()})
+
+
 def _label_assignments(classes, q):
     """All bijections class -> vertex label compatible with class sizes."""
     by_size: dict[int, list] = {}
@@ -281,20 +310,9 @@ def enumerate_triangulations(
 ) -> Catalog:
     """Catalog of all labelled triangulations realizing (genus, N0, q)."""
     q = tuple(q)
-    n2 = check_feasible(genus, n0, q)
-    if n2 > max_faces:
-        raise ResourceCapError(
-            f"key needs {n2} faces, above the cap of {max_faces}"
-        )
-    sorted_q = sorted(q)
-    jobs = []
-    for gluing in enumerate_gluings(n2):
-        classes = _gluing_classes(n2, gluing)
-        if _gluing_genus(n2, len(classes)) != genus:
-            continue
-        if sorted(len(cls) for cls in classes) != sorted_q:
-            continue
-        jobs.append((n2, gluing, q))
+    n2 = check_feasible(genus, n0, q, max_faces)
+    gluings = _gluings_by_signature(n2).get((genus, tuple(sorted(q))), ())
+    jobs = [(n2, gluing, q) for gluing in gluings]
 
     if workers > 1 and jobs:
         with ProcessPoolExecutor(max_workers=workers) as pool:

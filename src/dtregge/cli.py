@@ -18,19 +18,13 @@ import click
 
 from . import cache as cache_mod
 from . import polygon
-from .catalog import (
-    Catalog,
-    InfeasibleKeyError,
-    ResourceCapError,
-    check_feasible,
-    enumerate_triangulations,
-)
+from .catalog import Catalog, InfeasibleKeyError, ResourceCapError
 from .geometry import CornerFan, half_edge_lengths, median_identity_check
 from .intersection import GenusError, generating_F, tau
 from .measure import incidence_matrix, kontsevich_check
-from .pairing import cardinality_and_average, duality_pairing
+from .pairing import duality_pairing
 from .report import RunReport, rational
-from .ribbon import RibbonGraph, dualize
+from .ribbon import RibbonGraphError, dualize
 from .triangulation import Triangulation, TriangulationError, gauss_bonnet_check
 from .volume import leray_volume
 
@@ -87,22 +81,16 @@ def cmd_enumerate(genus, vertices, qlist, out, max_faces, workers, no_cache):
     q = _parse_q(qlist)
     t0 = time.time()
     try:
-        check_feasible(genus, vertices, q)
-        catalog = None
-        path = out if out is not None else cache_mod.catalog_path(genus, vertices, q)
-        if not no_cache and path.is_file():
-            try:
-                candidate = cache_mod.load_catalog(path)
-                if not cache_mod.verify_catalog(candidate):
-                    catalog = candidate
-            except (cache_mod.CacheError, json.JSONDecodeError, KeyError):
-                catalog = None
-        if catalog is None:
-            catalog = enumerate_triangulations(
-                genus, vertices, q, max_faces=max_faces, workers=workers
-            )
-            if not no_cache or out is not None:
-                cache_mod.atomic_write_json(path, catalog.to_dict())
+        catalog, path = cache_mod.cached_catalog(
+            genus,
+            vertices,
+            q,
+            max_faces=max_faces,
+            workers=workers,
+            path=out,
+            read=not no_cache,
+            write=not no_cache or out is not None,
+        )
     except InfeasibleKeyError as exc:
         _fail(str(exc), EXIT_INPUT_ERROR)
     except ResourceCapError as exc:
@@ -146,9 +134,7 @@ def _load_catalog_or_key(in_path, genus, vertices, qlist, max_faces) -> Catalog:
             return Catalog.from_dict(json.load(handle))
     if genus is None or vertices is None or qlist is None:
         raise click.UsageError("provide either --in or the key (--genus/--vertices/--q)")
-    q = _parse_q(qlist)
-    check_feasible(genus, vertices, q)
-    return enumerate_triangulations(genus, vertices, q, max_faces=max_faces)
+    return cache_mod.cached_catalog(genus, vertices, _parse_q(qlist), max_faces=max_faces)[0]
 
 
 @main.command("check")
@@ -209,7 +195,7 @@ def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_
         _fail(str(exc), EXIT_INPUT_ERROR)
     except ResourceCapError as exc:
         _fail(str(exc), EXIT_RESOURCE_CAP)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TriangulationError, RibbonGraphError) as exc:
         _fail(f"cannot read input: {exc}", EXIT_INPUT_ERROR)
     _emit(
         RunReport(
@@ -249,8 +235,7 @@ def cmd_volume(genus, vertices, qlist, max_faces):
     q = _parse_q(qlist)
     t0 = time.time()
     try:
-        check_feasible(genus, vertices, q)
-        catalog = enumerate_triangulations(genus, vertices, q, max_faces=max_faces)
+        catalog = cache_mod.cached_catalog(genus, vertices, q, max_faces=max_faces)[0]
     except InfeasibleKeyError as exc:
         _fail(str(exc), EXIT_INPUT_ERROR)
     except ResourceCapError as exc:
@@ -305,16 +290,16 @@ def cmd_pairing(genus, vertices, qlist, max_faces, enable_dvv):
     q = _parse_q(qlist)
     t0 = time.time()
     try:
-        check_feasible(genus, vertices, q)
+        catalog = cache_mod.cached_catalog(genus, vertices, q, max_faces=max_faces)[0]
         report = duality_pairing(
-            genus, vertices, q, enable_higher_genus=enable_dvv, max_faces=max_faces
+            genus, vertices, q, enable_higher_genus=enable_dvv, catalog=catalog
         )
-        card, average = cardinality_and_average(genus, vertices, q, max_faces=max_faces)
     except (InfeasibleKeyError, GenusError) as exc:
         _fail(str(exc), EXIT_INPUT_ERROR)
     except ResourceCapError as exc:
         _fail(str(exc), EXIT_RESOURCE_CAP)
     body = report.to_dict()
+    average = report.average_volume
     body["average_volume"] = rational(average) if average is not None else None
     _emit(
         RunReport(

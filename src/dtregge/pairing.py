@@ -55,6 +55,17 @@ class PairingReport:
     cardinality: int
     contributions: tuple[CellContribution, ...]
 
+    @property
+    def average_volume(self) -> Fraction | None:
+        """Orbifold-weighted average cell volume, lhs / (2^(2 N0 + 5g - 5) Card).
+
+        It satisfies Card * average = F_g(q) / 2^(2 N0 + 5g - 5) exactly when
+        the pairing holds; it is None when the catalog is empty.
+        """
+        if self.cardinality == 0:
+            return None
+        return self.lhs / (pairing_constant(self.genus, self.vertex_count) * self.cardinality)
+
     def to_dict(self) -> dict:
         return {
             "key": {
@@ -142,15 +153,11 @@ def _cell_code(graph: RibbonGraph) -> bytes:
 
 
 def cardinality_and_average(
-    genus: int, n0: int, q, max_faces: int = 12
+    genus: int, n0: int, q, max_faces: int = 12, enable_higher_genus: bool = False
 ) -> tuple[int, Fraction | None]:
-    """Catalog cardinality and the orbifold-weighted average cell volume.
-
-    The average satisfies Card * average = F_g(q) / 2^(2 N0 + 5g - 5)
-    exactly; it is None when the catalog is empty.
-    """
-    report = duality_pairing(genus, n0, q, max_faces=max_faces)
-    card = report.cardinality
-    if card == 0:
-        return 0, None
-    return card, report.lhs / (pairing_constant(genus, n0) * card)
+    """Catalog cardinality and the orbifold-weighted average cell volume
+    (see ``PairingReport.average_volume``)."""
+    report = duality_pairing(
+        genus, n0, q, enable_higher_genus=enable_higher_genus, max_faces=max_faces
+    )
+    return report.cardinality, report.average_volume

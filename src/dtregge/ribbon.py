@@ -282,12 +282,22 @@ def canonical_code(graph: RibbonGraph) -> bytes:
 
     Two labelled ribbon graphs have equal codes iff they are related by an
     orientation-preserving, boundary-label-preserving isomorphism.
+
+    The code is the least of the breadth-first encodings from every base
+    dart.  An encoding from ``base`` opens with ``(1, 1 or 2, label)``: the
+    middle byte is 1 exactly when ``alpha[base] == sigma[base]`` (a loop).
+    Only bases with the least ``(middle byte, label)`` can give the least
+    encoding, so the others are skipped.
     """
     n = graph.dart_count
     sigma, alpha = graph.sigma, graph.alpha
     labels = graph.dart_labels()
+    opening = [(1 if alpha[d] == sigma[d] else 2, labels[d]) for d in range(n)]
+    least = min(opening)
     best = None
     for base in range(n):
+        if opening[base] != least:
+            continue
         new = [-1] * n  # old dart -> new index
         order = []      # new index -> old dart
         new[base] = 0

@@ -88,11 +88,12 @@ def build_triangulation(vertex_count, face_corner_labels, slot_gluing) -> Triang
             raise TriangulationError(f"face {face} has labels outside 1..{vertex_count}")
 
     slots = [(f, i) for f in range(n2) for i in range(3)]
+    slot_set = set(slots)
     pairs = []
     seen: dict[Slot, Slot] = {}
     for raw in slot_gluing:
         s, t = tuple(map(tuple, raw))
-        if s not in set(slots) or t not in set(slots):
+        if s not in slot_set or t not in slot_set:
             raise TriangulationError(f"gluing refers to unknown slot: {s} ~ {t}")
         if s[0] == t[0]:
             raise TriangulationError(f"face {s[0]} is glued to itself along a slot")

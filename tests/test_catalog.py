@@ -7,7 +7,9 @@ from dtregge.catalog import (
     Catalog,
     InfeasibleKeyError,
     ResourceCapError,
+    _gluings_by_signature,
     check_feasible,
+    enumerate_gluings,
     enumerate_ribbon_cells,
     enumerate_triangulations,
     face_count,
@@ -17,6 +19,7 @@ from dtregge.ribbon import RibbonGraph, canonical_code, dualize
 from dtregge.triangulation import (
     TriangulationError,
     build_triangulation,
+    corner_classes,
     curvature_assignments,
     gauss_bonnet_check,
 )
@@ -44,8 +47,6 @@ def _brute_force_codes(genus, n0, q):
     for matching in _all_matchings(slots):
         if any(s[0] == t[0] for s, t in matching):
             continue
-        from dtregge.triangulation import corner_classes
-
         classes = corner_classes([(0, 0, 0)] * n2, matching)
         if sorted(len(c) for c in classes) != sorted(q):
             continue
@@ -165,3 +166,24 @@ def test_ribbon_cells_include_catalog_duals_and_loops():
         for entry in enumerate_triangulations(0, 4, q).entries:
             all_catalog.add(entry.code)
     assert not ({canonical_code(g) for g in has_loop} & all_catalog)
+
+
+def test_signature_index_matches_a_scan_of_every_gluing():
+    for n2 in (2, 4, 6, 8):
+        expected: dict = {}
+        for gluing in enumerate_gluings(n2):
+            classes = corner_classes([(0, 0, 0)] * n2, gluing)
+            chi = len(classes) - 3 * n2 // 2 + n2
+            signature = ((2 - chi) // 2, tuple(sorted(len(c) for c in classes)))
+            expected.setdefault(signature, []).append(gluing)
+        index = _gluings_by_signature(n2)
+        assert {k: list(v) for k, v in index.items()} == expected
+        assert sum(len(v) for v in index.values()) == len(enumerate_gluings(n2))
+
+
+def test_resource_cap_in_check_feasible():
+    assert check_feasible(0, 6, (3,) * 4 + (6, 6), max_faces=8) == 8
+    with pytest.raises(ResourceCapError):
+        check_feasible(0, 6, (3,) * 4 + (6, 6), max_faces=4)
+    with pytest.raises(InfeasibleKeyError):  # infeasibility is reported first
+        check_feasible(0, 6, (3,) * 4 + (6, 5), max_faces=4)

@@ -3,6 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import dtregge.cache
+import dtregge.pairing
 from dtregge.cli import main
 
 
@@ -115,3 +117,93 @@ def test_cache_ls_and_verify(runner, tmp_path, monkeypatch):
     assert result.exit_code == 0 and "catalog-g0-n3" in result.output
     result = runner.invoke(main, ["cache", "verify"])
     assert result.exit_code == 0 and "ok" in result.output
+
+
+def test_pairing_genus2_with_dvv_flag(runner):
+    result = runner.invoke(
+        main, ["pairing", "-g", "2", "-n", "1", "--q", "18", "--enable-dvv"]
+    )
+    assert result.exit_code == 0, result.output
+    body = json.loads(result.output)["results"]
+    assert body["equal"] is True
+    assert body["lhs"] == body["rhs"] == "1594323/4"
+
+
+def _malformed_catalog(face, alpha):
+    return {
+        "version": 1,
+        "key": {"genus": 0, "vertices": 3, "q": [2, 2, 2]},
+        "cardinality": 1,
+        "entries": [{
+            "triangulation": {
+                "vertex_count": 3,
+                "faces": [[1, 2, 3], face],
+                "gluing": [[[0, 0], [1, 0]], [[0, 1], [1, 2]], [[0, 2], [1, 1]]],
+            },
+            "dual": {
+                "darts": 6,
+                "sigma": [[0, 1, 2], [3, 4, 5]],
+                "alpha": alpha,
+                "boundary_labels": {"0": 1, "1": 2, "2": 3},
+            },
+            "aut_boundary": 1,
+            "code": "00",
+        }],
+    }
+
+
+@pytest.mark.parametrize("face,alpha", [
+    ([2, 1, 4], [[0, 3], [1, 5], [2, 4]]),  # label 4 at a 3-vertex key
+    ([2, 1, 3], [[0, 3], [1, 4], [2, 5]]),  # dual boundary count is wrong
+])
+def test_check_malformed_catalog_is_input_error(runner, tmp_path, face, alpha):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_malformed_catalog(face, alpha)))
+    result = runner.invoke(main, ["check", "gauss-bonnet", "--in", str(bad)])
+    assert result.exit_code == 2
+    assert "error:" in result.output and result.exc_info[0] is SystemExit
+
+
+KEY_0_4 = ["-g", "0", "-n", "4", "--q", "2,3,3,4"]
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "gauss-bonnet", *KEY_0_4],
+    ["check", "kontsevich", *KEY_0_4],
+    ["volume", *KEY_0_4],
+    ["pairing", *KEY_0_4],
+])
+def test_warm_cache_gives_the_cold_output_without_enumerating(runner, monkeypatch, command):
+    cold = runner.invoke(main, command)
+    assert cold.exit_code == 0, cold.output
+    calls = []
+
+    def enumerate_spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("enumerated on a warm cache")
+
+    monkeypatch.setattr(dtregge.cache, "enumerate_triangulations", enumerate_spy)
+    monkeypatch.setattr(dtregge.pairing, "enumerate_triangulations", enumerate_spy)
+    warm = runner.invoke(main, command)
+    assert warm.exit_code == 0, warm.output
+    assert calls == []
+    assert json.loads(warm.output)["results"] == json.loads(cold.output)["results"]
+
+
+def test_face_cap_holds_on_a_warm_cache(runner):
+    key = ["-g", "0", "-n", "4", "--q", "3,3,3,3"]
+    assert runner.invoke(main, ["enumerate", *key]).exit_code == 0
+    for command in (["check", "gauss-bonnet"], ["volume"], ["pairing"], ["enumerate"]):
+        result = runner.invoke(main, [*command, *key, "--max-faces", "2"])
+        assert result.exit_code == 3, (command, result.output)
+
+
+def test_cache_file_of_another_key_is_not_used(runner, tmp_path):
+    path = tmp_path / "cat.json"
+    for qlist, cardinality in (("3,3,3,3", 2), ("2,2,4,4", 1)):
+        result = runner.invoke(
+            main, ["enumerate", "-g", "0", "-n", "4", "--q", qlist, "--out", str(path)]
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["results"]["cardinality"] == cardinality
+    assert json.loads(path.read_text())["key"]["q"] == [2, 2, 4, 4]

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 from networkx.algorithms import isomorphism
 
-from dtregge.catalog import enumerate_triangulations
+from dtregge.catalog import enumerate_ribbon_cells, enumerate_triangulations
 from dtregge.ribbon import (
     RibbonGraph,
     RibbonGraphError,
@@ -55,6 +55,26 @@ def _relabel(graph: RibbonGraph, rng: random.Random) -> RibbonGraph:
     probe = RibbonGraph(tuple(sigma), tuple(alpha), tuple(range(1, len(graph.boundary_labels) + 1)))
     labels = tuple(label_of[cycle[0]] for cycle in probe.boundary_cycles)
     return RibbonGraph(tuple(sigma), tuple(alpha), labels)
+
+
+def _reference_code(graph: RibbonGraph) -> bytes:
+    """Canonical code by breadth-first encoding from every base dart, with
+    no pruning of bases."""
+    n = graph.dart_count
+    labels = graph.dart_labels()
+    codes = []
+    for base in range(n):
+        new = {base: 0}
+        order = [base]
+        for d in order:
+            for e in (graph.sigma[d], graph.alpha[d]):
+                if e not in new:
+                    new[e] = len(order)
+                    order.append(e)
+        codes.append(
+            bytes(x for d in order for x in (new[graph.sigma[d]], new[graph.alpha[d]], labels[d]))
+        )
+    return min(codes)
 
 
 @pytest.fixture
@@ -145,3 +165,18 @@ def test_round_trip(theta_graph, torus_graph, k4_graphs):
     for graph in [theta_graph, torus_graph] + k4_graphs:
         again = RibbonGraph.from_dict(graph.to_dict())
         assert again == graph
+
+
+def test_canonical_code_matches_unpruned_reference():
+    rng = random.Random(7)
+    loop_cells = 0
+    for genus, n0 in [(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1)]:
+        for graph in enumerate_ribbon_cells(genus, n0):
+            loop_cells += any(graph.alpha[d] == graph.sigma[d] for d in range(graph.dart_count))
+            code = canonical_code(graph)
+            assert code == _reference_code(graph)
+            mirror = graph.mirror()
+            assert canonical_code(mirror) == _reference_code(mirror)
+            renamed = _relabel(graph, rng)
+            assert canonical_code(renamed) == _reference_code(renamed) == code
+    assert loop_cells > 0
