@@ -70,8 +70,12 @@ def load_catalog(path: Path) -> Catalog:
             f"{path}: written under convention version {data.get('version')}, "
             f"current is {CONVENTION_VERSION}"
         )
-    catalog = Catalog.from_dict(data)
-    return catalog
+    if data.get("cardinality") != len(data["entries"]):
+        raise CacheError(
+            f"{path}: stored cardinality {data.get('cardinality')} does not match "
+            f"its {len(data['entries'])} entries"
+        )
+    return Catalog.from_dict(data)
 
 
 def verify_catalog(catalog: Catalog) -> list[str]:
@@ -120,11 +124,14 @@ def cached_catalog(
 
     The key and the face cap are checked before any file is read.  A file
     that cannot be loaded, belongs to another key or fails verification is
-    ignored.  ``path`` defaults to the key's file in the cache directory.
+    ignored.  ``path`` defaults to the key's file in the cache directory;
+    writing there is best effort (an unwritable cache directory only costs
+    the next call an enumeration), while an explicit ``path`` must be written.
     """
     q = tuple(q)
     check_feasible(genus, n0, q, max_faces)
-    path = catalog_path(genus, n0, q) if path is None else Path(path)
+    explicit = path is not None
+    path = Path(path) if explicit else catalog_path(genus, n0, q)
     if read and path.is_file():
         try:
             candidate = load_catalog(path)
@@ -138,7 +145,11 @@ def cached_catalog(
             return candidate, path
     catalog = enumerate_triangulations(genus, n0, q, max_faces=max_faces, workers=workers)
     if write:
-        atomic_write_json(path, catalog.to_dict())
+        try:
+            atomic_write_json(path, catalog.to_dict())
+        except OSError:
+            if explicit:
+                raise
     return catalog, path
 
 

@@ -21,8 +21,10 @@ from types import MappingProxyType
 from .ribbon import RibbonGraph, aut_boundary, canonical_code, dualize
 from .triangulation import Triangulation, build_triangulation, corner_classes
 
-#: Bump when a normative counting/orientation convention changes; stale
-#: cache files are keyed by this stamp and ignored after a bump.
+#: Bump when a normative counting/orientation convention changes, or when the
+#: enumerator's output (entries, their order or codes) changes: the CLI reads
+#: catalogs from the cache, and a stale file that still passes per-entry
+#: verification is only ignored after a bump.
 CONVENTION_VERSION = 1
 
 

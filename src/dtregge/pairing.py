@@ -153,11 +153,9 @@ def _cell_code(graph: RibbonGraph) -> bytes:
 
 
 def cardinality_and_average(
-    genus: int, n0: int, q, max_faces: int = 12, enable_higher_genus: bool = False
+    genus: int, n0: int, q, max_faces: int = 12
 ) -> tuple[int, Fraction | None]:
     """Catalog cardinality and the orbifold-weighted average cell volume
     (see ``PairingReport.average_volume``)."""
-    report = duality_pairing(
-        genus, n0, q, enable_higher_genus=enable_higher_genus, max_faces=max_faces
-    )
+    report = duality_pairing(genus, n0, q, max_faces=max_faces)
     return report.cardinality, report.average_volume

@@ -207,3 +207,19 @@ def test_cache_file_of_another_key_is_not_used(runner, tmp_path):
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["results"]["cardinality"] == cardinality
     assert json.loads(path.read_text())["key"]["q"] == [2, 2, 4, 4]
+
+
+@pytest.mark.parametrize("command", [
+    ["enumerate", *KEY_0_4],
+    ["check", "gauss-bonnet", *KEY_0_4],
+    ["volume", *KEY_0_4],
+    ["pairing", *KEY_0_4],
+])
+def test_unwritable_cache_directory_is_not_an_error(runner, tmp_path, monkeypatch, command):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("DTREGGE_CACHE_DIR", str(blocker / "cache"))
+    result = runner.invoke(main, command)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["results"]
+    assert blocker.read_text() == ""

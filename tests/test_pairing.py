@@ -80,8 +80,6 @@ def test_cardinality_and_average():
     # empty catalog: cardinality zero, no average
     card, average = cardinality_and_average(0, 4, (2, 2, 2, 6))
     assert (card, average) == (0, None)
-    card, average = cardinality_and_average(2, 1, (18,), enable_higher_genus=True)
-    assert (card, average) == (9, Fraction(177147, 512))
 
 
 def test_report_serialization():
