@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import dual_edge_row
+from .linalg import integer_det
 from .ribbon import RibbonGraph
 
 
@@ -189,7 +190,7 @@ def kontsevich_coefficient(graph: RibbonGraph) -> int:
 
     total = 0
     for subset in combinations(range(n1), n0):
-        det = _int_det([[system.a[i][j] for j in subset] for i in range(n0)])
+        det = integer_det([[system.a[i][j] for j in subset] for i in range(n0)])
         if det == 0:
             continue
         complement = [j for j in range(n1) if j not in subset]
@@ -215,28 +216,6 @@ def _shuffle_sign(first, second) -> int:
             if order[i] > order[j]:
                 sign = -sign
     return sign
-
-
-def _int_det(rows) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
 
 
 def pullback_to_triangulation(matrix, q: int) -> list[list[Fraction]]:

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product
 
 from .catalog import Catalog, enumerate_ribbon_cells, enumerate_triangulations
 from .intersection import generating_F
-from .measure import constraint_system
-from .ribbon import RibbonGraph, aut_boundary
+from .measure import ConstraintSystem, constraint_system
+from .ribbon import RibbonGraph, aut_boundary, canonical_code
 from .volume import leray_volume
 
 
@@ -98,6 +99,30 @@ def _label_sides(graph: RibbonGraph) -> tuple[int, ...]:
     return tuple(by_label[k] for k in sorted(by_label))
 
 
+def system_class(system: ConstraintSystem) -> tuple:
+    """Canonical form of (A, rhs) up to column permutations and up to row
+    permutations that keep rhs: (rhs, least sorted column tuple).
+
+    Permuting the edges or the equally constrained boundaries of a system
+    moves neither its polytope nor its Leray measure, so systems of one
+    class have one volume.
+    """
+    rhs = system.rhs
+    groups: dict[Fraction, list[int]] = {}
+    for i, b in enumerate(rhs):
+        groups.setdefault(b, []).append(i)
+    best = None
+    for shuffles in product(*(permutations(rows) for rows in groups.values())):
+        order = [0] * len(rhs)
+        for rows, shuffled in zip(groups.values(), shuffles):
+            for position, row in zip(rows, shuffled):
+                order[position] = row
+        columns = tuple(sorted(zip(*(system.a[i] for i in order))))
+        if best is None or columns < best:
+            best = columns
+    return tuple(rhs), best
+
+
 def duality_pairing(
     genus: int,
     n0: int,
@@ -106,21 +131,31 @@ def duality_pairing(
     max_faces: int = 12,
     catalog: Catalog | None = None,
 ) -> PairingReport:
-    """Both sides of the pairing at (genus, N0, q), with a cell breakdown."""
+    """Both sides of the pairing at (genus, N0, q), with a cell breakdown.
+
+    Each volume is computed once per ``system_class`` and shared by every
+    cell of that class.
+    """
     q = tuple(q)
     if catalog is None:
         catalog = enumerate_triangulations(genus, n0, q, max_faces=max_faces)
+    rhs = generating_F(genus, q, enable_higher_genus)  # before any volume work
     catalog_codes = {entry.code for entry in catalog.entries}
     perimeters = {k: Fraction(qk) for k, qk in enumerate(q, start=1)}
     const = pairing_constant(genus, n0)
 
+    volumes: dict[tuple, Fraction] = {}
     contributions = []
     total = Fraction(0)
     catalog_total = Fraction(0)
     for graph in enumerate_ribbon_cells(genus, n0):
-        volume = leray_volume(constraint_system(graph, perimeters)).value
+        system = constraint_system(graph, perimeters)
+        key = system_class(system)
+        volume = volumes.get(key)
+        if volume is None:
+            volume = volumes[key] = leray_volume(system).value
         aut = aut_boundary(graph)[0]
-        code = _cell_code(graph)
+        code = canonical_code(graph)
         from_catalog = code in catalog_codes
         contributions.append(
             CellContribution(
@@ -132,7 +167,6 @@ def duality_pairing(
             catalog_total += volume / aut
 
     lhs = const * total
-    rhs = generating_F(genus, q, enable_higher_genus)
     return PairingReport(
         genus,
         n0,
@@ -144,12 +178,6 @@ def duality_pairing(
         catalog.cardinality,
         tuple(contributions),
     )
-
-
-def _cell_code(graph: RibbonGraph) -> bytes:
-    from .ribbon import canonical_code
-
-    return canonical_code(graph)
 
 
 def cardinality_and_average(

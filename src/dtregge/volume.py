@@ -14,8 +14,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd, lcm
 
+# det, rref, solve_square and matrix_rank are re-exported as part of this
+# module's interface.
+from .linalg import (
+    clear_denominators,
+    det,
+    integer_det,
+    kernel_and_particular,
+    matrix_rank,
+    rref,
+    solve_square,
+)
 from .measure import ConstraintSystem
 
 
@@ -38,110 +49,15 @@ class LerayVolume:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Fraction
-
-
-def rref(rows):
-    """Reduced row echelon form; returns (matrix, pivot_columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n_rows, n_cols = len(m), len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots
-
-
-def det(rows) -> Fraction:
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return result
-
-
-def solve_square(rows, rhs):
-    """Solve a square system exactly; returns None if singular."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
-def matrix_rank(rows) -> int:
-    return len(rref(rows)[1])
-
-
-# ---------------------------------------------------------------------------
 # kernel parametrization
 
 
 def kernel_basis_and_particular(system: ConstraintSystem):
     """Integer kernel basis columns K, particular solution L0, pivot columns."""
-    m, pivots = rref(system.a)
+    basis, l0, pivots = kernel_and_particular(system.a, system.rhs)
     if len(pivots) != system.n0:
         raise RankDeficientError("incidence matrix is rank deficient")
-    n1 = system.n1
-    free = [c for c in range(n1) if c not in pivots]
-    basis = []
-    for f in free:
-        col = [Fraction(0)] * n1
-        col[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            col[p] = -m[r][f]
-        lcm = 1
-        for x in col:
-            if x.denominator != 1:
-                lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-        basis.append([x * lcm for x in col])
-    # particular solution with free variables at zero
-    rhs_reduced, _ = rref([list(row) + [b] for row, b in zip(system.a, system.rhs)])
-    l0 = [Fraction(0)] * n1
-    for r, p in enumerate(pivots):
-        l0[p] = rhs_reduced[r][n1]
-    return basis, l0, pivots
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return [[Fraction(x) for x in column] for column in basis], l0, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -149,24 +65,35 @@ def _gcd(a, b):
 
 
 def polytope_vertices(basis, l0):
-    """Vertices of {y : L0 + K y >= 0}, K given as a list of columns."""
+    """Vertices of {y : L0 + K y >= 0}, K given as a list of columns.
+
+    Every d-subset of the facets is solved on integers: with row i of
+    [K | L0] cleared to (k_i, c_i), a solution num / D of the subset is
+    feasible when sign(D) (k_i . num + D c_i) >= 0 for every i, and only
+    the feasible ones become Fractions.
+    """
     d = len(basis)
     n1 = len(l0)
     if d == 0:
         return [()] if all(x >= 0 for x in l0) else []
-    rows = [[basis[j][i] for j in range(d)] for i in range(n1)]  # K as N1 x d
+    rows = [
+        clear_denominators([basis[j][i] for j in range(d)] + [l0[i]])[0]
+        for i in range(n1)
+    ]
     vertices = set()
-    for subset in combinations(range(n1), d):
-        sol = solve_square([rows[i] for i in subset], [-l0[i] for i in subset])
-        if sol is None:
+    for subset in combinations(rows, d):
+        solution = solve_square(
+            [row[:d] for row in subset], [-row[d] for row in subset], fraction_free=True
+        )
+        if solution is None:
             continue
-        point = tuple(sol)
-        if all(
-            l0[i] + sum(rows[i][j] * point[j] for j in range(d)) >= 0
-            for i in range(n1)
-        ):
-            vertices.add(point)
-    return sorted(vertices)
+        den, num = solution
+        if den < 0:
+            den, num = -den, [-x for x in num]
+        if all(sum(k * x for k, x in zip(row, num)) + row[d] * den >= 0 for row in rows):
+            common = gcd(den, *num)
+            vertices.add((den // common,) + tuple(x // common for x in num))
+    return sorted(tuple(Fraction(x, den) for x in num) for den, *num in vertices)
 
 
 def _affine_rank(points) -> int:
@@ -210,20 +137,30 @@ def _triangulate(points, inequalities, dim):
 
 
 def lebesgue_volume(points, inequalities) -> Fraction:
-    """Exact Lebesgue volume of the hull of full-dimensional points."""
+    """Exact Lebesgue volume of the hull of full-dimensional points.
+
+    The decomposition runs on integers: the points are scaled to a common
+    denominator s and each inequality is cleared of its denominators, so a
+    simplex determinant is s^dim times the true one.
+    """
     if not points:
         return Fraction(0)
     dim = len(points[0])
     if dim == 0:
         return Fraction(1)
-    if _affine_rank(points) < dim:
+    scale = lcm(*(x.denominator for point in points for x in point))
+    scaled = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+    if _affine_rank(scaled) < dim:
         return Fraction(0)
-    total = Fraction(0)
-    for simplex in _triangulate(points, inequalities, dim):
+    cleared = []
+    for row, offset in inequalities:
+        integers = clear_denominators(list(row) + [offset])[0]
+        cleared.append((integers[:dim], integers[dim] * scale))
+    total = 0
+    for simplex in _triangulate(scaled, cleared, dim):
         base = simplex[0]
-        rows = [[x - b for x, b in zip(p, base)] for p in simplex[1:]]
-        total += abs(det(rows))
-    return total / factorial(dim)
+        total += abs(integer_det([[x - b for x, b in zip(p, base)] for p in simplex[1:]]))
+    return Fraction(total, factorial(dim) * scale**dim)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +197,7 @@ def leray_volume(system: ConstraintSystem, rng: random.Random | None = None) -> 
 
     # mu-density relative to Lebesgue measure in kernel coordinates
     k_cols = [[col[i] for i in range(n1)] for col in basis]
-    w_cols = [[Fraction(1) if i == c else Fraction(0) for i in range(n1)] for c in complement]
+    w_cols = [[1 if i == c else 0 for i in range(n1)] for c in complement]
     square = [[colv[i] for colv in (k_cols + w_cols)] for i in range(n1)]
     density_num = abs(det(square))
     density_den = abs(det([[a[r][c] for c in complement] for r in range(n0)]))

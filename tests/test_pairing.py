@@ -1,11 +1,20 @@
+import random
 from fractions import Fraction
+from itertools import permutations
 
-from dtregge.catalog import feasible_q_vectors
+import pytest
+
+from dtregge.catalog import enumerate_ribbon_cells, feasible_q_vectors
+from dtregge.intersection import GenusError
+from dtregge.measure import ConstraintSystem, constraint_system
 from dtregge.pairing import (
     cardinality_and_average,
     duality_pairing,
     pairing_constant,
+    system_class,
 )
+from dtregge.ribbon import aut_boundary, canonical_code
+from dtregge.volume import leray_volume
 
 
 def test_pairing_constant():
@@ -88,3 +97,83 @@ def test_report_serialization():
     assert data["lhs"] == "1" and data["rhs"] == "1"
     assert data["key"] == {"genus": 0, "vertices": 3, "q": [2, 2, 2]}
     assert all("code" in c for c in data["contributions"])
+
+
+def test_pairing_raises_genus_error_before_any_volume(monkeypatch):
+    def no_volumes(system):
+        raise AssertionError("volume computed before the genus check")
+
+    monkeypatch.setattr("dtregge.pairing.leray_volume", no_volumes)
+    with pytest.raises(GenusError):
+        duality_pairing(2, 1, (18,))
+
+
+@pytest.mark.parametrize("key", [(1, 3, (6, 6, 6)), (0, 4, (2, 3, 3, 4))])
+def test_memoized_volumes_equal_direct_volumes(key):
+    genus, n0, q = key
+    report = duality_pairing(genus, n0, q)
+    perimeters = {k: Fraction(qk) for k, qk in enumerate(q, start=1)}
+    cells = enumerate_ribbon_cells(genus, n0)
+    assert len(report.contributions) == len(cells)
+    for graph, contribution in zip(cells, report.contributions):
+        assert contribution.code == canonical_code(graph)
+        assert contribution.aut_order == aut_boundary(graph)[0]
+        assert contribution.volume == leray_volume(constraint_system(graph, perimeters)).value
+
+
+def test_pairing_computes_one_volume_per_system_class(monkeypatch):
+    calls = []
+
+    def counting(system):
+        calls.append(system)
+        return leray_volume(system)
+
+    monkeypatch.setattr("dtregge.pairing.leray_volume", counting)
+    report = duality_pairing(1, 3, (6, 6, 6))
+    assert report.equal
+    assert len(report.contributions) == 236
+    assert len(calls) == 31
+
+
+def _brute_force_class(system):
+    """Least sorted column tuple over every row order that keeps rhs."""
+    orders = [
+        order for order in permutations(range(system.n0))
+        if all(system.rhs[i] == b for i, b in zip(order, system.rhs))
+    ]
+    return tuple(system.rhs), min(
+        tuple(sorted(zip(*(system.a[i] for i in order)))) for order in orders
+    )
+
+
+def test_system_class_ignores_column_and_rhs_preserving_row_order():
+    rng = random.Random(7)
+    for genus, n0, q in [(1, 3, (6, 6, 6)), (0, 4, (2, 3, 3, 4)), (0, 4, (3, 3, 3, 3))]:
+        perimeters = {k: Fraction(qk) for k, qk in enumerate(q, start=1)}
+        for graph in enumerate_ribbon_cells(genus, n0)[:20]:
+            system = constraint_system(graph, perimeters)
+            key = system_class(system)
+            assert key == _brute_force_class(system)
+            groups = {}
+            for i, b in enumerate(system.rhs):
+                groups.setdefault(b, []).append(i)
+            for _ in range(5):
+                columns = list(range(system.n1))
+                rng.shuffle(columns)
+                rows = list(range(system.n0))
+                for members in groups.values():
+                    shuffled = rng.sample(members, len(members))
+                    for position, row in zip(members, shuffled):
+                        rows[position] = row
+                moved = ConstraintSystem(
+                    tuple(tuple(system.a[i][j] for j in columns) for i in rows),
+                    tuple(system.rhs[i] for i in rows),
+                )
+                assert moved.rhs == system.rhs
+                assert system_class(moved) == key
+
+
+def test_pairing_at_0_5_with_perimeters_3_3_4_4_4():
+    report = duality_pairing(0, 5, (3, 3, 4, 4, 4))
+    assert report.equal
+    assert report.lhs == report.rhs == 3891
