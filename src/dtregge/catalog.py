@@ -3,11 +3,17 @@
 Triangulations are enumerated up to orientation-preserving,
 label-preserving isomorphism, with chirality distinguished: a map and its
 mirror are separate entries unless an orientation-preserving isomorphism
-relates them.  The gluing search runs once per face count and is shared by
-every key with that face count: each gluing is classified once, by its
-genus and its sorted corner-class sizes, into a signature index, and a key
-(g, N0, q) reads its gluings straight from the index entry
-(g, sorted(q)).  Only those gluings go on to label assignment.
+relates them.
+
+A triangulation and its dual trivalent ribbon graph are one object: the
+slot gluing is the edge involution alpha of the dual, and the vertices are
+the orbits of sigma o alpha.  One gluing search per face count finds every
+connected matching, loops included, and ``enumerate_gluings`` classifies
+each once, by genus, sorted orbit sizes and whether it has a loop, into one
+cached index.  Both outputs read that index: a catalog key (g, N0, q)
+labels the orbits of the loop-free entry (g, sorted(q)), and the ribbon
+cells of (g, N0) label the boundaries of every entry of genus g with N0
+orbits.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from functools import lru_cache
 from itertools import permutations, product
 from types import MappingProxyType
 
-from .ribbon import RibbonGraph, aut_boundary, canonical_code, dualize
-from .triangulation import Triangulation, build_triangulation, corner_classes
+from .ribbon import RibbonGraph, aut_boundary, canonical_code
+from .triangulation import Triangulation, build_triangulation, corner_rotation, orbits
 
 #: Bump when a normative counting/orientation convention changes, or when the
 #: enumerator's output (entries, their order or codes) changes: the CLI reads
@@ -124,14 +130,15 @@ class Catalog:
 
 
 # ---------------------------------------------------------------------------
-# gluing search, shared across keys with the same face count
+# one gluing search and one index per face count, shared by every key
 
 
-@lru_cache(maxsize=None)
-def _matchings(n2: int, allow_self_gluing: bool) -> tuple[tuple[int, ...], ...]:
+def _matchings(n2: int) -> tuple[tuple[int, ...], ...]:
     """All connected slot matchings of n2 faces, as partner arrays.
 
-    Slots are numbered 3f + i.  Face-relabelling symmetry is broken during
+    Slots are numbered 3f + i, and a partner array is the edge involution
+    alpha of the dual ribbon graph; a slot may be glued to a slot of its own
+    face (a loop of the dual).  Face-relabelling symmetry is broken during
     the search: whenever the lowest unmatched slot is glued to a face not
     seen before, that face is forced to be the lowest unused one and the
     gluing lands on its slot 0.  Residual duplicates (isomorphic matchings
@@ -152,11 +159,7 @@ def _matchings(n2: int, allow_self_gluing: bool) -> tuple[tuple[int, ...], ...]:
             return  # the faces before s//3 closed up: disconnected
         new_face = next((f for f in range(n2) if not used[f]), None)
         candidates = [
-            t
-            for t in range(s + 1, n)
-            if partner[t] == -1
-            and used[t // 3]
-            and (allow_self_gluing or t // 3 != s // 3)
+            t for t in range(s + 1, n) if partner[t] == -1 and used[t // 3]
         ]
         if new_face is not None:
             candidates.append(3 * new_face)
@@ -174,16 +177,28 @@ def _matchings(n2: int, allow_self_gluing: bool) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_gluings(n2: int) -> tuple[tuple[tuple[tuple[int, int], tuple[int, int]], ...], ...]:
-    """All connected self-gluing-free slot matchings, as slot-pair tuples."""
-    return tuple(
-        tuple(
-            ((s // 3, s % 3), (partner[s] // 3, partner[s] % 3))
-            for s in range(3 * n2)
-            if s < partner[s]
-        )
-        for partner in _matchings(n2, False)
-    )
+def enumerate_gluings(n2: int) -> MappingProxyType:
+    """The matchings of ``_matchings(n2)`` grouped by signature.
+
+    The signature of a matching alpha is ``(genus, sorted sizes of the
+    sigma o alpha orbits, has_loop)``: the orbits are the vertices of the
+    triangulation (the boundaries of the dual), and a loop is a slot glued
+    to its own face.  The gluings of a catalog key (g, N0, q) are the entry
+    ``(g, sorted(q), False)``; the ribbon cells of (g, N0) are the entries
+    of genus g with N0 orbits.  A loop bounds an orbit of size 1, so
+    has_loop equals ``1 in sizes``; the flag states the catalogs' exclusion
+    of loops instead of leaving it to the check q >= 2.  Matchings keep
+    their search order within an entry.  The index is cached, so it is
+    returned read-only.
+    """
+    sigma = corner_rotation(3 * n2)
+    index: dict[tuple, list] = {}
+    for alpha in _matchings(n2):
+        sizes = tuple(sorted(len(o) for o in orbits([sigma[a] for a in alpha])))
+        genus = (2 - len(sizes) + n2 // 2) // 2  # chi = V - 3 N2 / 2 + N2
+        has_loop = any(a // 3 == d // 3 for d, a in enumerate(alpha))
+        index.setdefault((genus, sizes, has_loop), []).append(alpha)
+    return MappingProxyType({signature: tuple(a) for signature, a in index.items()})
 
 
 @lru_cache(maxsize=None)
@@ -194,71 +209,22 @@ def enumerate_ribbon_cells(genus: int, n0: int) -> tuple[RibbonGraph, ...]:
     These are the top-dimensional cells of the combinatorial moduli space;
     the loop-free ones are exactly the duals of catalog triangulations.
     Boundary labels 1..N0 are assigned in every way, and graphs are
-    deduplicated by canonical code.
+    deduplicated by canonical code.  Matchings of different index entries
+    never share a code, so each code keeps the first graph in search order.
     """
-    nv = face_count(genus, n0)
-    n = 3 * nv
-    sigma = tuple(3 * (d // 3) + (d % 3 + 1) % 3 for d in range(n))
+    n2 = face_count(genus, n0)
+    sigma = corner_rotation(3 * n2)
     out: dict[bytes, RibbonGraph] = {}
-    for alpha in _matchings(nv, True):
-        if _boundary_count(sigma, alpha) != n0:
+    for (g, sizes, _), alphas in enumerate_gluings(n2).items():
+        if g != genus or len(sizes) != n0:
             continue
-        probe = RibbonGraph(sigma, alpha, tuple(range(1, n0 + 1)))
-        if probe.genus() != genus:
-            continue
-        for labels in permutations(range(1, n0 + 1)):
-            graph = RibbonGraph(sigma, alpha, labels)
-            code = canonical_code(graph)
-            if code not in out:
-                out[code] = graph
+        for alpha in alphas:
+            for labels in permutations(range(1, n0 + 1)):
+                graph = RibbonGraph(sigma, alpha, labels)
+                code = canonical_code(graph)
+                if code not in out:
+                    out[code] = graph
     return tuple(out[code] for code in sorted(out))
-
-
-def _boundary_count(sigma, alpha) -> int:
-    n = len(sigma)
-    phi = [sigma[alpha[d]] for d in range(n)]
-    seen = [False] * n
-    count = 0
-    for start in range(n):
-        if not seen[start]:
-            count += 1
-            d = start
-            while not seen[d]:
-                seen[d] = True
-                d = phi[d]
-    return count
-
-
-def _gluing_classes(n2: int, gluing):
-    """Corner classes of a bare gluing (labels not yet assigned)."""
-    return corner_classes([(0, 0, 0)] * n2, gluing)
-
-
-def _gluing_genus(n2: int, class_count: int) -> int:
-    chi = class_count - 3 * n2 // 2 + n2
-    if chi % 2 != 0:
-        raise ValueError("odd Euler characteristic in a closed gluing")
-    return (2 - chi) // 2
-
-
-@lru_cache(maxsize=None)
-def _gluings_by_signature(n2: int) -> MappingProxyType:
-    """Gluings of ``enumerate_gluings(n2)`` grouped by signature.
-
-    The signature of a gluing is ``(genus, sorted corner-class sizes)``, so
-    the gluings of a key (g, N0, q) are the entry at ``(g, sorted(q))``.
-    Gluings keep their ``enumerate_gluings`` order within an entry.  The
-    index is cached, so it is returned read-only.
-    """
-    index: dict[tuple, list] = {}
-    for gluing in enumerate_gluings(n2):
-        classes = _gluing_classes(n2, gluing)
-        signature = (
-            _gluing_genus(n2, len(classes)),
-            tuple(sorted(len(cls) for cls in classes)),
-        )
-        index.setdefault(signature, []).append(gluing)
-    return MappingProxyType({signature: tuple(g) for signature, g in index.items()})
 
 
 def _label_assignments(classes, q):
@@ -282,24 +248,32 @@ def _label_assignments(classes, q):
         yield assignment
 
 
-def _entries_for_gluing(args) -> list[dict]:
-    """Distinct labelled entries arising from one gluing, as dicts."""
-    n2, gluing, q = args
-    classes = _gluing_classes(n2, gluing)
-    label_of_corner = {}
+def _entries_for_gluing(args) -> list[CatalogEntry]:
+    """Distinct labelled entries arising from one loop-free matching.
+
+    Each labelling of the sigma o alpha orbits gives the dual directly; the
+    triangulation is built, from the dart labels and the slot pairs of
+    alpha, only for a code not seen before.
+    """
+    alpha, q = args
+    n = len(alpha)
+    sigma = corner_rotation(n)
+    vertices = orbits([sigma[a] for a in alpha])
+    gluing = [(divmod(d, 3), divmod(a, 3)) for d, a in enumerate(alpha) if d < a]
+    dart_labels = [0] * n
     out = {}
-    for assignment in _label_assignments(classes, q):
-        for idx, cls in enumerate(classes):
-            for corner in cls:
-                label_of_corner[corner] = assignment[idx]
-        faces = [
-            tuple(label_of_corner[(f, c)] for c in range(3)) for f in range(n2)
-        ]
-        t = build_triangulation(len(q), faces, gluing)
-        graph = dualize(t)
+    for assignment in _label_assignments(vertices, q):
+        labels = tuple(assignment[i] for i in range(len(vertices)))
+        graph = RibbonGraph(sigma, alpha, labels)
         code = canonical_code(graph)
-        if code not in out:
-            out[code] = CatalogEntry(t, graph, aut_boundary(graph)[0], code).to_dict()
+        if code in out:
+            continue
+        for vertex, label in zip(vertices, labels):
+            for d in vertex:
+                dart_labels[d] = label
+        faces = [dart_labels[d:d + 3] for d in range(0, n, 3)]
+        t = build_triangulation(len(q), faces, gluing)
+        out[code] = CatalogEntry(t, graph, aut_boundary(graph)[0], code)
     return list(out.values())
 
 
@@ -313,8 +287,8 @@ def enumerate_triangulations(
     """Catalog of all labelled triangulations realizing (genus, N0, q)."""
     q = tuple(q)
     n2 = check_feasible(genus, n0, q, max_faces)
-    gluings = _gluings_by_signature(n2).get((genus, tuple(sorted(q))), ())
-    jobs = [(n2, gluing, q) for gluing in gluings]
+    alphas = enumerate_gluings(n2).get((genus, tuple(sorted(q)), False), ())
+    jobs = [(alpha, q) for alpha in alphas]
 
     if workers > 1 and jobs:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -324,8 +298,7 @@ def enumerate_triangulations(
 
     merged: dict[bytes, CatalogEntry] = {}
     for batch in results:
-        for raw in batch:
-            entry = CatalogEntry.from_dict(raw)
+        for entry in batch:
             merged.setdefault(entry.code, entry)
     entries = tuple(merged[code] for code in sorted(merged))
     return Catalog(genus, n0, q, entries)

@@ -7,11 +7,11 @@ Exit codes: 0 success / all checks pass, 1 check failure, 2 input error,
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -19,8 +19,8 @@ import click
 from . import cache as cache_mod
 from . import polygon
 from .catalog import Catalog, InfeasibleKeyError, ResourceCapError
-from .geometry import CornerFan, half_edge_lengths, median_identity_check
-from .intersection import GenusError, generating_F, tau
+from .geometry import half_edge_lengths, median_identity_check, random_fan
+from .intersection import ExponentError, GenusError, tau
 from .measure import incidence_matrix, kontsevich_check
 from .pairing import duality_pairing
 from .report import RunReport, rational
@@ -31,6 +31,21 @@ from .volume import leray_volume
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_CAP = 3
+
+
+class InputError(Exception):
+    """An input file that cannot be read as the object it should hold."""
+
+
+#: Exit code of each error that a command reports as ``error: <message>``
+#: instead of a traceback.
+EXIT_CODES = {
+    InfeasibleKeyError: EXIT_INPUT_ERROR,
+    GenusError: EXIT_INPUT_ERROR,
+    ExponentError: EXIT_INPUT_ERROR,
+    InputError: EXIT_INPUT_ERROR,
+    ResourceCapError: EXIT_RESOURCE_CAP,
+}
 
 
 def _parse_q(text: str) -> tuple[int, ...]:
@@ -44,9 +59,27 @@ def _emit(report: RunReport) -> None:
     click.echo(report.to_json())
 
 
-def _fail(message: str, code: int):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+def reports_errors(command):
+    """Exit with the ``EXIT_CODES`` code of an error the command raises."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except tuple(EXIT_CODES) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind)))
+
+    return run
+
+
+def _read_json(path, parse, what: str):
+    """``parse`` of the JSON in ``path``; unreadable input is an InputError."""
+    try:
+        with open(path) as handle:
+            return parse(json.load(handle))
+    except (OSError, json.JSONDecodeError, KeyError, TriangulationError, RibbonGraphError) as exc:
+        raise InputError(f"cannot read {what}: {exc}") from exc
 
 
 @click.group()
@@ -76,25 +109,21 @@ def with_key(func):
 @click.option("--max-faces", type=int, default=12, show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--no-cache", is_flag=True, help="do not read or write the catalog cache")
+@reports_errors
 def cmd_enumerate(genus, vertices, qlist, out, max_faces, workers, no_cache):
     """Enumerate all labelled triangulations realizing a curvature key."""
     q = _parse_q(qlist)
     t0 = time.time()
-    try:
-        catalog, path = cache_mod.cached_catalog(
-            genus,
-            vertices,
-            q,
-            max_faces=max_faces,
-            workers=workers,
-            path=out,
-            read=not no_cache,
-            write=not no_cache or out is not None,
-        )
-    except InfeasibleKeyError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
-    except ResourceCapError as exc:
-        _fail(str(exc), EXIT_RESOURCE_CAP)
+    catalog, path = cache_mod.cached_catalog(
+        genus,
+        vertices,
+        q,
+        max_faces=max_faces,
+        workers=workers,
+        path=out,
+        read=not no_cache,
+        write=not no_cache or out is not None,
+    )
     _emit(
         RunReport(
             "enumerate",
@@ -113,13 +142,10 @@ def cmd_enumerate(genus, vertices, qlist, out, max_faces, workers, no_cache):
 @main.command("dual")
 @click.option("--in", "in_path", type=click.Path(path_type=Path), required=True)
 @click.option("--out", type=click.Path(path_type=Path), default=None)
+@reports_errors
 def cmd_dual(in_path, out):
     """Dualize a triangulation JSON file into a ribbon graph JSON file."""
-    try:
-        with open(in_path) as handle:
-            t = Triangulation.from_dict(json.load(handle))
-    except (OSError, json.JSONDecodeError, KeyError, TriangulationError) as exc:
-        _fail(f"cannot read triangulation: {exc}", EXIT_INPUT_ERROR)
+    t = _read_json(in_path, Triangulation.from_dict, "triangulation")
     graph = dualize(t)
     data = graph.to_dict()
     if out is not None:
@@ -130,8 +156,7 @@ def cmd_dual(in_path, out):
 
 def _load_catalog_or_key(in_path, genus, vertices, qlist, max_faces) -> Catalog:
     if in_path is not None:
-        with open(in_path) as handle:
-            return Catalog.from_dict(json.load(handle))
+        return _read_json(in_path, Catalog.from_dict, "input")
     if genus is None or vertices is None or qlist is None:
         raise click.UsageError("provide either --in or the key (--genus/--vertices/--q)")
     return cache_mod.cached_catalog(genus, vertices, _parse_q(qlist), max_faces=max_faces)[0]
@@ -147,56 +172,50 @@ def _load_catalog_or_key(in_path, genus, vertices, qlist, max_faces) -> Catalog:
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--q-max", type=int, default=8, show_default=True)
+@reports_errors
 def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_max):
     """Run an exact identity check and report per-entry results."""
     t0 = time.time()
     results: dict = {"entries": [], "pass": True}
-    try:
-        if kind in ("gauss-bonnet", "kontsevich"):
-            catalog = _load_catalog_or_key(in_path, genus, vertices, qlist, max_faces)
-            for entry in catalog.entries:
-                if kind == "gauss-bonnet":
-                    total, ok = gauss_bonnet_check(entry.triangulation)
-                    results["entries"].append(
-                        {
-                            "code": entry.code.hex(),
-                            "total_curvature_over_pi": rational(total),
-                            "expected_over_pi": rational(
-                                2 * (2 - 2 * entry.triangulation.genus)
-                            ),
-                            "pass": ok,
-                        }
-                    )
-                else:
-                    ok, coeff, expected = kontsevich_check(entry.dual)
-                    results["entries"].append(
-                        {
-                            "code": entry.code.hex(),
-                            "coefficient": int(coeff),
-                            "expected": int(expected),
-                            "pass": ok,
-                        }
-                    )
-                results["pass"] &= results["entries"][-1]["pass"]
-        elif kind == "median":
-            rng = random.Random(seed)
-            for _ in range(trials):
-                fan = _random_fan(rng)
-                ok = median_identity_check(half_edge_lengths(fan))
-                results["entries"].append({"q": fan.q, "pass": ok})
-                results["pass"] &= ok
-        else:  # rank
-            for q in range(3, q_max + 1):
-                rank = polygon.equilateral_rank(q)
-                ok = rank == q - 1
-                results["entries"].append({"q": q, "rank": rank, "expected": q - 1, "pass": ok})
-                results["pass"] &= ok
-    except InfeasibleKeyError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
-    except ResourceCapError as exc:
-        _fail(str(exc), EXIT_RESOURCE_CAP)
-    except (OSError, json.JSONDecodeError, KeyError, TriangulationError, RibbonGraphError) as exc:
-        _fail(f"cannot read input: {exc}", EXIT_INPUT_ERROR)
+    if kind in ("gauss-bonnet", "kontsevich"):
+        catalog = _load_catalog_or_key(in_path, genus, vertices, qlist, max_faces)
+        for entry in catalog.entries:
+            if kind == "gauss-bonnet":
+                total, ok = gauss_bonnet_check(entry.triangulation)
+                results["entries"].append(
+                    {
+                        "code": entry.code.hex(),
+                        "total_curvature_over_pi": rational(total),
+                        "expected_over_pi": rational(
+                            2 * (2 - 2 * entry.triangulation.genus)
+                        ),
+                        "pass": ok,
+                    }
+                )
+            else:
+                ok, coeff, expected = kontsevich_check(entry.dual)
+                results["entries"].append(
+                    {
+                        "code": entry.code.hex(),
+                        "coefficient": int(coeff),
+                        "expected": int(expected),
+                        "pass": ok,
+                    }
+                )
+            results["pass"] &= results["entries"][-1]["pass"]
+    elif kind == "median":
+        rng = random.Random(seed)
+        for _ in range(trials):
+            fan = random_fan(rng)
+            ok = median_identity_check(half_edge_lengths(fan))
+            results["entries"].append({"q": fan.q, "pass": ok})
+            results["pass"] &= ok
+    else:  # rank
+        for q in range(3, q_max + 1):
+            rank = polygon.equilateral_rank(q)
+            ok = rank == q - 1
+            results["entries"].append({"q": q, "rank": rank, "expected": q - 1, "pass": ok})
+            results["pass"] &= ok
     _emit(
         RunReport(
             f"check {kind}",
@@ -209,37 +228,15 @@ def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_
         sys.exit(EXIT_CHECK_FAILED)
 
 
-def _random_fan(rng: random.Random) -> CornerFan:
-    """A random valid corner fan with rational edge lengths."""
-    while True:
-        q = rng.randint(2, 6)
-        spokes = [Fraction(rng.randint(20, 60), 10) for _ in range(q)]
-        links = []
-        for a in range(q):
-            low = abs(spokes[a] - spokes[(a + 1) % q])
-            high = spokes[a] + spokes[(a + 1) % q]
-            links.append(low + Fraction(rng.randint(1, 9), 10) * (high - low))
-        try:
-            fan = CornerFan.from_lengths(spokes, links)
-            half_edge_lengths(fan)
-            return fan
-        except ValueError:
-            continue
-
-
 @main.command("volume")
 @with_key
 @click.option("--max-faces", type=int, default=12, show_default=True)
+@reports_errors
 def cmd_volume(genus, vertices, qlist, max_faces):
     """Exact Leray volumes of the constraint polytopes at a key."""
     q = _parse_q(qlist)
     t0 = time.time()
-    try:
-        catalog = cache_mod.cached_catalog(genus, vertices, q, max_faces=max_faces)[0]
-    except InfeasibleKeyError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
-    except ResourceCapError as exc:
-        _fail(str(exc), EXIT_RESOURCE_CAP)
+    catalog = cache_mod.cached_catalog(genus, vertices, q, max_faces=max_faces)[0]
     entries = []
     for entry in catalog.entries:
         vol = leray_volume(incidence_matrix(entry.dual))
@@ -265,13 +262,11 @@ def cmd_volume(genus, vertices, qlist, max_faces):
 @click.option("--genus", "-g", type=int, required=True)
 @click.option("--d", "dlist", type=str, required=True, help="comma-separated exponents")
 @click.option("--enable-dvv", is_flag=True, help="allow genus >= 2 via the KdV recursion")
+@reports_errors
 def cmd_tau(genus, dlist, enable_dvv):
     """One intersection number <tau_{d_1} ... tau_{d_n}>_g."""
     ds = _parse_q(dlist)
-    try:
-        value = tau(genus, ds, enable_higher_genus=enable_dvv)
-    except (GenusError, ValueError) as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
+    value = tau(genus, ds, enable_higher_genus=enable_dvv)
     _emit(
         RunReport(
             "tau",
@@ -285,19 +280,15 @@ def cmd_tau(genus, dlist, enable_dvv):
 @with_key
 @click.option("--max-faces", type=int, default=12, show_default=True)
 @click.option("--enable-dvv", is_flag=True, help="allow genus >= 2 via the KdV recursion")
+@reports_errors
 def cmd_pairing(genus, vertices, qlist, max_faces, enable_dvv):
     """Verify the duality pairing at a key; exit status reflects equality."""
     q = _parse_q(qlist)
     t0 = time.time()
-    try:
-        catalog = cache_mod.cached_catalog(genus, vertices, q, max_faces=max_faces)[0]
-        report = duality_pairing(
-            genus, vertices, q, enable_higher_genus=enable_dvv, catalog=catalog
-        )
-    except (InfeasibleKeyError, GenusError) as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
-    except ResourceCapError as exc:
-        _fail(str(exc), EXIT_RESOURCE_CAP)
+    catalog = cache_mod.cached_catalog(genus, vertices, q, max_faces=max_faces)[0]
+    report = duality_pairing(
+        genus, vertices, q, enable_higher_genus=enable_dvv, max_faces=max_faces, catalog=catalog
+    )
     body = report.to_dict()
     average = report.average_volume
     body["average_volume"] = rational(average) if average is not None else None

@@ -9,6 +9,7 @@ equilateral point lives in Q[sqrt(3)].
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -115,6 +116,24 @@ def half_edge_lengths(fan: CornerFan) -> DualLengths:
         minus.append(m)
         link.append(w)
     return DualLengths(tuple(plus), tuple(minus), tuple(link))
+
+
+def random_fan(rng: random.Random) -> CornerFan:
+    """A random nondegenerate corner fan with rational edge lengths."""
+    while True:
+        q = rng.randint(2, 6)
+        spokes = [Fraction(rng.randint(20, 60), 10) for _ in range(q)]
+        links = []
+        for a in range(q):
+            low = abs(spokes[a] - spokes[(a + 1) % q])
+            high = spokes[a] + spokes[(a + 1) % q]
+            links.append(low + Fraction(rng.randint(1, 9), 10) * (high - low))
+        try:
+            fan = CornerFan.from_lengths(spokes, links)
+            half_edge_lengths(fan)
+            return fan
+        except ValueError:
+            continue
 
 
 def vertex_deficit(fan: CornerFan) -> float:

@@ -20,6 +20,10 @@ class GenusError(ValueError):
     """Requested genus is outside the supported range."""
 
 
+class ExponentError(ValueError):
+    """A requested psi-class exponent is negative."""
+
+
 @dataclass(frozen=True)
 class TauQuery:
     genus: int
@@ -29,7 +33,7 @@ class TauQuery:
         if self.genus < 0:
             raise GenusError("genus must be nonnegative")
         if any(d < 0 for d in self.exponents):
-            raise ValueError("exponents must be nonnegative")
+            raise ExponentError("exponents must be nonnegative")
 
     @property
     def on_shell(self) -> bool:

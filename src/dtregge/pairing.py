@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from .catalog import Catalog, enumerate_ribbon_cells, enumerate_triangulations
+from .catalog import Catalog, check_feasible, enumerate_ribbon_cells, enumerate_triangulations
 from .intersection import generating_F
 from .measure import ConstraintSystem, constraint_system
 from .ribbon import RibbonGraph, aut_boundary, canonical_code
@@ -133,12 +133,20 @@ def duality_pairing(
 ) -> PairingReport:
     """Both sides of the pairing at (genus, N0, q), with a cell breakdown.
 
-    Each volume is computed once per ``system_class`` and shared by every
-    cell of that class.
+    The key and the face cap are checked first, also when ``catalog`` is
+    given, and a given catalog must be the catalog of this key.  Each volume
+    is computed once per ``system_class`` and shared by every cell of that
+    class.
     """
     q = tuple(q)
+    check_feasible(genus, n0, q, max_faces)
     if catalog is None:
         catalog = enumerate_triangulations(genus, n0, q, max_faces=max_faces)
+    elif (catalog.genus, catalog.vertex_count, catalog.q) != (genus, n0, q):
+        raise ValueError(
+            f"catalog of key {(catalog.genus, catalog.vertex_count, catalog.q)} "
+            f"given for key {(genus, n0, q)}"
+        )
     rhs = generating_F(genus, q, enable_higher_genus)  # before any volume work
     catalog_codes = {entry.code for entry in catalog.entries}
     perimeters = {k: Fraction(qk) for k, qk in enumerate(q, start=1)}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .triangulation import Triangulation, TriangulationError
+from .triangulation import Triangulation, TriangulationError, corner_rotation, orbits
 
 
 class RibbonGraphError(ValueError):
@@ -36,7 +36,7 @@ class RibbonGraph:
                 raise RibbonGraphError(f"alpha fixes dart {d}")
             if self.alpha[self.alpha[d]] != d:
                 raise RibbonGraphError("alpha is not an involution")
-        for cycle in _orbits(self.sigma):
+        for cycle in orbits(self.sigma):
             if len(cycle) != 3:
                 raise RibbonGraphError("all sigma cycles must have length 3 (trivalent)")
         if not _connected(self.sigma, self.alpha):
@@ -62,7 +62,7 @@ class RibbonGraph:
     def boundary_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of sigma o alpha, each rotated to start at its least dart."""
         phi = tuple(self.sigma[self.alpha[d]] for d in range(self.dart_count))
-        return tuple(_orbits(phi))
+        return tuple(orbits(phi))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -85,6 +85,15 @@ class RibbonGraph:
                 labels[d] = label
         return tuple(labels)
 
+    def genus(self) -> int:
+        chi = self.vertex_count - self.edge_count + len(self.boundary_cycles)
+        if chi % 2 != 0 or (2 - chi) < 0:
+            raise RibbonGraphError(
+                f"non-integer genus: V={self.vertex_count} E={self.edge_count} "
+                f"boundaries={len(self.boundary_cycles)}"
+            )
+        return (2 - chi) // 2
+
     def mirror(self) -> "RibbonGraph":
         """Same underlying graph with all rotations reversed.
 
@@ -97,13 +106,13 @@ class RibbonGraph:
             inv[self.sigma[d]] = d
         old = self.dart_labels()
         phi = tuple(inv[self.alpha[d]] for d in range(n))
-        labels = tuple(old[self.sigma[cycle[0]]] for cycle in _orbits(phi))
+        labels = tuple(old[self.sigma[cycle[0]]] for cycle in orbits(phi))
         return RibbonGraph(tuple(inv), self.alpha, labels)
 
     def to_dict(self) -> dict:
         return {
             "darts": self.dart_count,
-            "sigma": [list(c) for c in _orbits(self.sigma)],
+            "sigma": [list(c) for c in orbits(self.sigma)],
             "alpha": [list(e) for e in self.edges],
             "boundary_labels": {
                 str(i): label for i, label in enumerate(self.boundary_labels)
@@ -125,23 +134,6 @@ class RibbonGraph:
         raw = data["boundary_labels"]
         labels = tuple(raw[str(i)] for i in range(len(raw)))
         return cls(tuple(sigma), tuple(alpha), labels)
-
-
-def _orbits(perm) -> list[tuple[int, ...]]:
-    """Cycles of a permutation, each starting at its least element, sorted."""
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycle = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            cycle.append(d)
-            d = perm[d]
-        cycles.append(tuple(cycle))
-    return cycles
 
 
 def _connected(sigma, alpha) -> bool:
@@ -166,9 +158,8 @@ def dualize(t: Triangulation) -> RibbonGraph:
     each face, the involution follows the slot gluing.  The boundary cycle
     whose darts issue from corner-class k is labelled k.
     """
-    n2 = t.n2
-    n = 3 * n2
-    sigma = tuple(3 * (d // 3) + (d % 3 + 1) % 3 for d in range(n))
+    n = 3 * t.n2
+    sigma = corner_rotation(n)
     alpha = [None] * n
     for (f, i), (g, j) in t.gluing:
         alpha[3 * f + i], alpha[3 * g + j] = 3 * g + j, 3 * f + i
@@ -176,7 +167,7 @@ def dualize(t: Triangulation) -> RibbonGraph:
 
     phi = tuple(sigma[alpha[d]] for d in range(n))
     labels = []
-    for cycle in _orbits(phi):
+    for cycle in orbits(phi):
         # dart 3f+i issues from corner i of face f
         sources = {t.faces[d // 3][d % 3] for d in cycle}
         if len(sources) != 1:
@@ -186,25 +177,6 @@ def dualize(t: Triangulation) -> RibbonGraph:
     if graph.genus() != t.genus:
         raise TriangulationError("dual graph genus disagrees with the triangulation")
     return graph
-
-
-def boundary_cycles(graph: RibbonGraph) -> list[tuple[tuple[int, ...], int]]:
-    """Boundary cycles with side counts, in deterministic order."""
-    return [(cycle, len(cycle)) for cycle in graph.boundary_cycles]
-
-
-def graph_genus(graph: RibbonGraph) -> int:
-    v = graph.vertex_count
-    e = graph.edge_count
-    b = len(graph.boundary_cycles)
-    chi = v - e + b
-    if chi % 2 != 0 or (2 - chi) < 0:
-        raise RibbonGraphError(f"non-integer genus: V={v} E={e} boundaries={b}")
-    return (2 - chi) // 2
-
-
-# genus as a method, used by dualize's cross-check
-RibbonGraph.genus = graph_genus
 
 
 @dataclass(frozen=True)
@@ -224,10 +196,10 @@ class EdgeRefinement:
 
 
 def edge_refinement(graph: RibbonGraph) -> EdgeRefinement:
-    trivalent = [("v", cycle[0]) for cycle in _orbits(graph.sigma)]
+    trivalent = [("v", cycle[0]) for cycle in orbits(graph.sigma)]
     midpoints = [("e", j) for j in range(graph.edge_count)]
     vertex_of_dart = {}
-    for cycle in _orbits(graph.sigma):
+    for cycle in orbits(graph.sigma):
         for d in cycle:
             vertex_of_dart[d] = ("v", cycle[0])
     edges = []

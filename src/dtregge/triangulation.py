@@ -156,38 +156,47 @@ def build_triangulation(vertex_count, face_corner_labels, slot_gluing) -> Triang
     return Triangulation(vertex_count, faces, gluing, genus)
 
 
+def corner_rotation(n: int) -> tuple[int, ...]:
+    """The rotation sigma of n = 3 N2 darts: dart 3f+i, which stands for
+    slot (f, i) and for corner (f, i), turns to 3f + (i+1) mod 3."""
+    return tuple(d + 1 if d % 3 < 2 else d - 2 for d in range(n))
+
+
+def orbits(perm) -> list[tuple[int, ...]]:
+    """Cycles of a permutation, each starting at its least element, sorted."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle = []
+        d = start
+        while not seen[d]:
+            seen[d] = True
+            cycle.append(d)
+            d = perm[d]
+        cycles.append(tuple(cycle))
+    return cycles
+
+
 def corner_classes(faces, gluing) -> list[frozenset[tuple[int, int]]]:
     """Partition of the corners (face, corner) into geometric vertices.
 
-    Two corners are identified when a gluing maps the wedge of one onto the
-    wedge of the other: the target corner of slot (f, i) is corner i of f,
-    and its partner slot's source corner meets the same vertex.
+    With dart 3f+i for corner (f, i) and alpha the slot gluing, the classes
+    are the orbits of sigma o alpha: slot (f, i) runs from corner i to
+    corner i+1, its partner (g, j) runs the same edge backwards, so corner
+    (f, i) meets corner (g, j+1).  ``gluing`` must match every slot.
+    Classes come in the order of their least corner.
     """
-    n2 = len(faces)
-    parent = {(f, c): (f, c) for f in range(n2) for c in range(3)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for s, t in gluing:
-        # slot (f, i) runs from corner i to corner i+1; its partner runs the
-        # same edge backwards, so source corner of one meets the target
-        # corner of the other.
-        union((s[0], s[1]), (t[0], (t[1] + 1) % 3))
-        union((s[0], (s[1] + 1) % 3), (t[0], t[1]))
-
-    groups: dict[tuple[int, int], set] = {}
-    for corner in parent:
-        groups.setdefault(find(corner), set()).add(corner)
-    return [frozenset(g) for g in groups.values()]
+    n = 3 * len(faces)
+    alpha = [0] * n
+    for (f, i), (g, j) in gluing:
+        alpha[3 * f + i], alpha[3 * g + j] = 3 * g + j, 3 * f + i
+    sigma = corner_rotation(n)
+    return [
+        frozenset(divmod(d, 3) for d in orbit)
+        for orbit in orbits([sigma[a] for a in alpha])
+    ]
 
 
 def curvature_assignments(t: Triangulation) -> tuple[int, ...]:

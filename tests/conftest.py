@@ -1,9 +1,5 @@
-import random
-from fractions import Fraction
-
 import pytest
 
-from dtregge.geometry import CornerFan, half_edge_lengths
 from dtregge.triangulation import build_triangulation
 
 
@@ -32,19 +28,33 @@ def one_vertex_torus():
     )
 
 
-def random_fan(rng: random.Random) -> CornerFan:
-    """A random nondegenerate corner fan with rational squared lengths."""
-    while True:
-        q = rng.randint(2, 6)
-        spokes = [Fraction(rng.randint(20, 60), 10) for _ in range(q)]
-        links = []
-        for a in range(q):
-            low = abs(spokes[a] - spokes[(a + 1) % q])
-            high = spokes[a] + spokes[(a + 1) % q]
-            links.append(low + Fraction(rng.randint(1, 9), 10) * (high - low))
-        try:
-            fan = CornerFan.from_lengths(spokes, links)
-            half_edge_lengths(fan)
-            return fan
-        except ValueError:
-            continue
+def union_find_corner_classes(faces, gluing) -> list[frozenset]:
+    """Corner classes by union-find over the gluing: an oracle for the
+    orbit computation of ``triangulation.corner_classes``.
+
+    Slot (f, i) runs from corner i to corner i+1; its partner runs the same
+    edge backwards, so the source corner of one meets the target corner of
+    the other.  Classes come in the order of their least corner.
+    """
+    n2 = len(faces)
+    parent = {(f, c): (f, c) for f in range(n2) for c in range(3)}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for s, t in gluing:
+        union((s[0], s[1]), (t[0], (t[1] + 1) % 3))
+        union((s[0], (s[1] + 1) % 3), (t[0], t[1]))
+
+    groups: dict[tuple[int, int], set] = {}
+    for corner in parent:
+        groups.setdefault(find(corner), set()).add(corner)
+    return [frozenset(g) for g in groups.values()]

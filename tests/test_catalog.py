@@ -3,11 +3,12 @@ from itertools import permutations
 
 import pytest
 
+from conftest import union_find_corner_classes
 from dtregge.catalog import (
     Catalog,
     InfeasibleKeyError,
     ResourceCapError,
-    _gluings_by_signature,
+    _matchings,
     check_feasible,
     enumerate_gluings,
     enumerate_ribbon_cells,
@@ -47,7 +48,7 @@ def _brute_force_codes(genus, n0, q):
     for matching in _all_matchings(slots):
         if any(s[0] == t[0] for s, t in matching):
             continue
-        classes = corner_classes([(0, 0, 0)] * n2, matching)
+        classes = union_find_corner_classes([(0, 0, 0)] * n2, matching)
         if sorted(len(c) for c in classes) != sorted(q):
             continue
         for label_perm in permutations(range(1, n0 + 1)):
@@ -168,17 +169,96 @@ def test_ribbon_cells_include_catalog_duals_and_loops():
     assert not ({canonical_code(g) for g in has_loop} & all_catalog)
 
 
+def _slot_pairs(alpha):
+    return [(divmod(d, 3), divmod(a, 3)) for d, a in enumerate(alpha) if d < a]
+
+
+def _loop_free_search(n2):
+    """The pruned search of ``_matchings`` with every gluing of a slot to
+    its own face excluded during the search, not filtered afterwards."""
+    n = 3 * n2
+    partner = [-1] * n
+    used = [False] * n2
+    used[0] = True
+    found = []
+
+    def rec(matched):
+        if matched == n:
+            found.append(tuple(partner))
+            return
+        s = partner.index(-1)
+        if not used[s // 3]:
+            return
+        new_face = next((f for f in range(n2) if not used[f]), None)
+        candidates = [
+            t for t in range(s + 1, n)
+            if partner[t] == -1 and used[t // 3] and t // 3 != s // 3
+        ]
+        if new_face is not None:
+            candidates.append(3 * new_face)
+        for t in candidates:
+            partner[s], partner[t] = t, s
+            opened = not used[t // 3]
+            used[t // 3] = True
+            rec(matched + 2)
+            if opened:
+                used[t // 3] = False
+            partner[s] = partner[t] = -1
+
+    rec(0)
+    return found
+
+
+def test_orbit_corner_classes_equal_union_find_on_every_matching():
+    for n2 in (2, 4, 6, 8):
+        faces = [(0, 0, 0)] * n2
+        for alpha in _matchings(n2):
+            gluing = _slot_pairs(alpha)
+            assert corner_classes(faces, gluing) == union_find_corner_classes(faces, gluing)
+
+
 def test_signature_index_matches_a_scan_of_every_gluing():
     for n2 in (2, 4, 6, 8):
-        expected: dict = {}
-        for gluing in enumerate_gluings(n2):
-            classes = corner_classes([(0, 0, 0)] * n2, gluing)
+        matchings = _matchings(n2)
+        index = enumerate_gluings(n2)
+        signature_of = {alpha: sig for sig, alphas in index.items() for alpha in alphas}
+        # every matching lands in exactly one entry
+        assert sum(len(v) for v in index.values()) == len(matchings) == len(signature_of)
+        for alpha in matchings:
+            gluing = _slot_pairs(alpha)
+            classes = union_find_corner_classes([(0, 0, 0)] * n2, gluing)
             chi = len(classes) - 3 * n2 // 2 + n2
-            signature = ((2 - chi) // 2, tuple(sorted(len(c) for c in classes)))
-            expected.setdefault(signature, []).append(gluing)
-        index = _gluings_by_signature(n2)
-        assert {k: list(v) for k, v in index.items()} == expected
-        assert sum(len(v) for v in index.values()) == len(enumerate_gluings(n2))
+            assert signature_of[alpha] == (
+                (2 - chi) // 2,
+                tuple(sorted(len(c) for c in classes)),
+                any(s[0] == t[0] for s, t in gluing),
+            )
+        position = {alpha: i for i, alpha in enumerate(matchings)}
+        for alphas in index.values():
+            assert [position[a] for a in alphas] == sorted(position[a] for a in alphas)
+        for genus, sizes, has_loop in index:
+            assert has_loop == (1 in sizes)  # a loop bounds a 1-sided boundary
+        loop_free = [alpha for alpha in matchings if not signature_of[alpha][2]]
+        assert loop_free == _loop_free_search(n2)
+
+
+def test_catalogs_are_the_loop_free_cells_with_their_side_counts():
+    keys = 0
+    for genus, n0 in [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1)]:
+        codes_by_q: dict = {}
+        for cell in enumerate_ribbon_cells(genus, n0):
+            if any(d // 3 == a // 3 for d, a in enumerate(cell.alpha)):
+                continue
+            sides = dict(zip(cell.boundary_labels, map(len, cell.boundary_cycles)))
+            q = tuple(sides[k] for k in range(1, n0 + 1))
+            codes_by_q.setdefault(q, set()).add(canonical_code(cell))
+        qs = list(feasible_q_vectors(genus, n0))
+        assert set(codes_by_q) <= set(qs)
+        for q in qs:
+            catalog = enumerate_triangulations(genus, n0, q)
+            assert {e.code for e in catalog.entries} == codes_by_q.get(q, set())
+        keys += len(qs)
+    assert keys == 633
 
 
 def test_resource_cap_in_check_feasible():

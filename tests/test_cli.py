@@ -223,3 +223,48 @@ def test_unwritable_cache_directory_is_not_an_error(runner, tmp_path, monkeypatc
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["results"]
     assert blocker.read_text() == ""
+
+
+KEY_OVER_CAP = ["-g", "0", "-n", "4", "--q", "3,3,3,3", "--max-faces", "2"]
+KEY_INFEASIBLE = ["-g", "0", "-n", "3", "--q", "2,2,3"]
+
+
+@pytest.mark.parametrize("command,code", [
+    (["check", "kontsevich", *KEY_INFEASIBLE], 2),
+    (["check", "kontsevich", *KEY_OVER_CAP], 3),
+    (["volume", *KEY_INFEASIBLE], 2),
+    (["volume", *KEY_OVER_CAP], 3),
+    (["pairing", *KEY_INFEASIBLE], 2),
+    (["pairing", "-g", "2", "-n", "1", "--q", "18"], 2),
+    (["tau", "-g", "1", "--d", "-1"], 2),
+    (["tau", "-g", "-1", "--d", "1"], 2),
+])
+def test_errors_exit_with_their_code(runner, command, code):
+    result = runner.invoke(main, command)
+    assert result.exit_code == code, result.output
+    assert result.output.startswith("error: ") and result.exc_info[0] is SystemExit
+
+
+def test_failed_check_exits_1(runner, monkeypatch):
+    monkeypatch.setattr("dtregge.cli.median_identity_check", lambda lengths: False)
+    result = runner.invoke(main, ["check", "median", "--trials", "3"])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["results"]["pass"] is False
+
+
+def test_failed_pairing_exits_1(runner, monkeypatch):
+    monkeypatch.setattr("dtregge.pairing.generating_F", lambda *args: 0)
+    result = runner.invoke(main, ["pairing", "-g", "0", "-n", "3", "--q", "2,2,2"])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["results"]["equal"] is False
+
+
+def test_cache_verify_exits_1_on_a_stale_entry(runner):
+    assert runner.invoke(main, ["enumerate", "-g", "1", "-n", "1", "--q", "6"]).exit_code == 0
+    [path] = dtregge.cache.list_cache()
+    data = json.loads(path.read_text())
+    data["entries"][0]["aut_boundary"] += 1
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["cache", "verify"])
+    assert result.exit_code == 1
+    assert "stale" in result.output

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_fan
 from dtregge.geometry import (
     CornerFan,
     DegenerateTriangleError,
@@ -12,6 +11,7 @@ from dtregge.geometry import (
     half_edge_lengths,
     linearized_map_at_equilateral,
     median_identity_check,
+    random_fan,
     vertex_deficit,
     vertex_jacobian,
 )

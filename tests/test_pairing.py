@@ -4,7 +4,12 @@ from itertools import permutations
 
 import pytest
 
-from dtregge.catalog import enumerate_ribbon_cells, feasible_q_vectors
+from dtregge.catalog import (
+    ResourceCapError,
+    enumerate_ribbon_cells,
+    enumerate_triangulations,
+    feasible_q_vectors,
+)
 from dtregge.intersection import GenusError
 from dtregge.measure import ConstraintSystem, constraint_system
 from dtregge.pairing import (
@@ -106,6 +111,25 @@ def test_pairing_raises_genus_error_before_any_volume(monkeypatch):
     monkeypatch.setattr("dtregge.pairing.leray_volume", no_volumes)
     with pytest.raises(GenusError):
         duality_pairing(2, 1, (18,))
+
+
+def test_face_cap_holds_when_a_catalog_is_given(monkeypatch):
+    catalog = enumerate_triangulations(0, 4, (3, 3, 3, 3))
+
+    def no_cells(*args):
+        raise AssertionError("cells enumerated before the face cap")
+
+    monkeypatch.setattr("dtregge.pairing.enumerate_ribbon_cells", no_cells)
+    with pytest.raises(ResourceCapError):
+        duality_pairing(0, 4, (3, 3, 3, 3), max_faces=2, catalog=catalog)
+
+
+def test_catalog_of_another_key_is_rejected():
+    catalog = enumerate_triangulations(0, 4, (2, 2, 4, 4))
+    with pytest.raises(ValueError, match="catalog of key"):
+        duality_pairing(0, 4, (3, 3, 3, 3), catalog=catalog)
+    with pytest.raises(ValueError, match="catalog of key"):
+        duality_pairing(0, 4, (4, 4, 2, 2), catalog=catalog)
 
 
 @pytest.mark.parametrize("key", [(1, 3, (6, 6, 6)), (0, 4, (2, 3, 3, 4))])

@@ -13,7 +13,6 @@ from dtregge.ribbon import (
     canonical_code,
     dualize,
     edge_refinement,
-    graph_genus,
 )
 
 
@@ -97,10 +96,10 @@ def test_dual_counts(theta_graph, torus_graph):
     assert theta_graph.vertex_count == 2
     assert theta_graph.edge_count == 3
     assert sorted(len(c) for c in theta_graph.boundary_cycles) == [2, 2, 2]
-    assert graph_genus(theta_graph) == 0
+    assert theta_graph.genus() == 0
     assert torus_graph.vertex_count == 2
     assert len(torus_graph.boundary_cycles) == 1
-    assert graph_genus(torus_graph) == 1
+    assert torus_graph.genus() == 1
 
 
 def test_dual_boundary_labels_match_vertex_stars(theta_graph):
