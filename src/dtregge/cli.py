@@ -21,12 +21,12 @@ from . import polygon
 from .catalog import Catalog, InfeasibleKeyError, ResourceCapError
 from .geometry import half_edge_lengths, median_identity_check, random_fan
 from .intersection import ExponentError, GenusError, tau
-from .measure import incidence_matrix, kontsevich_check
+from .measure import DimensionError, incidence_matrix, kontsevich_check
 from .pairing import duality_pairing
 from .report import RunReport, rational
 from .ribbon import RibbonGraphError, dualize
 from .triangulation import Triangulation, TriangulationError, gauss_bonnet_check
-from .volume import leray_volume
+from .volume import VolumeError, leray_volume
 
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
@@ -44,6 +44,8 @@ EXIT_CODES = {
     GenusError: EXIT_INPUT_ERROR,
     ExponentError: EXIT_INPUT_ERROR,
     InputError: EXIT_INPUT_ERROR,
+    DimensionError: EXIT_INPUT_ERROR,
+    VolumeError: EXIT_INPUT_ERROR,
     ResourceCapError: EXIT_RESOURCE_CAP,
 }
 
@@ -113,7 +115,7 @@ def with_key(func):
 def cmd_enumerate(genus, vertices, qlist, out, max_faces, workers, no_cache):
     """Enumerate all labelled triangulations realizing a curvature key."""
     q = _parse_q(qlist)
-    t0 = time.time()
+    t0 = time.perf_counter()
     catalog, path = cache_mod.cached_catalog(
         genus,
         vertices,
@@ -134,7 +136,7 @@ def cmd_enumerate(genus, vertices, qlist, out, max_faces, workers, no_cache):
                 "aut_orders": [entry.aut_order for entry in catalog.entries],
                 "path": str(path),
             },
-            {"seconds": round(time.time() - t0, 3)},
+            {"seconds": round(time.perf_counter() - t0, 3)},
         )
     )
 
@@ -175,7 +177,7 @@ def _load_catalog_or_key(in_path, genus, vertices, qlist, max_faces) -> Catalog:
 @reports_errors
 def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_max):
     """Run an exact identity check and report per-entry results."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     results: dict = {"entries": [], "pass": True}
     if kind in ("gauss-bonnet", "kontsevich"):
         catalog = _load_catalog_or_key(in_path, genus, vertices, qlist, max_faces)
@@ -221,7 +223,7 @@ def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_
             f"check {kind}",
             {"in": str(in_path) if in_path else None, "seed": seed},
             results,
-            {"seconds": round(time.time() - t0, 3)},
+            {"seconds": round(time.perf_counter() - t0, 3)},
         )
     )
     if not results["pass"]:
@@ -235,7 +237,7 @@ def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_
 def cmd_volume(genus, vertices, qlist, max_faces):
     """Exact Leray volumes of the constraint polytopes at a key."""
     q = _parse_q(qlist)
-    t0 = time.time()
+    t0 = time.perf_counter()
     catalog = cache_mod.cached_catalog(genus, vertices, q, max_faces=max_faces)[0]
     entries = []
     for entry in catalog.entries:
@@ -253,7 +255,7 @@ def cmd_volume(genus, vertices, qlist, max_faces):
             "volume",
             {"genus": genus, "vertices": vertices, "q": list(q)},
             {"entries": entries},
-            {"seconds": round(time.time() - t0, 3)},
+            {"seconds": round(time.perf_counter() - t0, 3)},
         )
     )
 
@@ -284,7 +286,7 @@ def cmd_tau(genus, dlist, enable_dvv):
 def cmd_pairing(genus, vertices, qlist, max_faces, enable_dvv):
     """Verify the duality pairing at a key; exit status reflects equality."""
     q = _parse_q(qlist)
-    t0 = time.time()
+    t0 = time.perf_counter()
     catalog = cache_mod.cached_catalog(genus, vertices, q, max_faces=max_faces)[0]
     report = duality_pairing(
         genus, vertices, q, enable_higher_genus=enable_dvv, max_faces=max_faces, catalog=catalog
@@ -297,7 +299,7 @@ def cmd_pairing(genus, vertices, qlist, max_faces, enable_dvv):
             "pairing",
             {"genus": genus, "vertices": vertices, "q": list(q)},
             body,
-            {"seconds": round(time.time() - t0, 3)},
+            {"seconds": round(time.perf_counter() - t0, 3)},
         )
     )
     if not report.equal:

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import linalg
 from .geometry import dual_edge_row
-from .linalg import integer_det
 from .ribbon import RibbonGraph
 
 
@@ -127,9 +127,9 @@ def total_form(graph: RibbonGraph) -> SkewForm:
 
 
 def pfaffian(matrix) -> object:
-    """Pfaffian of a skew matrix by recursive expansion with memoization.
+    """Pfaffian of a skew matrix over int or Fraction (``linalg.pfaffian``).
 
-    Works over any exact ring (int, Fraction).  Raises on odd dimension.
+    Raises on odd dimension and on a matrix that is not skew.
     """
     n = len(matrix)
     if n % 2 != 0:
@@ -138,26 +138,7 @@ def pfaffian(matrix) -> object:
         for j in range(n):
             if matrix[i][j] != -matrix[j][i]:
                 raise ValueError("matrix must be skew")
-    cache: dict[frozenset, object] = {}
-
-    def rec(indices: tuple[int, ...]):
-        if not indices:
-            return 1
-        key = frozenset(indices)
-        if key in cache:
-            return cache[key]
-        first, rest = indices[0], indices[1:]
-        total = 0
-        for pos, j in enumerate(rest):
-            coeff = matrix[first][j]
-            if coeff:
-                sign = -1 if pos % 2 else 1
-                sub = rest[:pos] + rest[pos + 1:]
-                total += sign * coeff * rec(sub)
-        cache[key] = total
-        return total
-
-    return rec(tuple(range(n)))
+    return linalg.pfaffian(matrix)
 
 
 def expected_kontsevich_constant(genus: int, n0: int) -> int:
@@ -172,33 +153,24 @@ def expected_kontsevich_constant(genus: int, n0: int) -> int:
 def kontsevich_coefficient(graph: RibbonGraph) -> int:
     """Coefficient of dL_1 ^ ... ^ dL_N1 in prod_k d(eta_k) ^ Omega^D.
 
-    Expands as a sum over N0-subsets S of the edges: the perimeter forms
-    contribute det(A[:, S]) on dL_S, the Pfaffian of the complementary
-    submatrix of Omega contributes Omega^D / D! on the rest, and the
-    shuffle sign glues them; the final D! restores the plain wedge power.
+    The perimeter forms contribute det(A[:, S]) on each N0-subset S of the
+    edges, and Omega^D / D! the Pfaffian of Omega on the complement; the
+    shuffle-signed sum of these products over S is the Laplace expansion of
+    the bordered Pfaffian Pf([[0, A], [-A^T, Omega]]) up to the sign
+    (-1)^(N0(N0-1)/2).  The final D! restores the plain wedge power.
     """
     system = incidence_matrix(graph)
     form = total_form(graph)
     n0, n1 = system.n0, system.n1
-    genus = graph.genus()
-    d = 3 * genus - 3 + n0
+    d = 3 * graph.genus() - 3 + n0
     if 2 * d + n0 != n1:
         raise DimensionError(
             f"dimension mismatch: 2D + N0 = {2 * d + n0} but N1 = {n1}"
         )
-    from itertools import combinations
-
-    total = 0
-    for subset in combinations(range(n1), n0):
-        det = integer_det([[system.a[i][j] for j in subset] for i in range(n0)])
-        if det == 0:
-            continue
-        complement = [j for j in range(n1) if j not in subset]
-        pf = pfaffian([[form.matrix[i][j] for j in complement] for i in complement])
-        if pf == 0:
-            continue
-        total += _shuffle_sign(subset, complement) * det * pf
-    return math.factorial(d) * total
+    bordered = [[0] * n0 + list(row) for row in system.a]
+    bordered += [[-row[j] for row in system.a] + list(form.matrix[j]) for j in range(n1)]
+    sign = -1 if n0 * (n0 - 1) // 2 % 2 else 1
+    return sign * math.factorial(d) * linalg.pfaffian(bordered)
 
 
 def kontsevich_check(graph: RibbonGraph) -> tuple[bool, int, int]:
@@ -206,16 +178,6 @@ def kontsevich_check(graph: RibbonGraph) -> tuple[bool, int, int]:
     coeff = kontsevich_coefficient(graph)
     expected = expected_kontsevich_constant(graph.genus(), len(graph.boundary_cycles))
     return abs(coeff) == expected, abs(coeff), expected
-
-
-def _shuffle_sign(first, second) -> int:
-    order = list(first) + list(second)
-    sign = 1
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                sign = -sign
-    return sign
 
 
 def pullback_to_triangulation(matrix, q: int) -> list[list[Fraction]]:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import sympy
 
 
 class PolygonError(ValueError):
@@ -133,6 +132,8 @@ def tangent_map_matrix(chart: PolygonChart):
 
 def equilateral_rank(q: int) -> int:
     """Exact rank of the tangent map at the regular q-gon (sympy arithmetic)."""
+    import sympy  # loaded here only: it is slow to import and nothing else needs it
+
     rows = []
     for a in range(q - 1):
         angle = 2 * sympy.pi * a / q

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -6,6 +9,8 @@ from click.testing import CliRunner
 import dtregge.cache
 import dtregge.pairing
 from dtregge.cli import main
+from dtregge.measure import DimensionError
+from dtregge.volume import UnboundedPolytopeError
 
 
 @pytest.fixture
@@ -82,6 +87,25 @@ def test_check_median_and_rank(runner):
     assert result.exit_code == 0, result.output
     result = runner.invoke(main, ["check", "rank", "--q-max", "5"])
     assert result.exit_code == 0, result.output
+
+
+def test_cli_import_does_not_load_sympy():
+    source = str(Path(dtregge.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {source!r}); "
+        "import dtregge.cli; print('sympy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
+
+
+def test_check_rank_reports_q_minus_1(runner):
+    result = runner.invoke(main, ["check", "rank"])
+    assert result.exit_code == 0, result.output
+    entries = json.loads(result.output)["results"]["entries"]
+    assert [(e["q"], e["rank"]) for e in entries] == [(q, q - 1) for q in range(3, 9)]
 
 
 def test_volume_values(runner):
@@ -242,6 +266,26 @@ KEY_INFEASIBLE = ["-g", "0", "-n", "3", "--q", "2,2,3"]
 def test_errors_exit_with_their_code(runner, command, code):
     result = runner.invoke(main, command)
     assert result.exit_code == code, result.output
+    assert result.output.startswith("error: ") and result.exc_info[0] is SystemExit
+
+
+def test_dimension_error_exits_2(runner, monkeypatch):
+    def fail(graph):
+        raise DimensionError("dimension mismatch")
+
+    monkeypatch.setattr("dtregge.cli.kontsevich_check", fail)
+    result = runner.invoke(main, ["check", "kontsevich", "-g", "1", "-n", "1", "--q", "6"])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ") and result.exc_info[0] is SystemExit
+
+
+def test_volume_error_exits_2(runner, monkeypatch):
+    def fail(system):
+        raise UnboundedPolytopeError("a zero column makes the polytope unbounded")
+
+    monkeypatch.setattr("dtregge.cli.leray_volume", fail)
+    result = runner.invoke(main, ["volume", "-g", "1", "-n", "1", "--q", "6"])
+    assert result.exit_code == 2, result.output
     assert result.output.startswith("error: ") and result.exc_info[0] is SystemExit
 
 

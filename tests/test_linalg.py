@@ -13,9 +13,11 @@ from dtregge.linalg import (
     integer_det,
     kernel_and_particular,
     matrix_rank,
+    pfaffian,
     rref,
     solve_square,
 )
+from test_measure import _pfaffian_oracle
 
 
 # --- independent oracle: Gaussian elimination over Fraction ---------------
@@ -193,3 +195,58 @@ def test_clear_denominators():
     assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 4]) == ([3, -4, 24], 6)
     assert clear_denominators([2, -3]) == ([2, -3], 1)
     assert clear_denominators([]) == ([], 1)
+
+
+# --- Pfaffians --------------------------------------------------------------
+
+
+def random_skew(rng, n, rational=False, density=1.0):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                m[i][j] = _entry(rng, rational)
+                m[j][i] = -m[i][j]
+    return m
+
+
+def skew_matrices(seed, count=150):
+    """Even-size skew matrices, dense and sparse, integer or rational, with
+    a zero (0, 1) entry, a zero first row and low-rank cases."""
+    rng = random.Random(seed)
+    yield []
+    yield [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]  # swap at step 1
+    yield [[0, 0, 0, 0], [0, 0, 2, 1], [0, -2, 0, 3], [0, -1, -3, 0]]  # zero first row
+    for _ in range(count):
+        n = rng.choice((2, 4, 4, 6, 6))
+        rational = rng.random() < 0.5
+        m = random_skew(rng, n, rational, density=rng.choice((1.0, 0.5, 0.25)))
+        if rng.random() < 0.3:
+            m[0][1] = m[1][0] = 0
+        if rng.random() < 0.2:
+            # B S B^T with S skew of size n - 2: singular
+            b = random_matrix(rng, n, n - 2, rational=rational)
+            s = random_skew(rng, n - 2, rational)
+            m = [
+                [sum((b[i][k] * s[k][t] * b[j][t] for k in range(n - 2) for t in range(n - 2)), 0)
+                 for j in range(n)]
+                for i in range(n)
+            ]
+        yield m
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pfaffian_matches_the_permutation_sum_oracle(seed):
+    for m in skew_matrices(seed):
+        value = pfaffian(m)
+        assert value == _pfaffian_oracle(m)
+        if all(isinstance(x, int) for row in m for x in row):
+            assert isinstance(value, int)
+
+
+def test_pfaffian_squares_to_the_determinant_up_to_size_20():
+    rng = random.Random(7)
+    for n in range(0, 21, 2):
+        for density in (1.0, 0.3, 0.1):
+            m = random_skew(rng, n, density=density)
+            assert pfaffian(m) ** 2 == integer_det(m)

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
 
-from dtregge.catalog import enumerate_triangulations
+from dtregge.catalog import enumerate_ribbon_cells, enumerate_triangulations
+from dtregge.linalg import integer_det
 from dtregge.measure import (
     DimensionError,
     SkewForm,
@@ -57,6 +58,54 @@ def _det_oracle(matrix):
             prod *= matrix[i][perm[i]]
         total += sign * prod
     return total
+
+
+def _pfaffian_expansion(matrix):
+    """Pfaffian by Laplace expansion along the first row, memoized on the
+    remaining index set."""
+    cache = {}
+
+    def rec(indices):
+        if not indices:
+            return 1
+        if indices not in cache:
+            first, rest = indices[0], indices[1:]
+            cache[indices] = sum(
+                (-1) ** pos * matrix[first][j] * rec(rest[:pos] + rest[pos + 1:])
+                for pos, j in enumerate(rest)
+                if matrix[first][j]
+            )
+        return cache[indices]
+
+    return rec(tuple(range(len(matrix))))
+
+
+def _shuffle_sign(first, second) -> int:
+    order = list(first) + list(second)
+    sign = 1
+    for i in range(len(order)):
+        for j in range(i + 1, len(order)):
+            if order[i] > order[j]:
+                sign = -sign
+    return sign
+
+
+def _subset_expansion_oracle(graph):
+    """The wedge coefficient as a sum over N0-subsets S of the edges: the
+    perimeter forms give det(A[:, S]) on dL_S, Omega^D / D! gives the
+    Pfaffian of Omega on the complement, and the shuffle sign glues them."""
+    a = incidence_matrix(graph).a
+    omega = total_form(graph).matrix
+    n0, n1 = len(a), len(omega)
+    total = 0
+    for subset in combinations(range(n1), n0):
+        det = integer_det([[row[j] for j in subset] for row in a])
+        if det == 0:
+            continue
+        complement = [j for j in range(n1) if j not in subset]
+        pf = _pfaffian_expansion([[omega[i][j] for j in complement] for i in complement])
+        total += _shuffle_sign(subset, complement) * det * pf
+    return factorial((n1 - n0) // 2) * total
 
 
 def _random_skew(rng: random.Random, n: int):
@@ -155,6 +204,25 @@ def test_wedge_identity_on_reference_duals(duals):
     for name, graph in duals.items():
         ok, coeff, expected = kontsevich_check(graph)
         assert ok, f"{name}: |{coeff}| != {expected}"
+
+
+@pytest.mark.parametrize("genus,n0", [(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1)])
+def test_coefficient_matches_the_subset_expansion_on_every_cell(genus, n0):
+    for graph in enumerate_ribbon_cells(genus, n0):
+        assert kontsevich_coefficient(graph) == _subset_expansion_oracle(graph)
+
+
+def test_coefficient_matches_the_subset_expansion_at_0_6():
+    for entry in enumerate_triangulations(0, 6, (4, 4, 4, 4, 4, 4)).entries:
+        assert kontsevich_coefficient(entry.dual) == _subset_expansion_oracle(entry.dual)
+
+
+@pytest.mark.parametrize("genus,n0,count,expected", [(2, 1, 9, 3072), (2, 2, 713, 61440)])
+def test_wedge_identity_at_genus_2_on_every_cell(genus, n0, count, expected):
+    cells = enumerate_ribbon_cells(genus, n0)
+    assert len(cells) == count
+    for graph in cells:
+        assert kontsevich_check(graph) == (True, expected, expected)
 
 
 def test_coefficient_rejects_wrong_dimension(theta_sphere):
