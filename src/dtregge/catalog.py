@@ -13,7 +13,8 @@ each once, by genus, sorted orbit sizes and whether it has a loop, into one
 cached index.  Both outputs read that index: a catalog key (g, N0, q)
 labels the orbits of the loop-free entry (g, sorted(q)), and the ribbon
 cells of (g, N0) label the boundaries of every entry of genus g with N0
-orbits.
+orbits.  Both label through one loop, ``_labelled_cells``, which keeps the
+first labelled graph of each canonical code.
 """
 
 from __future__ import annotations
@@ -212,23 +213,35 @@ def enumerate_ribbon_cells(genus: int, n0: int) -> tuple[RibbonGraph, ...]:
     deduplicated by canonical code.  Matchings of different index entries
     never share a code, so each code keeps the first graph in search order.
     """
-    n2 = face_count(genus, n0)
-    sigma = corner_rotation(3 * n2)
     out: dict[bytes, RibbonGraph] = {}
-    for (g, sizes, _), alphas in enumerate_gluings(n2).items():
+    for (g, sizes, _), alphas in enumerate_gluings(face_count(genus, n0)).items():
         if g != genus or len(sizes) != n0:
             continue
         for alpha in alphas:
-            for labels in permutations(range(1, n0 + 1)):
-                graph = RibbonGraph(sigma, alpha, labels)
-                code = canonical_code(graph)
-                if code not in out:
-                    out[code] = graph
+            labellings = permutations(range(1, n0 + 1))
+            for code, graph in _labelled_cells(alpha, labellings).items():
+                out.setdefault(code, graph)
     return tuple(out[code] for code in sorted(out))
 
 
+def _labelled_cells(alpha, labellings) -> dict[bytes, RibbonGraph]:
+    """The first labelled graph of each canonical code among the given
+    boundary labellings of one matching, in their order.
+
+    This is the one labelling loop: the ribbon cells feed it every
+    permutation of 1..N0, a catalog the labellings compatible with q.
+    """
+    sigma = corner_rotation(len(alpha))
+    out: dict[bytes, RibbonGraph] = {}
+    for labels in labellings:
+        graph = RibbonGraph(sigma, alpha, labels)
+        out.setdefault(canonical_code(graph), graph)
+    return out
+
+
 def _label_assignments(classes, q):
-    """All bijections class -> vertex label compatible with class sizes."""
+    """All label tuples for ``classes`` (label of the i-th class) that are
+    bijections onto 1..N0 compatible with the class sizes."""
     by_size: dict[int, list] = {}
     for idx, cls in enumerate(classes):
         by_size.setdefault(len(cls), []).append(idx)
@@ -241,11 +254,11 @@ def _label_assignments(classes, q):
         return
     sizes = sorted(by_size)
     for chosen in product(*(permutations(labels_by_size[s]) for s in sizes)):
-        assignment = {}
+        labels = [0] * len(classes)
         for size, perm in zip(sizes, chosen):
             for idx, label in zip(by_size[size], perm):
-                assignment[idx] = label
-        yield assignment
+                labels[idx] = label
+        yield tuple(labels)
 
 
 def _entries_for_gluing(args) -> list[CatalogEntry]:
@@ -253,28 +266,19 @@ def _entries_for_gluing(args) -> list[CatalogEntry]:
 
     Each labelling of the sigma o alpha orbits gives the dual directly; the
     triangulation is built, from the dart labels and the slot pairs of
-    alpha, only for a code not seen before.
+    alpha, once per code.
     """
     alpha, q = args
-    n = len(alpha)
-    sigma = corner_rotation(n)
+    sigma = corner_rotation(len(alpha))
     vertices = orbits([sigma[a] for a in alpha])
     gluing = [(divmod(d, 3), divmod(a, 3)) for d, a in enumerate(alpha) if d < a]
-    dart_labels = [0] * n
-    out = {}
-    for assignment in _label_assignments(vertices, q):
-        labels = tuple(assignment[i] for i in range(len(vertices)))
-        graph = RibbonGraph(sigma, alpha, labels)
-        code = canonical_code(graph)
-        if code in out:
-            continue
-        for vertex, label in zip(vertices, labels):
-            for d in vertex:
-                dart_labels[d] = label
-        faces = [dart_labels[d:d + 3] for d in range(0, n, 3)]
+    entries = []
+    for code, graph in _labelled_cells(alpha, _label_assignments(vertices, q)).items():
+        labels = graph.dart_labels()
+        faces = [labels[d:d + 3] for d in range(0, len(alpha), 3)]
         t = build_triangulation(len(q), faces, gluing)
-        out[code] = CatalogEntry(t, graph, aut_boundary(graph)[0], code)
-    return list(out.values())
+        entries.append(CatalogEntry(t, graph, aut_boundary(graph)[0], code))
+    return entries
 
 
 def enumerate_triangulations(

@@ -20,7 +20,7 @@ from itertools import permutations, product
 from .catalog import Catalog, check_feasible, enumerate_ribbon_cells, enumerate_triangulations
 from .intersection import generating_F
 from .measure import ConstraintSystem, constraint_system
-from .ribbon import RibbonGraph, aut_boundary, canonical_code
+from .ribbon import aut_boundary, canonical_code
 from .volume import leray_volume
 
 
@@ -87,18 +87,6 @@ def pairing_constant(genus: int, n0: int) -> int:
     return 2 ** (2 * n0 + 5 * genus - 5)
 
 
-def _has_loop(graph: RibbonGraph) -> bool:
-    return any(d // 3 == graph.alpha[d] // 3 for d in range(graph.dart_count))
-
-
-def _label_sides(graph: RibbonGraph) -> tuple[int, ...]:
-    by_label = {
-        graph.boundary_labels[i]: len(cycle)
-        for i, cycle in enumerate(graph.boundary_cycles)
-    }
-    return tuple(by_label[k] for k in sorted(by_label))
-
-
 def system_class(system: ConstraintSystem) -> tuple:
     """Canonical form of (A, rhs) up to column permutations and up to row
     permutations that keep rhs: (rhs, least sorted column tuple).
@@ -136,7 +124,8 @@ def duality_pairing(
     The key and the face cap are checked first, also when ``catalog`` is
     given, and a given catalog must be the catalog of this key.  Each volume
     is computed once per ``system_class`` and shared by every cell of that
-    class.
+    class.  Code and aut order are cached on the cells, which
+    ``enumerate_ribbon_cells`` keeps per (g, N0), so no key recomputes them.
     """
     q = tuple(q)
     check_feasible(genus, n0, q, max_faces)
@@ -165,10 +154,10 @@ def duality_pairing(
         aut = aut_boundary(graph)[0]
         code = canonical_code(graph)
         from_catalog = code in catalog_codes
+        sides = tuple(map(sum, system.a))  # rows are in label order
+        # a loop bounds a one-sided boundary, and nothing else does
         contributions.append(
-            CellContribution(
-                code, _label_sides(graph), volume, aut, _has_loop(graph), from_catalog
-            )
+            CellContribution(code, sides, volume, aut, 1 in sides, from_catalog)
         )
         total += volume / aut
         if from_catalog:

@@ -5,6 +5,11 @@ A ribbon graph is a set of darts together with a vertex rotation ``sigma``
 fixed-point-free edge involution ``alpha``.  Boundary cycles are the orbits
 of ``sigma o alpha`` (first alpha, then sigma); this composition order is
 the single source of truth for all side orderings downstream.
+
+One breadth-first pass over base darts, cached on the graph, gives both
+the canonical code and the boundary-label-preserving automorphism group:
+the bases whose encodings tie at the least code are exactly the images of
+the first such base under the group.
 """
 
 from __future__ import annotations
@@ -84,6 +89,46 @@ class RibbonGraph:
             for d in cycle:
                 labels[d] = label
         return tuple(labels)
+
+    @cached_property
+    def _canonical_form(self) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
+        """The least breadth-first encoding and the automorphism group.
+
+        Two bases with equal encodings differ by the label-preserving
+        automorphism that maps the i-th dart of the one breadth-first order
+        to the i-th dart of the other, and each automorphism arises so, as
+        it is fixed by the image of one dart.  So the bases tied at the
+        least code, read against the first of them, are the group.
+        """
+        n = self.dart_count
+        sigma, alpha = self.sigma, self.alpha
+        labels = self.dart_labels()
+        opening = [(1 if alpha[d] == sigma[d] else 2, labels[d]) for d in range(n)]
+        least = min(opening)
+        best, tied = None, []
+        for base in range(n):
+            if opening[base] != least:
+                continue
+            new = [-1] * n  # old dart -> new index
+            order = [base]  # new index -> old dart
+            new[base] = 0
+            for d in order:
+                for e in (sigma[d], alpha[d]):
+                    if new[e] == -1:
+                        new[e] = len(order)
+                        order.append(e)
+            encoded = []
+            for d in order:
+                encoded.append(new[sigma[d]])
+                encoded.append(new[alpha[d]])
+                encoded.append(labels[d])
+            candidate = bytes(encoded)
+            if best is None or candidate < best:
+                best, first, tied = candidate, new, [order]
+            elif candidate == best:
+                tied.append(order)
+        # dart d has index first[d] in the first order
+        return best, tuple(sorted(tuple(order[i] for i in first) for order in tied))
 
     def genus(self) -> int:
         chi = self.vertex_count - self.edge_count + len(self.boundary_cycles)
@@ -179,74 +224,11 @@ def dualize(t: Triangulation) -> RibbonGraph:
     return graph
 
 
-@dataclass(frozen=True)
-class EdgeRefinement:
-    """Degree-2 midpoint vertex inserted on every edge."""
-
-    vertices: tuple
-    edges: tuple
-
-    @property
-    def degrees(self) -> dict:
-        deg = {v: 0 for v in self.vertices}
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
-
-
-def edge_refinement(graph: RibbonGraph) -> EdgeRefinement:
-    trivalent = [("v", cycle[0]) for cycle in orbits(graph.sigma)]
-    midpoints = [("e", j) for j in range(graph.edge_count)]
-    vertex_of_dart = {}
-    for cycle in orbits(graph.sigma):
-        for d in cycle:
-            vertex_of_dart[d] = ("v", cycle[0])
-    edges = []
-    for d in range(graph.dart_count):
-        edges.append((vertex_of_dart[d], ("e", graph.dart_edge[d])))
-    return EdgeRefinement(tuple(trivalent + midpoints), tuple(edges))
-
-
-def automorphisms(graph: RibbonGraph, fix_labels: bool = True) -> list[tuple[int, ...]]:
-    """All dart bijections commuting with sigma and alpha.
-
-    With ``fix_labels`` every labelled boundary cycle must map to itself;
-    otherwise any orientation-preserving map automorphism is accepted.  An
-    automorphism is determined by the image of dart 0 because the dart set
-    is connected under sigma and alpha.
-    """
-    n = graph.dart_count
-    sigma, alpha = graph.sigma, graph.alpha
-    labels = graph.dart_labels()
-    found = []
-    for image in range(n):
-        perm = [-1] * n
-        perm[0] = image
-        stack = [0]
-        ok = True
-        while stack and ok:
-            d = stack.pop()
-            for step in (sigma, alpha):
-                e, fe = step[d], step[perm[d]]
-                if perm[e] == -1:
-                    perm[e] = fe
-                    stack.append(e)
-                elif perm[e] != fe:
-                    ok = False
-                    break
-        if not ok or sorted(perm) != list(range(n)):
-            continue
-        if fix_labels and any(labels[perm[d]] != labels[d] for d in range(n)):
-            continue
-        found.append(tuple(perm))
-    return found
-
-
 def aut_boundary(graph: RibbonGraph) -> tuple[int, list[tuple[int, ...]]]:
-    """Order and elements of the boundary-label-preserving automorphism group."""
-    elements = automorphisms(graph, fix_labels=True)
-    return len(elements), elements
+    """Order and elements of the boundary-label-preserving automorphism group,
+    as ascending dart permutations read off the ``canonical_code`` pass."""
+    elements = graph._canonical_form[1]
+    return len(elements), list(elements)
 
 
 def canonical_code(graph: RibbonGraph) -> bytes:
@@ -259,35 +241,8 @@ def canonical_code(graph: RibbonGraph) -> bytes:
     dart.  An encoding from ``base`` opens with ``(1, 1 or 2, label)``: the
     middle byte is 1 exactly when ``alpha[base] == sigma[base]`` (a loop).
     Only bases with the least ``(middle byte, label)`` can give the least
-    encoding, so the others are skipped.
+    encoding, so the others are skipped.  Two bases tie at the least code
+    exactly when one automorphism maps the first to the second, which is
+    how ``aut_boundary`` reads the group off the same pass.
     """
-    n = graph.dart_count
-    sigma, alpha = graph.sigma, graph.alpha
-    labels = graph.dart_labels()
-    opening = [(1 if alpha[d] == sigma[d] else 2, labels[d]) for d in range(n)]
-    least = min(opening)
-    best = None
-    for base in range(n):
-        if opening[base] != least:
-            continue
-        new = [-1] * n  # old dart -> new index
-        order = []      # new index -> old dart
-        new[base] = 0
-        order.append(base)
-        head = 0
-        while head < len(order):
-            d = order[head]
-            head += 1
-            for e in (sigma[d], alpha[d]):
-                if new[e] == -1:
-                    new[e] = len(order)
-                    order.append(e)
-        encoded = []
-        for d in order:
-            encoded.append(new[sigma[d]])
-            encoded.append(new[alpha[d]])
-            encoded.append(labels[d])
-        candidate = bytes(encoded)
-        if best is None or candidate < best:
-            best = candidate
-    return best
+    return graph._canonical_form[0]

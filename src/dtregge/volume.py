@@ -3,9 +3,10 @@
 The Leray measure mu on {L >= 0, A L = rhs} is fixed by
 mu ^ d(eta_1) ^ ... ^ d(eta_N0) = dL_1 ^ ... ^ dL_N1.  In kernel
 coordinates L = L0 + K y the mu-density relative to Lebesgue dy is
-|det[K | W]| / |det(A W)| for any complement W; the Lebesgue factor is an
-exact rational polytope volume computed by vertex enumeration and a
-facet-recursive simplicial decomposition.
+|det[K | W]| / |det(A W)| for any complement W of unit columns, and
+|det[K | W]| is the d x d minor of K off that complement.  The Lebesgue
+factor is an exact rational polytope volume computed by vertex enumeration
+and a facet-recursive simplicial decomposition.
 """
 
 from __future__ import annotations
@@ -195,11 +196,10 @@ def leray_volume(system: ConstraintSystem, rng: random.Random | None = None) -> 
     if rng is not None:
         complement = _random_complement(a, n1, n0, rng)
 
-    # mu-density relative to Lebesgue measure in kernel coordinates
-    k_cols = [[col[i] for i in range(n1)] for col in basis]
-    w_cols = [[1 if i == c else 0 for i in range(n1)] for c in complement]
-    square = [[colv[i] for colv in (k_cols + w_cols)] for i in range(n1)]
-    density_num = abs(det(square))
+    # mu-density relative to Lebesgue measure in kernel coordinates; the
+    # unit columns of W reduce det[K | W] to the rows of K off the complement
+    free = [i for i in range(n1) if i not in complement]
+    density_num = abs(det([[col[i] for col in basis] for i in free]))
     density_den = abs(det([[a[r][c] for c in complement] for r in range(n0)]))
     if density_den == 0:
         raise RankDeficientError("chosen complement is singular")

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -10,7 +10,7 @@ from dtregge.catalog import (
     enumerate_triangulations,
     feasible_q_vectors,
 )
-from dtregge.intersection import GenusError
+from dtregge.intersection import GenusError, tau
 from dtregge.measure import ConstraintSystem, constraint_system
 from dtregge.pairing import (
     cardinality_and_average,
@@ -142,6 +142,11 @@ def test_memoized_volumes_equal_direct_volumes(key):
     for graph, contribution in zip(cells, report.contributions):
         assert contribution.code == canonical_code(graph)
         assert contribution.aut_order == aut_boundary(graph)[0]
+        labelled = sorted(zip(graph.boundary_labels, graph.boundary_cycles))
+        assert contribution.sides == tuple(len(cycle) for _, cycle in labelled)
+        assert contribution.has_loop == any(
+            d // 3 == graph.alpha[d] // 3 for d in range(graph.dart_count)
+        )
         assert contribution.volume == leray_volume(constraint_system(graph, perimeters)).value
 
 
@@ -201,3 +206,53 @@ def test_pairing_at_0_5_with_perimeters_3_3_4_4_4():
     report = duality_pairing(0, 5, (3, 3, 4, 4, 4))
     assert report.equal
     assert report.lhs == report.rhs == 3891
+
+
+def _double_factorial(k: int) -> int:
+    """k!! for odd k >= -1, with (-1)!! = 1."""
+    result = 1
+    for m in range(k, 0, -2):
+        result *= m
+    return result
+
+
+def _kontsevich_sides(genus: int, n0: int, lam: dict) -> tuple[Fraction, Fraction]:
+    """Both sides of Kontsevich's Laplace-transformed main identity,
+
+    sum_G 2^(-N2) / |Aut G| prod_e 2 / (lam_e + lam'_e)
+        = sum_d <tau_d>_g prod_i (2 d_i - 1)!! / lam_i^(2 d_i + 1),
+
+    the left over the labelled trivalent cells, with lam_e and lam'_e the
+    lam of the boundaries on the two sides of edge e (a loop edge gives
+    2 / (2 lam_i)), the right over the compositions d of N0 + 3g - 3.
+    """
+    left = Fraction(0)
+    for graph in enumerate_ribbon_cells(genus, n0):
+        labels = graph.dart_labels()
+        term = Fraction(1, 2**graph.vertex_count * aut_boundary(graph)[0])
+        for d, e in graph.edges:
+            term *= 2 / (lam[labels[d]] + lam[labels[e]])
+        left += term
+    dim = n0 + 3 * genus - 3
+    right = Fraction(0)
+    for ds in product(range(dim + 1), repeat=n0):
+        if sum(ds) != dim:
+            continue
+        term = tau(genus, ds, enable_higher_genus=True)
+        for label, d in enumerate(ds, start=1):
+            term *= Fraction(_double_factorial(2 * d - 1)) / lam[label] ** (2 * d + 1)
+        right += term
+    return left, right
+
+
+@pytest.mark.parametrize(
+    "genus, n0", [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+)
+def test_kontsevich_laplace_identity_on_the_cells(genus, n0):
+    for seed in (1, 2):
+        rng = random.Random(100 * genus + 10 * n0 + seed)
+        lam = {
+            k: Fraction(rng.randint(1, 40), rng.randint(1, 40)) for k in range(1, n0 + 1)
+        }
+        left, right = _kontsevich_sides(genus, n0, lam)
+        assert left == right != 0, f"g={genus}, N0={n0}, seed {seed}"

@@ -9,10 +9,8 @@ from dtregge.ribbon import (
     RibbonGraph,
     RibbonGraphError,
     aut_boundary,
-    automorphisms,
     canonical_code,
     dualize,
-    edge_refinement,
 )
 
 
@@ -37,6 +35,37 @@ def _vf2_aut_count(graph: RibbonGraph) -> int:
         edge_match=isomorphism.categorical_edge_match("kind", None),
     )
     return sum(1 for _ in matcher.isomorphisms_iter())
+
+
+def _dfs_automorphisms(graph: RibbonGraph) -> set[tuple[int, ...]]:
+    """Boundary-label-preserving automorphisms by depth-first extension of
+    every image of dart 0: an automorphism is fixed by that image, because
+    the darts are connected under sigma and alpha."""
+    n = graph.dart_count
+    sigma, alpha = graph.sigma, graph.alpha
+    labels = graph.dart_labels()
+    found = set()
+    for image in range(n):
+        perm = [-1] * n
+        perm[0] = image
+        stack = [0]
+        ok = True
+        while stack and ok:
+            d = stack.pop()
+            for step in (sigma, alpha):
+                e, fe = step[d], step[perm[d]]
+                if perm[e] == -1:
+                    perm[e] = fe
+                    stack.append(e)
+                elif perm[e] != fe:
+                    ok = False
+                    break
+        if not ok or sorted(perm) != list(range(n)):
+            continue
+        if any(labels[perm[d]] != labels[d] for d in range(n)):
+            continue
+        found.add(tuple(perm))
+    return found
 
 
 def _relabel(graph: RibbonGraph, rng: random.Random) -> RibbonGraph:
@@ -112,7 +141,7 @@ def test_automorphism_order_against_vf2(theta_graph, torus_graph, k4_graphs):
 
 
 def test_automorphisms_form_a_group(torus_graph):
-    elements = set(automorphisms(torus_graph, fix_labels=True))
+    elements = set(aut_boundary(torus_graph)[1])
     assert tuple(range(torus_graph.dart_count)) in elements
     for p in elements:
         for q in elements:
@@ -148,13 +177,6 @@ def test_mirror_chirality(theta_graph, k4_graphs):
     assert canonical_code(b.mirror()) == canonical_code(a)
 
 
-def test_edge_refinement_degrees(theta_graph):
-    refined = edge_refinement(theta_graph)
-    degrees = refined.degrees
-    assert sorted(degrees.values()) == [2, 2, 2, 3, 3]
-    assert len(refined.edges) == theta_graph.dart_count
-
-
 def test_rejects_fixed_point_involution():
     with pytest.raises(RibbonGraphError):
         RibbonGraph((1, 2, 0), (0, 1, 2), (1,))
@@ -179,3 +201,15 @@ def test_canonical_code_matches_unpruned_reference():
             renamed = _relabel(graph, rng)
             assert canonical_code(renamed) == _reference_code(renamed) == code
     assert loop_cells > 0
+
+
+def test_automorphisms_equal_the_depth_first_oracle_on_every_cell():
+    loop_cells = nontrivial = 0
+    for genus, n0 in [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1), (1, 3)]:
+        for graph in enumerate_ribbon_cells(genus, n0):
+            loop_cells += any(graph.alpha[d] == graph.sigma[d] for d in range(graph.dart_count))
+            order, elements = aut_boundary(graph)
+            assert order == len(elements)
+            assert set(elements) == _dfs_automorphisms(graph)
+            nontrivial += order > 1
+    assert loop_cells > 0 and nontrivial > 0

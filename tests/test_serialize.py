@@ -1,7 +1,9 @@
+import hashlib
 import json
 from fractions import Fraction
 
-from dtregge.catalog import CatalogEntry, enumerate_triangulations
+from dtregge.catalog import CatalogEntry, enumerate_triangulations, feasible_q_vectors
+from dtregge.pairing import duality_pairing
 from dtregge.report import SCHEMA, RunReport, rational
 from dtregge.ribbon import RibbonGraph, dualize
 from dtregge.triangulation import Triangulation
@@ -46,3 +48,41 @@ def test_rational_serialization():
     assert rational(Fraction(4, 2)) == "2"
     assert rational(5) == "5"
     assert Fraction(rational(Fraction(-9, 4))) == Fraction(-9, 4)
+
+
+def _digest(results) -> str:
+    """SHA-256 over the sorted-key JSON of each result, concatenated."""
+    h = hashlib.sha256()
+    for result in results:
+        h.update(json.dumps(result.to_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_survey_catalogs_are_bit_identical():
+    """The 107 catalogs at g=0 with N0 <= 6 and at g=1 with N0 <= 3, one per
+    sorted q, in ascending key order, as first written at convention 1."""
+    keys = sorted(
+        {
+            (genus, n0, tuple(sorted(q)))
+            for genus, n0s in ((0, range(3, 7)), (1, range(1, 4)))
+            for n0 in n0s
+            for q in feasible_q_vectors(genus, n0)
+        }
+    )
+    assert len(keys) == 107
+    assert _digest(enumerate_triangulations(*key) for key in keys) == (
+        "d2d622a59d507859464d2cf80dfa2342716bfc79b2800997753cc9984a85dd7c"
+    )
+
+
+def test_pairing_reports_are_bit_identical():
+    """The 47 pairing reports: every labelled q at (0,4) and (1,2), plus
+    (0,3,(2,2,2)), (1,1,(6,)) and (1,3,(6,6,6)), in ascending key order."""
+    keys = sorted(
+        {(genus, n0, q) for genus, n0 in ((0, 4), (1, 2)) for q in feasible_q_vectors(genus, n0)}
+        | {(0, 3, (2, 2, 2)), (1, 1, (6,)), (1, 3, (6, 6, 6))}
+    )
+    assert len(keys) == 47
+    assert _digest(duality_pairing(*key) for key in keys) == (
+        "45f70303a38b77b3473d2d08aa4c52f5c4152b4320c16fabd346fb80fc7a2afc"
+    )
