@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 
 from .catalog import Catalog, check_feasible, enumerate_ribbon_cells, enumerate_triangulations
@@ -88,27 +89,30 @@ def pairing_constant(genus: int, n0: int) -> int:
 
 
 def system_class(system: ConstraintSystem) -> tuple:
-    """Canonical form of (A, rhs) up to column permutations and up to row
-    permutations that keep rhs: (rhs, least sorted column tuple).
+    """Canonical form of (A, rhs) up to column permutations and up to every
+    simultaneous permutation of rows and rhs: (sorted rhs, least sorted
+    column tuple over the row orders that keep rhs sorted).
 
-    Permuting the edges or the equally constrained boundaries of a system
-    moves neither its polytope nor its Leray measure, so systems of one
-    class have one volume.
+    Relabelling the edges or the boundaries of a system moves neither its
+    polytope nor its Leray measure, so systems of one class have one
+    volume, whichever key they come from.
     """
-    rhs = system.rhs
     groups: dict[Fraction, list[int]] = {}
-    for i, b in enumerate(rhs):
-        groups.setdefault(b, []).append(i)
-    best = None
-    for shuffles in product(*(permutations(rows) for rows in groups.values())):
-        order = [0] * len(rhs)
-        for rows, shuffled in zip(groups.values(), shuffles):
-            for position, row in zip(rows, shuffled):
-                order[position] = row
-        columns = tuple(sorted(zip(*(system.a[i] for i in order))))
-        if best is None or columns < best:
-            best = columns
-    return tuple(rhs), best
+    for i in sorted(range(system.n0), key=system.rhs.__getitem__):
+        groups.setdefault(system.rhs[i], []).append(i)
+    columns = min(
+        tuple(sorted(zip(*(system.a[i] for rows in shuffles for i in rows))))
+        for shuffles in product(*(permutations(rows) for rows in groups.values()))
+    )
+    return tuple(sorted(system.rhs)), columns
+
+
+@lru_cache(maxsize=None)
+def class_volume(key: tuple) -> Fraction:
+    """Leray volume of the constraint systems of one ``system_class``,
+    computed once per process from the class's own representative."""
+    rhs, columns = key
+    return leray_volume(ConstraintSystem(tuple(zip(*columns)), rhs)).value
 
 
 def duality_pairing(
@@ -123,9 +127,11 @@ def duality_pairing(
 
     The key and the face cap are checked first, also when ``catalog`` is
     given, and a given catalog must be the catalog of this key.  Each volume
-    is computed once per ``system_class`` and shared by every cell of that
-    class.  Code and aut order are cached on the cells, which
-    ``enumerate_ribbon_cells`` keeps per (g, N0), so no key recomputes them.
+    is computed once per ``system_class`` and process, by ``class_volume``,
+    and shared by every cell of that class at this and every later key; the
+    keys of one (g, N0) share most classes.  Code and aut order are cached
+    on the cells, which ``enumerate_ribbon_cells`` keeps per (g, N0), so no
+    key recomputes them.
     """
     q = tuple(q)
     check_feasible(genus, n0, q, max_faces)
@@ -141,16 +147,12 @@ def duality_pairing(
     perimeters = {k: Fraction(qk) for k, qk in enumerate(q, start=1)}
     const = pairing_constant(genus, n0)
 
-    volumes: dict[tuple, Fraction] = {}
     contributions = []
     total = Fraction(0)
     catalog_total = Fraction(0)
     for graph in enumerate_ribbon_cells(genus, n0):
         system = constraint_system(graph, perimeters)
-        key = system_class(system)
-        volume = volumes.get(key)
-        if volume is None:
-            volume = volumes[key] = leray_volume(system).value
+        volume = class_volume(system_class(system))
         aut = aut_boundary(graph)[0]
         code = canonical_code(graph)
         from_catalog = code in catalog_codes

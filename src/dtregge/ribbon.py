@@ -15,7 +15,7 @@ the first such base under the group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .triangulation import Triangulation, TriangulationError, corner_rotation, orbits
 
@@ -31,21 +31,7 @@ class RibbonGraph:
     boundary_labels: tuple[int, ...]  # label of the i-th boundary cycle
 
     def __post_init__(self):
-        n = len(self.sigma)
-        if len(self.alpha) != n:
-            raise RibbonGraphError("sigma and alpha act on different dart sets")
-        if sorted(self.sigma) != list(range(n)) or sorted(self.alpha) != list(range(n)):
-            raise RibbonGraphError("sigma and alpha must be permutations of 0..2E-1")
-        for d in range(n):
-            if self.alpha[d] == d:
-                raise RibbonGraphError(f"alpha fixes dart {d}")
-            if self.alpha[self.alpha[d]] != d:
-                raise RibbonGraphError("alpha is not an involution")
-        for cycle in orbits(self.sigma):
-            if len(cycle) != 3:
-                raise RibbonGraphError("all sigma cycles must have length 3 (trivalent)")
-        if not _connected(self.sigma, self.alpha):
-            raise RibbonGraphError("ribbon graph is not connected")
+        _check_darts(self.sigma, self.alpha)
         if len(self.boundary_labels) != len(self.boundary_cycles):
             raise RibbonGraphError("one label per boundary cycle is required")
         if len(set(self.boundary_labels)) != len(self.boundary_labels):
@@ -179,6 +165,31 @@ class RibbonGraph:
         raw = data["boundary_labels"]
         labels = tuple(raw[str(i)] for i in range(len(raw)))
         return cls(tuple(sigma), tuple(alpha), labels)
+
+
+@lru_cache(maxsize=1)
+def _check_darts(sigma: tuple[int, ...], alpha: tuple[int, ...]) -> None:
+    """Raise RibbonGraphError unless sigma and alpha form a connected
+    trivalent ribbon graph.
+
+    The labelling loops build every labelling of one matching in a row, so
+    remembering the last pair that passed validates each matching once.
+    """
+    n = len(sigma)
+    if len(alpha) != n:
+        raise RibbonGraphError("sigma and alpha act on different dart sets")
+    if sorted(sigma) != list(range(n)) or sorted(alpha) != list(range(n)):
+        raise RibbonGraphError("sigma and alpha must be permutations of 0..2E-1")
+    for d in range(n):
+        if alpha[d] == d:
+            raise RibbonGraphError(f"alpha fixes dart {d}")
+        if alpha[alpha[d]] != d:
+            raise RibbonGraphError("alpha is not an involution")
+    for cycle in orbits(sigma):
+        if len(cycle) != 3:
+            raise RibbonGraphError("all sigma cycles must have length 3 (trivalent)")
+    if not _connected(sigma, alpha):
+        raise RibbonGraphError("ribbon graph is not connected")
 
 
 def _connected(sigma, alpha) -> bool:

@@ -105,13 +105,14 @@ def _affine_rank(points) -> int:
     return matrix_rank(rows) if rows else 0
 
 
-def _triangulate(points, inequalities, dim):
+def _triangulate(points, incidence, dim):
     """Simplices decomposing the convex hull of ``points``.
 
-    ``inequalities`` is a list of (row, offset) with row . y + offset >= 0
-    for every point; every proper face of the polytope is the tight set of
-    one of them, which drives the recursion.  ``points`` must affinely span
-    ``dim`` dimensions.
+    ``incidence`` maps each point to the set of inequalities tight at it.
+    Every facet of the polytope, and of each of its faces, is the set of
+    its points tight at one inequality, so the facets of every level of
+    the recursion are read off the same sets.  ``points`` must affinely
+    span ``dim`` dimensions.
     """
     points = sorted(points)
     if dim == 0:
@@ -119,20 +120,15 @@ def _triangulate(points, inequalities, dim):
     if len(points) == dim + 1:
         return [tuple(points)]
     apex = points[0]
+    faces: dict[int, list] = {}  # inequality -> its tight points, apex excluded
+    for p in points[1:]:
+        for i in incidence[p] - incidence[apex]:
+            faces.setdefault(i, []).append(p)
     simplices = []
-    seen = set()
-    for row, offset in inequalities:
-        tight = [
-            p for p in points
-            if sum(r * x for r, x in zip(row, p)) + offset == 0
-        ]
-        key = frozenset(tight)
-        if key in seen or apex in tight:
-            continue
-        seen.add(key)
+    for tight in set(map(tuple, faces.values())):
         if _affine_rank(tight) != dim - 1:
             continue
-        for simplex in _triangulate(tight, inequalities, dim - 1):
+        for simplex in _triangulate(tight, incidence, dim - 1):
             simplices.append(simplex + (apex,))
     return simplices
 
@@ -142,7 +138,8 @@ def lebesgue_volume(points, inequalities) -> Fraction:
 
     The decomposition runs on integers: the points are scaled to a common
     denominator s and each inequality is cleared of its denominators, so a
-    simplex determinant is s^dim times the true one.
+    simplex determinant is s^dim times the true one.  Each point's tight
+    inequalities are found once, on the scaled points.
     """
     if not points:
         return Fraction(0)
@@ -157,8 +154,15 @@ def lebesgue_volume(points, inequalities) -> Fraction:
     for row, offset in inequalities:
         integers = clear_denominators(list(row) + [offset])[0]
         cleared.append((integers[:dim], integers[dim] * scale))
+    incidence = {
+        p: frozenset(
+            i for i, (row, offset) in enumerate(cleared)
+            if sum(r * x for r, x in zip(row, p)) + offset == 0
+        )
+        for p in scaled
+    }
     total = 0
-    for simplex in _triangulate(scaled, cleared, dim):
+    for simplex in _triangulate(scaled, incidence, dim):
         base = simplex[0]
         total += abs(integer_det([[x - b for x, b in zip(p, base)] for p in simplex[1:]]))
     return Fraction(total, factorial(dim) * scale**dim)

@@ -14,6 +14,7 @@ from dtregge.intersection import GenusError, tau
 from dtregge.measure import ConstraintSystem, constraint_system
 from dtregge.pairing import (
     cardinality_and_average,
+    class_volume,
     duality_pairing,
     pairing_constant,
     system_class,
@@ -157,6 +158,7 @@ def test_pairing_computes_one_volume_per_system_class(monkeypatch):
         calls.append(system)
         return leray_volume(system)
 
+    class_volume.cache_clear()
     monkeypatch.setattr("dtregge.pairing.leray_volume", counting)
     report = duality_pairing(1, 3, (6, 6, 6))
     assert report.equal
@@ -165,12 +167,14 @@ def test_pairing_computes_one_volume_per_system_class(monkeypatch):
 
 
 def _brute_force_class(system):
-    """Least sorted column tuple over every row order that keeps rhs."""
+    """Sorted rhs and the least sorted column tuple over every row order
+    that sorts rhs."""
+    rhs = sorted(system.rhs)
     orders = [
         order for order in permutations(range(system.n0))
-        if all(system.rhs[i] == b for i, b in zip(order, system.rhs))
+        if [system.rhs[i] for i in order] == rhs
     ]
-    return tuple(system.rhs), min(
+    return tuple(rhs), min(
         tuple(sorted(zip(*(system.a[i] for i in order)))) for order in orders
     )
 
@@ -200,6 +204,50 @@ def test_system_class_ignores_column_and_rhs_preserving_row_order():
                 )
                 assert moved.rhs == system.rhs
                 assert system_class(moved) == key
+
+
+def test_system_class_ignores_every_boundary_relabelling():
+    rng = random.Random(11)
+    for genus, n0, q in [(0, 4, (4, 3, 2, 3)), (1, 2, (7, 5)), (1, 3, (7, 5, 6))]:
+        perimeters = {k: Fraction(qk) for k, qk in enumerate(q, start=1)}
+        for graph in enumerate_ribbon_cells(genus, n0)[:20]:
+            system = constraint_system(graph, perimeters)
+            key = system_class(system)
+            assert key == _brute_force_class(system)
+            for _ in range(5):
+                columns = rng.sample(range(system.n1), system.n1)
+                rows = rng.sample(range(system.n0), system.n0)
+                moved = ConstraintSystem(
+                    tuple(tuple(system.a[i][j] for j in columns) for i in rows),
+                    tuple(system.rhs[i] for i in rows),
+                )
+                assert system_class(moved) == key
+
+
+@pytest.mark.parametrize("genus, n0, volumes", [(0, 4, 106), (1, 2, 41)])
+def test_labelled_keys_share_one_volume_per_class(monkeypatch, genus, n0, volumes):
+    calls = []
+
+    def counting(system):
+        calls.append(system)
+        return leray_volume(system)
+
+    class_volume.cache_clear()
+    monkeypatch.setattr("dtregge.pairing.leray_volume", counting)
+    for q in feasible_q_vectors(genus, n0):
+        assert duality_pairing(genus, n0, q).equal
+    assert len(calls) == volumes
+
+
+@pytest.mark.parametrize("key", [(0, 4, (4, 3, 3, 2)), (1, 2, (7, 5))])
+def test_volumes_shared_across_keys_equal_direct_volumes(key):
+    genus, n0, q = key
+    duality_pairing(genus, n0, tuple(sorted(q)))  # the memo holds the twin's classes
+    report = duality_pairing(genus, n0, q)
+    perimeters = {k: Fraction(qk) for k, qk in enumerate(q, start=1)}
+    cells = enumerate_ribbon_cells(genus, n0)
+    for graph, contribution in zip(cells, report.contributions, strict=True):
+        assert contribution.volume == leray_volume(constraint_system(graph, perimeters)).value
 
 
 def test_pairing_at_0_5_with_perimeters_3_3_4_4_4():

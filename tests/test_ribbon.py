@@ -4,7 +4,8 @@ import networkx as nx
 import pytest
 from networkx.algorithms import isomorphism
 
-from dtregge.catalog import enumerate_ribbon_cells, enumerate_triangulations
+from dtregge import ribbon
+from dtregge.catalog import enumerate_gluings, enumerate_ribbon_cells, enumerate_triangulations
 from dtregge.ribbon import (
     RibbonGraph,
     RibbonGraphError,
@@ -180,6 +181,50 @@ def test_mirror_chirality(theta_graph, k4_graphs):
 def test_rejects_fixed_point_involution():
     with pytest.raises(RibbonGraphError):
         RibbonGraph((1, 2, 0), (0, 1, 2), (1,))
+
+
+@pytest.mark.parametrize(
+    "sigma, alpha, labels, message",
+    [
+        ((1, 2, 0, 4, 5, 3), (3, 5, 4, 0), (1, 2, 3), "different dart sets"),
+        ((1, 2, 0, 4, 5, 3), (3, 5, 4, 0, 2, 2), (1, 2, 3), "permutations"),
+        ((1, 2, 0, 4, 5, 3), (3, 1, 4, 0, 2, 5), (1, 2, 3), "fixes dart 1"),
+        ((1, 2, 0, 4, 5, 3), (1, 2, 0, 4, 5, 3), (1, 2, 3), "not an involution"),
+        ((1, 0, 3, 2, 5, 4), (3, 5, 4, 0, 2, 1), (1, 2, 3), "trivalent"),
+        (
+            (1, 2, 0, 4, 5, 3, 7, 8, 6, 10, 11, 9),
+            (3, 5, 4, 0, 2, 1, 9, 11, 10, 6, 8, 7),
+            (1, 2, 3, 4, 5, 6),
+            "not connected",
+        ),
+        ((1, 2, 0, 4, 5, 3), (3, 5, 4, 0, 2, 1), (1, 2), "one label per boundary"),
+        ((1, 2, 0, 4, 5, 3), (3, 5, 4, 0, 2, 1), (1, 2, 2), "distinct"),
+    ],
+)
+def test_malformed_graphs_are_rejected_after_a_valid_one(sigma, alpha, labels, message):
+    # the dart check remembers only a pair that passed, so a bad pair fails every time
+    for _ in range(2):
+        RibbonGraph((1, 2, 0, 4, 5, 3), (3, 5, 4, 0, 2, 1), (1, 2, 3))
+        with pytest.raises(RibbonGraphError, match=message):
+            RibbonGraph(sigma, alpha, labels)
+
+
+def test_labelling_loop_validates_each_matching_once(monkeypatch):
+    checked = []
+    connected = ribbon._connected
+    monkeypatch.setattr(
+        "dtregge.ribbon._connected",
+        lambda sigma, alpha: checked.append(alpha) or connected(sigma, alpha),
+    )
+    ribbon._check_darts.cache_clear()
+    enumerate_ribbon_cells.__wrapped__(1, 2)  # builds both labellings of each matching
+    matchings = [
+        alpha
+        for (genus, sizes, _), alphas in enumerate_gluings(4).items()
+        if genus == 1 and len(sizes) == 2
+        for alpha in alphas
+    ]
+    assert checked == matchings
 
 
 def test_round_trip(theta_graph, torus_graph, k4_graphs):
