@@ -13,8 +13,10 @@ each once, by genus, sorted orbit sizes and whether it has a loop, into one
 cached index.  Both outputs read that index: a catalog key (g, N0, q)
 labels the orbits of the loop-free entry (g, sorted(q)), and the ribbon
 cells of (g, N0) label the boundaries of every entry of genus g with N0
-orbits.  Both label through one loop, ``_labelled_cells``, which keeps the
-first labelled graph of each canonical code.
+orbits.  One unlabelled canonical pass per matching keeps the first of
+each isomorphism class in an entry, ``_classes``, and one loop,
+``_labelled_cells``, labels it once per orbit of its automorphism group,
+whose stabilizer is the group of the labelled graph (orbit-stabilizer).
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from types import MappingProxyType
 
-from .ribbon import RibbonGraph, aut_boundary, canonical_code
+from .ribbon import RibbonGraph, aut_boundary, canonical_code, canonical_form, labelled_cell
 from .triangulation import Triangulation, build_triangulation, corner_rotation, orbits
 
 #: Bump when a normative counting/orientation convention changes, or when the
@@ -54,7 +56,9 @@ def face_count(genus: int, n0: int) -> int:
 def check_feasible(genus: int, n0: int, q, max_faces: int | None = None) -> int:
     """Validate a catalog key; returns the face count N2.
 
-    With ``max_faces`` a key needing more faces raises ResourceCapError.
+    With ``max_faces`` a key needing more faces raises ResourceCapError, as
+    does, always, a key needing more than 256 darts (3 N2 > 256), which
+    ``canonical_code`` cannot number in bytes.
     """
     q = tuple(q)
     if genus < 0 or n0 < 1 or len(q) != n0:
@@ -66,9 +70,15 @@ def check_feasible(genus: int, n0: int, q, max_faces: int | None = None) -> int:
         )
     if any(qk < 2 for qk in q):
         raise InfeasibleKeyError("curvature assignments below 2 produce dual loops")
+    _check_faces(n2, max_faces)
+    return n2
+
+
+def _check_faces(n2: int, max_faces: int | None) -> None:
     if max_faces is not None and n2 > max_faces:
         raise ResourceCapError(f"key needs {n2} faces, above the cap of {max_faces}")
-    return n2
+    if 3 * n2 > 256:  # canonical codes number the darts in bytes
+        raise ResourceCapError(f"key needs {3 * n2} darts; canonical codes hold at most 256")
 
 
 @dataclass(frozen=True)
@@ -143,7 +153,7 @@ def _matchings(n2: int) -> tuple[tuple[int, ...], ...]:
     the search: whenever the lowest unmatched slot is glued to a face not
     seen before, that face is forced to be the lowest unused one and the
     gluing lands on its slot 0.  Residual duplicates (isomorphic matchings
-    the pruning does not catch) are removed by canonical codes downstream.
+    the pruning does not catch) are removed by ``_classes`` downstream.
     """
     n = 3 * n2
     partner = [-1] * n
@@ -186,57 +196,79 @@ def enumerate_gluings(n2: int) -> MappingProxyType:
     triangulation (the boundaries of the dual), and a loop is a slot glued
     to its own face.  The gluings of a catalog key (g, N0, q) are the entry
     ``(g, sorted(q), False)``; the ribbon cells of (g, N0) are the entries
-    of genus g with N0 orbits.  A loop bounds an orbit of size 1, so
-    has_loop equals ``1 in sizes``; the flag states the catalogs' exclusion
-    of loops instead of leaving it to the check q >= 2.  Matchings keep
-    their search order within an entry.  The index is cached, so it is
-    returned read-only.
+    of genus g with N0 orbits.  A loop bounds an orbit of size 1, and only
+    a loop does, so has_loop is ``sizes[0] == 1``; the flag states the
+    catalogs' exclusion of loops instead of leaving it to the check q >= 2.
+    Matchings keep their search order within an entry.  The index is
+    cached, so it is returned read-only.
     """
     sigma = corner_rotation(3 * n2)
     index: dict[tuple, list] = {}
     for alpha in _matchings(n2):
         sizes = tuple(sorted(len(o) for o in orbits([sigma[a] for a in alpha])))
         genus = (2 - len(sizes) + n2 // 2) // 2  # chi = V - 3 N2 / 2 + N2
-        has_loop = any(a // 3 == d // 3 for d, a in enumerate(alpha))
+        has_loop = sizes[0] == 1
         index.setdefault((genus, sizes, has_loop), []).append(alpha)
     return MappingProxyType({signature: tuple(a) for signature, a in index.items()})
 
 
 @lru_cache(maxsize=None)
-def enumerate_ribbon_cells(genus: int, n0: int) -> tuple[RibbonGraph, ...]:
+def _classes(n2: int, signature: tuple) -> tuple:
+    """The first matching of each unlabelled class in an index entry, with
+    its orientation-preserving automorphism group, both read off one
+    unlabelled ``canonical_form`` pass per matching."""
+    sigma = corner_rotation(3 * n2)
+    classes: dict[bytes, tuple] = {}
+    for alpha in enumerate_gluings(n2).get(signature, ()):
+        code, group = canonical_form(sigma, alpha)
+        classes.setdefault(code, (alpha, group))
+    return tuple(classes.values())
+
+
+@lru_cache(maxsize=None)
+def enumerate_ribbon_cells(genus: int, n0: int, max_faces: int = 12) -> tuple[RibbonGraph, ...]:
     """All labelled trivalent ribbon graphs with the given genus and number
-    of boundaries, loops included.
+    of boundaries, loops included, in canonical-code order.
 
     These are the top-dimensional cells of the combinatorial moduli space;
     the loop-free ones are exactly the duals of catalog triangulations.
-    Boundary labels 1..N0 are assigned in every way, and graphs are
-    deduplicated by canonical code.  Matchings of different index entries
-    never share a code, so each code keeps the first graph in search order.
+    Each unlabelled class is labelled once, from its first matching, with
+    one labelling of 1..N0 per orbit of its automorphism group.  A key
+    needing more than ``max_faces`` faces, or more than 256 darts, raises
+    ResourceCapError.
     """
-    out: dict[bytes, RibbonGraph] = {}
-    for (g, sizes, _), alphas in enumerate_gluings(face_count(genus, n0)).items():
-        if g != genus or len(sizes) != n0:
-            continue
-        for alpha in alphas:
-            labellings = permutations(range(1, n0 + 1))
-            for code, graph in _labelled_cells(alpha, labellings).items():
-                out.setdefault(code, graph)
-    return tuple(out[code] for code in sorted(out))
+    n2 = face_count(genus, n0)
+    _check_faces(n2, max_faces)
+    cells = []
+    for signature in enumerate_gluings(n2):
+        if signature[0] == genus and len(signature[1]) == n0:
+            for alpha, group in _classes(n2, signature):
+                labellings = permutations(range(1, n0 + 1))
+                cells.extend(_labelled_cells(alpha, group, labellings))
+    return tuple(sorted(cells, key=canonical_code))
 
 
-def _labelled_cells(alpha, labellings) -> dict[bytes, RibbonGraph]:
-    """The first labelled graph of each canonical code among the given
-    boundary labellings of one matching, in their order.
+def _labelled_cells(alpha, group, labellings):
+    """One labelled graph per orbit of ``group`` among the given boundary
+    labellings of one class representative, the first in their order.
 
     This is the one labelling loop: the ribbon cells feed it every
-    permutation of 1..N0, a catalog the labellings compatible with q.
+    permutation of 1..N0, a catalog the labellings compatible with q.  The
+    automorphisms that fix a labelling, its stabilizer of order
+    |Aut| / orbit size, are the automorphisms of the labelled graph.
     """
     sigma = corner_rotation(len(alpha))
-    out: dict[bytes, RibbonGraph] = {}
+    cycles = orbits([sigma[a] for a in alpha])
+    where = {d: i for i, cycle in enumerate(cycles) for d in cycle}
+    moves = [[where[g[cycle[0]]] for cycle in cycles] for g in group]
+    seen = set()
     for labels in labellings:
-        graph = RibbonGraph(sigma, alpha, labels)
-        out.setdefault(canonical_code(graph), graph)
-    return out
+        if labels in seen:
+            continue
+        images = [tuple(labels[i] for i in move) for move in moves]
+        seen.update(images)
+        stabilizer = tuple(g for g, image in zip(group, images) if image == labels)
+        yield labelled_cell(sigma, alpha, labels, stabilizer)
 
 
 def _label_assignments(classes, q):
@@ -262,22 +294,21 @@ def _label_assignments(classes, q):
 
 
 def _entries_for_gluing(args) -> list[CatalogEntry]:
-    """Distinct labelled entries arising from one loop-free matching.
+    """The labelled entries of one unlabelled class of loop-free matchings.
 
     Each labelling of the sigma o alpha orbits gives the dual directly; the
-    triangulation is built, from the dart labels and the slot pairs of
-    alpha, once per code.
+    triangulation is built from the dart labels and the slot pairs of alpha.
     """
-    alpha, q = args
+    alpha, group, q = args
     sigma = corner_rotation(len(alpha))
     vertices = orbits([sigma[a] for a in alpha])
     gluing = [(divmod(d, 3), divmod(a, 3)) for d, a in enumerate(alpha) if d < a]
     entries = []
-    for code, graph in _labelled_cells(alpha, _label_assignments(vertices, q)).items():
+    for graph in _labelled_cells(alpha, group, _label_assignments(vertices, q)):
         labels = graph.dart_labels()
         faces = [labels[d:d + 3] for d in range(0, len(alpha), 3)]
         t = build_triangulation(len(q), faces, gluing)
-        entries.append(CatalogEntry(t, graph, aut_boundary(graph)[0], code))
+        entries.append(CatalogEntry(t, graph, aut_boundary(graph)[0], canonical_code(graph)))
     return entries
 
 
@@ -291,8 +322,8 @@ def enumerate_triangulations(
     """Catalog of all labelled triangulations realizing (genus, N0, q)."""
     q = tuple(q)
     n2 = check_feasible(genus, n0, q, max_faces)
-    alphas = enumerate_gluings(n2).get((genus, tuple(sorted(q)), False), ())
-    jobs = [(alpha, q) for alpha in alphas]
+    classes = _classes(n2, (genus, tuple(sorted(q)), False))
+    jobs = [(alpha, group, q) for alpha, group in classes]
 
     if workers > 1 and jobs:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -300,12 +331,9 @@ def enumerate_triangulations(
     else:
         results = [_entries_for_gluing(job) for job in jobs]
 
-    merged: dict[bytes, CatalogEntry] = {}
-    for batch in results:
-        for entry in batch:
-            merged.setdefault(entry.code, entry)
-    entries = tuple(merged[code] for code in sorted(merged))
-    return Catalog(genus, n0, q, entries)
+    # classes and their orbits never share a code
+    entries = sorted(chain.from_iterable(results), key=lambda entry: entry.code)
+    return Catalog(genus, n0, q, tuple(entries))
 
 
 def feasible_q_vectors(genus: int, n0: int):

@@ -21,7 +21,7 @@ from itertools import permutations, product
 from .catalog import Catalog, check_feasible, enumerate_ribbon_cells, enumerate_triangulations
 from .intersection import generating_F
 from .measure import ConstraintSystem, constraint_system
-from .ribbon import aut_boundary, canonical_code
+from .ribbon import RibbonGraph, aut_boundary, canonical_code
 from .volume import leray_volume
 
 
@@ -115,6 +115,16 @@ def class_volume(key: tuple) -> Fraction:
     return leray_volume(ConstraintSystem(tuple(zip(*columns)), rhs)).value
 
 
+@lru_cache(maxsize=None)
+def _incidence_rows(graph: RibbonGraph) -> tuple[tuple[int, ...], ...]:
+    """The rows of a cell's constraint system, in boundary-label order.
+
+    They do not depend on the perimeters, so each cell that
+    ``enumerate_ribbon_cells`` keeps builds them once for every key.
+    """
+    return constraint_system(graph, dict.fromkeys(graph.boundary_labels, 0)).a
+
+
 def duality_pairing(
     genus: int,
     n0: int,
@@ -130,8 +140,8 @@ def duality_pairing(
     is computed once per ``system_class`` and process, by ``class_volume``,
     and shared by every cell of that class at this and every later key; the
     keys of one (g, N0) share most classes.  Code and aut order are cached
-    on the cells, which ``enumerate_ribbon_cells`` keeps per (g, N0), so no
-    key recomputes them.
+    on the cells, which ``enumerate_ribbon_cells`` keeps per (g, N0), and
+    so are their constraint rows, so no key recomputes them.
     """
     q = tuple(q)
     check_feasible(genus, n0, q, max_faces)
@@ -144,14 +154,14 @@ def duality_pairing(
         )
     rhs = generating_F(genus, q, enable_higher_genus)  # before any volume work
     catalog_codes = {entry.code for entry in catalog.entries}
-    perimeters = {k: Fraction(qk) for k, qk in enumerate(q, start=1)}
+    perimeters = tuple(map(Fraction, q))  # the labels are 1..N0
     const = pairing_constant(genus, n0)
 
     contributions = []
     total = Fraction(0)
     catalog_total = Fraction(0)
     for graph in enumerate_ribbon_cells(genus, n0):
-        system = constraint_system(graph, perimeters)
+        system = ConstraintSystem(_incidence_rows(graph), perimeters)
         volume = class_volume(system_class(system))
         aut = aut_boundary(graph)[0]
         code = canonical_code(graph)

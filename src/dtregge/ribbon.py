@@ -6,10 +6,13 @@ fixed-point-free edge involution ``alpha``.  Boundary cycles are the orbits
 of ``sigma o alpha`` (first alpha, then sigma); this composition order is
 the single source of truth for all side orderings downstream.
 
-One breadth-first pass over base darts, cached on the graph, gives both
-the canonical code and the boundary-label-preserving automorphism group:
-the bases whose encodings tie at the least code are exactly the images of
-the first such base under the group.
+One breadth-first pass over base darts, ``canonical_form``, gives both a
+canonical code and an automorphism group: the bases whose encodings tie at
+the least code are exactly the images of the first such base under the
+group.  Run with the boundary labels and cached on the graph, it gives
+``canonical_code`` and ``aut_boundary``; run without them, it gives the
+unlabelled class of a matching and its full orientation-preserving group,
+from which the catalogs derive their labelled cells by orbit-stabilizer.
 """
 
 from __future__ import annotations
@@ -78,43 +81,9 @@ class RibbonGraph:
 
     @cached_property
     def _canonical_form(self) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
-        """The least breadth-first encoding and the automorphism group.
-
-        Two bases with equal encodings differ by the label-preserving
-        automorphism that maps the i-th dart of the one breadth-first order
-        to the i-th dart of the other, and each automorphism arises so, as
-        it is fixed by the image of one dart.  So the bases tied at the
-        least code, read against the first of them, are the group.
-        """
-        n = self.dart_count
-        sigma, alpha = self.sigma, self.alpha
-        labels = self.dart_labels()
-        opening = [(1 if alpha[d] == sigma[d] else 2, labels[d]) for d in range(n)]
-        least = min(opening)
-        best, tied = None, []
-        for base in range(n):
-            if opening[base] != least:
-                continue
-            new = [-1] * n  # old dart -> new index
-            order = [base]  # new index -> old dart
-            new[base] = 0
-            for d in order:
-                for e in (sigma[d], alpha[d]):
-                    if new[e] == -1:
-                        new[e] = len(order)
-                        order.append(e)
-            encoded = []
-            for d in order:
-                encoded.append(new[sigma[d]])
-                encoded.append(new[alpha[d]])
-                encoded.append(labels[d])
-            candidate = bytes(encoded)
-            if best is None or candidate < best:
-                best, first, tied = candidate, new, [order]
-            elif candidate == best:
-                tied.append(order)
-        # dart d has index first[d] in the first order
-        return best, tuple(sorted(tuple(order[i] for i in first) for order in tied))
+        """The least labelled breadth-first encoding and the
+        boundary-label-preserving automorphism group (``canonical_form``)."""
+        return canonical_form(self.sigma, self.alpha, self.dart_labels())
 
     def genus(self) -> int:
         chi = self.vertex_count - self.edge_count + len(self.boundary_cycles)
@@ -167,12 +136,62 @@ class RibbonGraph:
         return cls(tuple(sigma), tuple(alpha), labels)
 
 
+def canonical_form(sigma, alpha, labels=None) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
+    """The least breadth-first encoding of (sigma, alpha), with per-dart
+    ``labels`` or unlabelled, and the automorphisms that keep the labels.
+
+    From a base dart, each dart in breadth-first order contributes the new
+    numbers of its sigma and alpha images and its label.  Only bases with
+    the least (loop flag, label) are tried.  Two bases tie exactly when the
+    automorphism mapping the i-th dart of one order to the i-th of the
+    other exists, and an automorphism is fixed by the image of one dart, so
+    the ties, read against the first, are the group (ascending dart maps).
+    """
+    n = len(sigma)
+    opening = [(alpha[d] != sigma[d], labels[d] if labels else 0) for d in range(n)]
+    least = min(opening)
+    best, tied = None, []
+    for base in range(n):
+        if opening[base] != least:
+            continue
+        new = [-1] * n  # old dart -> new index
+        order = [base]  # new index -> old dart
+        new[base] = 0
+        for d in order:
+            for e in (sigma[d], alpha[d]):
+                if new[e] == -1:
+                    new[e] = len(order)
+                    order.append(e)
+        if labels:
+            candidate = bytes(
+                [x for d in order for x in (new[sigma[d]], new[alpha[d]], labels[d])]
+            )
+        else:
+            candidate = bytes([x for d in order for x in (new[sigma[d]], new[alpha[d]])])
+        if best is None or candidate < best:
+            best, first, tied = candidate, new, [order]
+        elif candidate == best:
+            tied.append(order)
+    # dart d has index first[d] in the first order
+    return best, tuple(sorted(tuple(order[i] for i in first) for order in tied))
+
+
+def labelled_cell(sigma, alpha, labels, automorphisms) -> RibbonGraph:
+    """``RibbonGraph(sigma, alpha, labels)`` whose boundary-label-preserving
+    automorphisms are known, as ascending dart permutations: only its code
+    is searched for, and ``aut_boundary`` returns ``automorphisms``."""
+    graph = RibbonGraph(sigma, alpha, labels)
+    code = canonical_form(sigma, alpha, graph.dart_labels())[0]
+    graph.__dict__["_canonical_form"] = (code, automorphisms)  # the cached_property's slot
+    return graph
+
+
 @lru_cache(maxsize=1)
 def _check_darts(sigma: tuple[int, ...], alpha: tuple[int, ...]) -> None:
     """Raise RibbonGraphError unless sigma and alpha form a connected
     trivalent ribbon graph.
 
-    The labelling loops build every labelling of one matching in a row, so
+    The labelling loop builds the labellings of one matching in a row, so
     remembering the last pair that passed validates each matching once.
     """
     n = len(sigma)
@@ -237,7 +256,8 @@ def dualize(t: Triangulation) -> RibbonGraph:
 
 def aut_boundary(graph: RibbonGraph) -> tuple[int, list[tuple[int, ...]]]:
     """Order and elements of the boundary-label-preserving automorphism group,
-    as ascending dart permutations read off the ``canonical_code`` pass."""
+    as ascending dart permutations read off the ``canonical_code`` pass (or
+    as given to ``labelled_cell``)."""
     elements = graph._canonical_form[1]
     return len(elements), list(elements)
 
@@ -248,12 +268,10 @@ def canonical_code(graph: RibbonGraph) -> bytes:
     Two labelled ribbon graphs have equal codes iff they are related by an
     orientation-preserving, boundary-label-preserving isomorphism.
 
-    The code is the least of the breadth-first encodings from every base
-    dart.  An encoding from ``base`` opens with ``(1, 1 or 2, label)``: the
-    middle byte is 1 exactly when ``alpha[base] == sigma[base]`` (a loop).
-    Only bases with the least ``(middle byte, label)`` can give the least
-    encoding, so the others are skipped.  Two bases tie at the least code
-    exactly when one automorphism maps the first to the second, which is
-    how ``aut_boundary`` reads the group off the same pass.
+    The code is the least labelled ``canonical_form`` encoding.  One from
+    ``base`` opens with ``(1, 1 or 2, label)``: the middle byte is 1 exactly
+    when ``alpha[base] == sigma[base]`` (a loop), so only bases with the
+    least (loop flag, label) can give the least encoding.  Dart numbers
+    are bytes, so a graph may have at most 256 darts.
     """
     return graph._canonical_form[0]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 class TriangulationError(ValueError):
@@ -156,6 +157,7 @@ def build_triangulation(vertex_count, face_corner_labels, slot_gluing) -> Triang
     return Triangulation(vertex_count, faces, gluing, genus)
 
 
+@lru_cache(maxsize=None)
 def corner_rotation(n: int) -> tuple[int, ...]:
     """The rotation sigma of n = 3 N2 darts: dart 3f+i, which stands for
     slot (f, i) and for corner (f, i), turns to 3f + (i+1) mod 3."""

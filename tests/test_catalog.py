@@ -16,11 +16,12 @@ from dtregge.catalog import (
     face_count,
     feasible_q_vectors,
 )
-from dtregge.ribbon import RibbonGraph, canonical_code, dualize
+from dtregge.ribbon import RibbonGraph, aut_boundary, canonical_code, dualize
 from dtregge.triangulation import (
     TriangulationError,
     build_triangulation,
     corner_classes,
+    corner_rotation,
     curvature_assignments,
     gauss_bonnet_check,
 )
@@ -267,3 +268,73 @@ def test_resource_cap_in_check_feasible():
         check_feasible(0, 6, (3,) * 4 + (6, 6), max_faces=4)
     with pytest.raises(InfeasibleKeyError):  # infeasibility is reported first
         check_feasible(0, 6, (3,) * 4 + (6, 5), max_faces=4)
+
+
+def test_dart_cap_in_check_feasible():
+    # canonical codes number the darts in bytes: 3 N2 <= 256
+    assert check_feasible(0, 44, (6,) * 40 + (3,) * 4) == 84  # 252 darts
+    with pytest.raises(ResourceCapError, match="258 darts"):
+        check_feasible(0, 45, (6,) * 33 + (5,) * 12)
+    with pytest.raises(ResourceCapError, match="258 darts"):
+        enumerate_triangulations(0, 45, (6,) * 33 + (5,) * 12, max_faces=100)
+
+
+def test_face_and_dart_caps_in_enumerate_ribbon_cells():
+    with pytest.raises(ResourceCapError, match="14 faces"):
+        enumerate_ribbon_cells(0, 9)  # the default cap is 12 faces
+    with pytest.raises(ResourceCapError, match="6 faces"):
+        enumerate_ribbon_cells(0, 5, max_faces=4)
+    with pytest.raises(ResourceCapError, match="258 darts"):
+        enumerate_ribbon_cells(0, 45, max_faces=None)
+    assert len(enumerate_ribbon_cells(0, 3, max_faces=2)) == 4
+
+
+# --- oracle: every labelling of every matching, deduplicated by code -------
+
+CELL_KEYS = [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+
+
+def _labelling_loop_cells(genus, n0):
+    """The cells of (genus, N0) found by building and coding every labelling
+    of every matching of the index, keeping the first graph of each code."""
+    out = {}
+    for (g, sizes, _), alphas in enumerate_gluings(face_count(genus, n0)).items():
+        if g != genus or len(sizes) != n0:
+            continue
+        for alpha in alphas:
+            sigma = corner_rotation(len(alpha))
+            for labels in permutations(range(1, n0 + 1)):
+                graph = RibbonGraph(sigma, alpha, labels)
+                out.setdefault(canonical_code(graph), graph)
+    return [out[code] for code in sorted(out)]
+
+
+@pytest.mark.parametrize("genus, n0", CELL_KEYS)
+def test_ribbon_cells_equal_the_labelling_loop_oracle(genus, n0):
+    cells = enumerate_ribbon_cells(genus, n0)
+    for cell, graph in zip(cells, _labelling_loop_cells(genus, n0), strict=True):
+        assert (cell.sigma, cell.alpha, cell.boundary_labels) == (
+            graph.sigma, graph.alpha, graph.boundary_labels
+        )
+        assert canonical_code(cell) == canonical_code(graph)
+        assert aut_boundary(cell)[0] == aut_boundary(graph)[0]
+
+
+def test_orbit_stabilizer_automorphisms_equal_the_coding_pass():
+    # a rebuilt graph finds its group from the ties of its own labelled pass
+    nontrivial = 0
+    for genus, n0 in CELL_KEYS:
+        for cell in enumerate_ribbon_cells(genus, n0):
+            rebuilt = RibbonGraph(cell.sigma, cell.alpha, cell.boundary_labels)
+            assert aut_boundary(cell) == aut_boundary(rebuilt)
+            nontrivial += aut_boundary(cell)[0] > 1
+    entries = 0
+    for genus, n0 in [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3)]:
+        for q in sorted({tuple(sorted(q)) for q in feasible_q_vectors(genus, n0)}):
+            for entry in enumerate_triangulations(genus, n0, q).entries:
+                dual = entry.dual
+                rebuilt = RibbonGraph(dual.sigma, dual.alpha, dual.boundary_labels)
+                assert entry.aut_order == aut_boundary(rebuilt)[0]
+                assert entry.code == canonical_code(rebuilt)
+                entries += 1
+    assert nontrivial > 0 and entries > 0

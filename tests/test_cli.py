@@ -42,6 +42,16 @@ def test_enumerate_resource_cap(runner):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("command", ["enumerate", "volume", "pairing"])
+def test_key_past_256_darts_is_a_resource_cap(runner, command):
+    q = ",".join(["6"] * 33 + ["5"] * 12)  # 86 faces, 258 darts
+    result = runner.invoke(
+        main, [command, "-g", "0", "-n", "45", "--q", q, "--max-faces", "100"]
+    )
+    assert result.exit_code == 3, result.output
+    assert "258 darts" in result.output
+
+
 def test_dual_round_trip(runner, tmp_path):
     cat_path = tmp_path / "cat.json"
     result = runner.invoke(

@@ -264,6 +264,16 @@ def _double_factorial(k: int) -> int:
     return result
 
 
+def _draw_lambda(genus: int, n0: int, seed: int) -> dict:
+    """Seeded rational lambda for boundaries 1..N0, drawn again until they are
+    distinct and none is 1, so that every edge factor depends on its sides."""
+    rng = random.Random(100 * genus + 10 * n0 + seed)
+    while True:
+        lam = [Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(n0)]
+        if len(set(lam)) == n0 and 1 not in lam:
+            return dict(enumerate(lam, start=1))
+
+
 def _kontsevich_sides(genus: int, n0: int, lam: dict) -> tuple[Fraction, Fraction]:
     """Both sides of Kontsevich's Laplace-transformed main identity,
 
@@ -298,9 +308,5 @@ def _kontsevich_sides(genus: int, n0: int, lam: dict) -> tuple[Fraction, Fractio
 )
 def test_kontsevich_laplace_identity_on_the_cells(genus, n0):
     for seed in (1, 2):
-        rng = random.Random(100 * genus + 10 * n0 + seed)
-        lam = {
-            k: Fraction(rng.randint(1, 40), rng.randint(1, 40)) for k in range(1, n0 + 1)
-        }
-        left, right = _kontsevich_sides(genus, n0, lam)
+        left, right = _kontsevich_sides(genus, n0, _draw_lambda(genus, n0, seed))
         assert left == right != 0, f"g={genus}, N0={n0}, seed {seed}"

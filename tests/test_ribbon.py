@@ -5,7 +5,12 @@ import pytest
 from networkx.algorithms import isomorphism
 
 from dtregge import ribbon
-from dtregge.catalog import enumerate_gluings, enumerate_ribbon_cells, enumerate_triangulations
+from dtregge.catalog import (
+    _classes,
+    enumerate_gluings,
+    enumerate_ribbon_cells,
+    enumerate_triangulations,
+)
 from dtregge.ribbon import (
     RibbonGraph,
     RibbonGraphError,
@@ -217,14 +222,12 @@ def test_labelling_loop_validates_each_matching_once(monkeypatch):
         lambda sigma, alpha: checked.append(alpha) or connected(sigma, alpha),
     )
     ribbon._check_darts.cache_clear()
-    enumerate_ribbon_cells.__wrapped__(1, 2)  # builds both labellings of each matching
-    matchings = [
-        alpha
-        for (genus, sizes, _), alphas in enumerate_gluings(4).items()
-        if genus == 1 and len(sizes) == 2
-        for alpha in alphas
-    ]
-    assert checked == matchings
+    enumerate_ribbon_cells.__wrapped__(1, 2)  # labels each class from its first matching
+    signatures = [s for s in enumerate_gluings(4) if s[0] == 1 and len(s[1]) == 2]
+    representatives = [alpha for s in signatures for alpha, _ in _classes(4, s)]
+    matchings = [alpha for s in signatures for alpha in enumerate_gluings(4)[s]]
+    assert checked == representatives  # each representative once, in index order
+    assert len(set(checked)) == len(checked) < len(matchings)
 
 
 def test_round_trip(theta_graph, torus_graph, k4_graphs):
