@@ -15,8 +15,7 @@ labels the orbits of the loop-free entry (g, sorted(q)), and the ribbon
 cells of (g, N0) label the boundaries of every entry of genus g with N0
 orbits.  One unlabelled canonical pass per matching keeps the first of
 each isomorphism class in an entry, ``_classes``, and one loop,
-``_labelled_cells``, labels it once per orbit of its automorphism group,
-whose stabilizer is the group of the labelled graph (orbit-stabilizer).
+``_labelled_cells``, labels it once per orbit of its automorphism group.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from functools import lru_cache
 from itertools import chain, permutations, product
 from types import MappingProxyType
 
-from .ribbon import RibbonGraph, aut_boundary, canonical_code, canonical_form, labelled_cell
+from .ribbon import RibbonGraph, aut_boundary, canonical_code, canonical_form
 from .triangulation import Triangulation, build_triangulation, corner_rotation, orbits
 
 #: Bump when a normative counting/orientation convention changes, or when the
@@ -225,8 +224,9 @@ def _classes(n2: int, signature: tuple) -> tuple:
     return tuple(classes.values())
 
 
-@lru_cache(maxsize=None)
-def enumerate_ribbon_cells(genus: int, n0: int, max_faces: int = 12) -> tuple[RibbonGraph, ...]:
+def enumerate_ribbon_cells(
+    genus: int, n0: int, max_faces: int | None = 12
+) -> tuple[RibbonGraph, ...]:
     """All labelled trivalent ribbon graphs with the given genus and number
     of boundaries, loops included, in canonical-code order.
 
@@ -235,10 +235,16 @@ def enumerate_ribbon_cells(genus: int, n0: int, max_faces: int = 12) -> tuple[Ri
     Each unlabelled class is labelled once, from its first matching, with
     one labelling of 1..N0 per orbit of its automorphism group.  A key
     needing more than ``max_faces`` faces, or more than 256 darts, raises
-    ResourceCapError.
+    ResourceCapError.  The cells are kept per (g, N0).
     """
+    _check_faces(face_count(genus, n0), max_faces)
+    return _cells(genus, n0)
+
+
+@lru_cache(maxsize=None)
+def _cells(genus: int, n0: int) -> tuple[RibbonGraph, ...]:
+    """The cells of ``enumerate_ribbon_cells``, uncapped."""
     n2 = face_count(genus, n0)
-    _check_faces(n2, max_faces)
     cells = []
     for signature in enumerate_gluings(n2):
         if signature[0] == genus and len(signature[1]) == n0:
@@ -253,9 +259,9 @@ def _labelled_cells(alpha, group, labellings):
     labellings of one class representative, the first in their order.
 
     This is the one labelling loop: the ribbon cells feed it every
-    permutation of 1..N0, a catalog the labellings compatible with q.  The
-    automorphisms that fix a labelling, its stabilizer of order
-    |Aut| / orbit size, are the automorphisms of the labelled graph.
+    permutation of 1..N0, a catalog the labellings compatible with q.
+    Labellings in one orbit give isomorphic labelled graphs, and labellings
+    in different orbits give different codes.
     """
     sigma = corner_rotation(len(alpha))
     cycles = orbits([sigma[a] for a in alpha])
@@ -263,12 +269,9 @@ def _labelled_cells(alpha, group, labellings):
     moves = [[where[g[cycle[0]]] for cycle in cycles] for g in group]
     seen = set()
     for labels in labellings:
-        if labels in seen:
-            continue
-        images = [tuple(labels[i] for i in move) for move in moves]
-        seen.update(images)
-        stabilizer = tuple(g for g, image in zip(group, images) if image == labels)
-        yield labelled_cell(sigma, alpha, labels, stabilizer)
+        if labels not in seen:
+            seen.update(tuple(labels[i] for i in move) for move in moves)
+            yield RibbonGraph(sigma, alpha, labels)
 
 
 def _label_assignments(classes, q):

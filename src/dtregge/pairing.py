@@ -160,7 +160,7 @@ def duality_pairing(
     contributions = []
     total = Fraction(0)
     catalog_total = Fraction(0)
-    for graph in enumerate_ribbon_cells(genus, n0):
+    for graph in enumerate_ribbon_cells(genus, n0, max_faces):
         system = ConstraintSystem(_incidence_rows(graph), perimeters)
         volume = class_volume(system_class(system))
         aut = aut_boundary(graph)[0]

@@ -12,7 +12,7 @@ the least code are exactly the images of the first such base under the
 group.  Run with the boundary labels and cached on the graph, it gives
 ``canonical_code`` and ``aut_boundary``; run without them, it gives the
 unlabelled class of a matching and its full orientation-preserving group,
-from which the catalogs derive their labelled cells by orbit-stabilizer.
+whose orbits on the boundary labellings the catalogs label once each.
 """
 
 from __future__ import annotations
@@ -176,16 +176,6 @@ def canonical_form(sigma, alpha, labels=None) -> tuple[bytes, tuple[tuple[int, .
     return best, tuple(sorted(tuple(order[i] for i in first) for order in tied))
 
 
-def labelled_cell(sigma, alpha, labels, automorphisms) -> RibbonGraph:
-    """``RibbonGraph(sigma, alpha, labels)`` whose boundary-label-preserving
-    automorphisms are known, as ascending dart permutations: only its code
-    is searched for, and ``aut_boundary`` returns ``automorphisms``."""
-    graph = RibbonGraph(sigma, alpha, labels)
-    code = canonical_form(sigma, alpha, graph.dart_labels())[0]
-    graph.__dict__["_canonical_form"] = (code, automorphisms)  # the cached_property's slot
-    return graph
-
-
 @lru_cache(maxsize=1)
 def _check_darts(sigma: tuple[int, ...], alpha: tuple[int, ...]) -> None:
     """Raise RibbonGraphError unless sigma and alpha form a connected
@@ -256,8 +246,7 @@ def dualize(t: Triangulation) -> RibbonGraph:
 
 def aut_boundary(graph: RibbonGraph) -> tuple[int, list[tuple[int, ...]]]:
     """Order and elements of the boundary-label-preserving automorphism group,
-    as ascending dart permutations read off the ``canonical_code`` pass (or
-    as given to ``labelled_cell``)."""
+    as ascending dart permutations read off the ``canonical_code`` pass."""
     elements = graph._canonical_form[1]
     return len(elements), list(elements)
 

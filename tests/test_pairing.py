@@ -5,6 +5,7 @@ from itertools import permutations, product
 import pytest
 
 from dtregge.catalog import (
+    Catalog,
     ResourceCapError,
     enumerate_ribbon_cells,
     enumerate_triangulations,
@@ -123,6 +124,18 @@ def test_face_cap_holds_when_a_catalog_is_given(monkeypatch):
     monkeypatch.setattr("dtregge.pairing.enumerate_ribbon_cells", no_cells)
     with pytest.raises(ResourceCapError):
         duality_pairing(0, 4, (3, 3, 3, 3), max_faces=2, catalog=catalog)
+
+
+@pytest.mark.parametrize("max_faces", [14, None])
+def test_cells_take_the_face_cap_of_the_pairing(monkeypatch, max_faces):
+    # (0, 9) needs 14 faces, above the default cap of 12 of the cells
+    q = (4,) * 6 + (6,) * 3
+    asked = []
+    monkeypatch.setattr("dtregge.catalog._cells", lambda *key: asked.append(key) or ())
+    report = duality_pairing(0, 9, q, max_faces=max_faces, catalog=Catalog(0, 9, q, ()))
+    assert asked == [(0, 9)] and report.contributions == ()
+    with pytest.raises(ResourceCapError, match="cap of 13"):
+        duality_pairing(0, 9, q, max_faces=13, catalog=Catalog(0, 9, q, ()))
 
 
 def test_catalog_of_another_key_is_rejected():

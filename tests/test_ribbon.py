@@ -6,6 +6,7 @@ from networkx.algorithms import isomorphism
 
 from dtregge import ribbon
 from dtregge.catalog import (
+    _cells,
     _classes,
     enumerate_gluings,
     enumerate_ribbon_cells,
@@ -222,7 +223,7 @@ def test_labelling_loop_validates_each_matching_once(monkeypatch):
         lambda sigma, alpha: checked.append(alpha) or connected(sigma, alpha),
     )
     ribbon._check_darts.cache_clear()
-    enumerate_ribbon_cells.__wrapped__(1, 2)  # labels each class from its first matching
+    _cells.__wrapped__(1, 2)  # labels each class from its first matching
     signatures = [s for s in enumerate_gluings(4) if s[0] == 1 and len(s[1]) == 2]
     representatives = [alpha for s in signatures for alpha, _ in _classes(4, s)]
     matchings = [alpha for s in signatures for alpha in enumerate_gluings(4)[s]]
