@@ -54,7 +54,7 @@ def _parse_q(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise click.UsageError(f"cannot parse q-list {text!r}; expected e.g. 2,2,2")
+        raise click.UsageError(f"cannot parse {text!r}: expected comma-separated integers")
 
 
 def _emit(report: RunReport) -> None:
@@ -172,8 +172,8 @@ def _load_catalog_or_key(in_path, genus, vertices, qlist, max_faces) -> Catalog:
 @click.option("--q", "qlist", type=str, default=None)
 @click.option("--max-faces", type=int, default=12, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--q-max", type=int, default=8, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
+@click.option("--q-max", type=click.IntRange(min=3), default=8, show_default=True)
 @reports_errors
 def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_max):
     """Run an exact identity check and report per-entry results."""
@@ -287,9 +287,8 @@ def cmd_pairing(genus, vertices, qlist, max_faces, enable_dvv):
     """Verify the duality pairing at a key; exit status reflects equality."""
     q = _parse_q(qlist)
     t0 = time.perf_counter()
-    catalog = cache_mod.cached_catalog(genus, vertices, q, max_faces=max_faces)[0]
     report = duality_pairing(
-        genus, vertices, q, enable_higher_genus=enable_dvv, max_faces=max_faces, catalog=catalog
+        genus, vertices, q, enable_higher_genus=enable_dvv, max_faces=max_faces
     )
     body = report.to_dict()
     average = report.average_volume

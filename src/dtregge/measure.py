@@ -46,7 +46,7 @@ class ConstraintSystem:
     """Polygon-edge incidence with fixed perimeters: {L >= 0, A L = rhs}."""
 
     a: tuple[tuple[int, ...], ...]   # N0 x N1, side multiplicities
-    rhs: tuple[Fraction, ...]        # q(k) in units u = 1
+    rhs: tuple[int | Fraction, ...]  # exact q(k) in units u = 1
 
     @property
     def n0(self) -> int:

@@ -4,11 +4,13 @@ intersection theory.
 The left side integrates the isoperimetric measure over the top cells of
 the combinatorial moduli space at perimeters q: the duals of the catalog
 triangulations plus the loop-bearing trivalent cells that no triangulation
-produces.  The right side is the intersection-number generating function
-F_g(q).  Both sides are exact rationals computed through fully independent
-code paths, and they agree for every admissible q; the catalog cells alone
-carry the whole sum exactly when the loop cells have empty polytopes, which
-happens at the classical anchor assignments.
+produces.  Both kinds come from the one cell enumerator: the catalog duals
+at q are the cells whose boundary labelled k has q_k sides.  The right side
+is the intersection-number generating function F_g(q).  Both sides are
+exact rationals computed through fully independent code paths, and they
+agree for every admissible q; the catalog cells alone carry the whole sum
+exactly when the loop cells have empty polytopes, which happens at the
+classical anchor assignments.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
-from .catalog import Catalog, check_feasible, enumerate_ribbon_cells, enumerate_triangulations
+from .catalog import check_feasible, enumerate_ribbon_cells
 from .intersection import generating_F
 from .measure import ConstraintSystem, constraint_system
 from .ribbon import RibbonGraph, aut_boundary, canonical_code
@@ -97,7 +99,7 @@ def system_class(system: ConstraintSystem) -> tuple:
     polytope nor its Leray measure, so systems of one class have one
     volume, whichever key they come from.
     """
-    groups: dict[Fraction, list[int]] = {}
+    groups: dict[int | Fraction, list[int]] = {}
     for i in sorted(range(system.n0), key=system.rhs.__getitem__):
         groups.setdefault(system.rhs[i], []).append(i)
     columns = min(
@@ -131,45 +133,37 @@ def duality_pairing(
     q,
     enable_higher_genus: bool = False,
     max_faces: int = 12,
-    catalog: Catalog | None = None,
 ) -> PairingReport:
     """Both sides of the pairing at (genus, N0, q), with a cell breakdown.
 
-    The key and the face cap are checked first, also when ``catalog`` is
-    given, and a given catalog must be the catalog of this key.  Each volume
-    is computed once per ``system_class`` and process, by ``class_volume``,
-    and shared by every cell of that class at this and every later key; the
+    The key and the face cap are checked before the cells are read.  The
+    catalog part is read off the cells: a cell is the dual of a catalog
+    triangulation exactly when its boundary labelled k has q_k sides, and
+    the catalog cardinality is the number of such cells.  Each volume is
+    computed once per ``system_class`` and process, by ``class_volume``, and
+    shared by every cell of that class at this and every later key; the
     keys of one (g, N0) share most classes.  Code and aut order are cached
     on the cells, which ``enumerate_ribbon_cells`` keeps per (g, N0), and
     so are their constraint rows, so no key recomputes them.
     """
     q = tuple(q)
     check_feasible(genus, n0, q, max_faces)
-    if catalog is None:
-        catalog = enumerate_triangulations(genus, n0, q, max_faces=max_faces)
-    elif (catalog.genus, catalog.vertex_count, catalog.q) != (genus, n0, q):
-        raise ValueError(
-            f"catalog of key {(catalog.genus, catalog.vertex_count, catalog.q)} "
-            f"given for key {(genus, n0, q)}"
-        )
     rhs = generating_F(genus, q, enable_higher_genus)  # before any volume work
-    catalog_codes = {entry.code for entry in catalog.entries}
-    perimeters = tuple(map(Fraction, q))  # the labels are 1..N0
     const = pairing_constant(genus, n0)
 
     contributions = []
     total = Fraction(0)
     catalog_total = Fraction(0)
     for graph in enumerate_ribbon_cells(genus, n0, max_faces):
-        system = ConstraintSystem(_incidence_rows(graph), perimeters)
+        # the labels are 1..N0, and int perimeters are exact
+        system = ConstraintSystem(_incidence_rows(graph), q)
         volume = class_volume(system_class(system))
         aut = aut_boundary(graph)[0]
-        code = canonical_code(graph)
-        from_catalog = code in catalog_codes
         sides = tuple(map(sum, system.a))  # rows are in label order
+        from_catalog = sides == q
         # a loop bounds a one-sided boundary, and nothing else does
         contributions.append(
-            CellContribution(code, sides, volume, aut, 1 in sides, from_catalog)
+            CellContribution(canonical_code(graph), sides, volume, aut, 1 in sides, from_catalog)
         )
         total += volume / aut
         if from_catalog:
@@ -184,7 +178,7 @@ def duality_pairing(
         const * catalog_total,
         rhs,
         lhs == rhs,
-        catalog.cardinality,
+        sum(c.from_catalog for c in contributions),
         tuple(contributions),
     )
 

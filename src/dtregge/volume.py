@@ -109,10 +109,11 @@ def _triangulate(points, incidence, dim):
     """Simplices decomposing the convex hull of ``points``.
 
     ``incidence`` maps each point to the set of inequalities tight at it.
-    Every facet of the polytope, and of each of its faces, is the set of
-    its points tight at one inequality, so the facets of every level of
-    the recursion are read off the same sets.  ``points`` must affinely
-    span ``dim`` dimensions.
+    The faces of the polytope are the sets of its points tight at some
+    inequalities, so the facets of every level of the recursion are the
+    inclusion-maximal proper sets of its points tight at one inequality.
+    ``points`` must be the vertices of a polytope that affinely spans
+    ``dim`` dimensions.
     """
     points = sorted(points)
     if dim == 0:
@@ -120,15 +121,16 @@ def _triangulate(points, incidence, dim):
     if len(points) == dim + 1:
         return [tuple(points)]
     apex = points[0]
-    faces: dict[int, list] = {}  # inequality -> its tight points, apex excluded
-    for p in points[1:]:
-        for i in incidence[p] - incidence[apex]:
-            faces.setdefault(i, []).append(p)
+    tight: dict[int, set] = {}  # inequality -> its tight points
+    for p in points:
+        for i in incidence[p]:
+            tight.setdefault(i, set()).add(p)
+    proper = {frozenset(face) for face in tight.values() if len(face) < len(points)}
     simplices = []
-    for tight in set(map(tuple, faces.values())):
-        if _affine_rank(tight) != dim - 1:
+    for facet in proper:
+        if apex in facet or any(facet < other for other in proper):
             continue
-        for simplex in _triangulate(tight, incidence, dim - 1):
+        for simplex in _triangulate(facet, incidence, dim - 1):
             simplices.append(simplex + (apex,))
     return simplices
 

@@ -7,7 +7,6 @@ import pytest
 from click.testing import CliRunner
 
 import dtregge.cache
-import dtregge.pairing
 from dtregge.cli import main
 from dtregge.measure import DimensionError
 from dtregge.volume import UnboundedPolytopeError
@@ -97,6 +96,27 @@ def test_check_median_and_rank(runner):
     assert result.exit_code == 0, result.output
     result = runner.invoke(main, ["check", "rank", "--q-max", "5"])
     assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "rank", "--q-max", "2"],
+    ["check", "median", "--trials", "0"],
+])
+def test_check_that_would_check_nothing_is_a_usage_error(runner, command):
+    result = runner.invoke(main, command)
+    assert result.exit_code == 2, result.output
+    assert '"pass"' not in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["tau", "-g", "1", "--d", "x"],
+    ["pairing", "-g", "0", "-n", "3", "--q", "2,x,2"],
+])
+def test_unparsable_integer_list_names_no_wrong_option(runner, command):
+    result = runner.invoke(main, command)
+    assert result.exit_code == 2, result.output
+    assert "expected comma-separated integers" in result.output
+    assert "q-list" not in result.output
 
 
 def test_cli_import_does_not_load_sympy():
@@ -217,11 +237,20 @@ def test_warm_cache_gives_the_cold_output_without_enumerating(runner, monkeypatc
         raise AssertionError("enumerated on a warm cache")
 
     monkeypatch.setattr(dtregge.cache, "enumerate_triangulations", enumerate_spy)
-    monkeypatch.setattr(dtregge.pairing, "enumerate_triangulations", enumerate_spy)
     warm = runner.invoke(main, command)
     assert warm.exit_code == 0, warm.output
     assert calls == []
     assert json.loads(warm.output)["results"] == json.loads(cold.output)["results"]
+
+
+def test_pairing_leaves_the_cache_empty(runner, tmp_path, monkeypatch):
+    cache_dir = tmp_path / "empty-cache"
+    cache_dir.mkdir()
+    monkeypatch.setenv("DTREGGE_CACHE_DIR", str(cache_dir))
+    result = runner.invoke(main, ["pairing", *KEY_0_4])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["results"]["equal"] is True
+    assert list(cache_dir.iterdir()) == []
 
 
 def test_face_cap_holds_on_a_warm_cache(runner):

@@ -5,7 +5,6 @@ from itertools import permutations, product
 import pytest
 
 from dtregge.catalog import (
-    Catalog,
     ResourceCapError,
     enumerate_ribbon_cells,
     enumerate_triangulations,
@@ -115,15 +114,13 @@ def test_pairing_raises_genus_error_before_any_volume(monkeypatch):
         duality_pairing(2, 1, (18,))
 
 
-def test_face_cap_holds_when_a_catalog_is_given(monkeypatch):
-    catalog = enumerate_triangulations(0, 4, (3, 3, 3, 3))
-
+def test_face_cap_is_checked_before_the_cells(monkeypatch):
     def no_cells(*args):
         raise AssertionError("cells enumerated before the face cap")
 
     monkeypatch.setattr("dtregge.pairing.enumerate_ribbon_cells", no_cells)
     with pytest.raises(ResourceCapError):
-        duality_pairing(0, 4, (3, 3, 3, 3), max_faces=2, catalog=catalog)
+        duality_pairing(0, 4, (3, 3, 3, 3), max_faces=2)
 
 
 @pytest.mark.parametrize("max_faces", [14, None])
@@ -132,18 +129,33 @@ def test_cells_take_the_face_cap_of_the_pairing(monkeypatch, max_faces):
     q = (4,) * 6 + (6,) * 3
     asked = []
     monkeypatch.setattr("dtregge.catalog._cells", lambda *key: asked.append(key) or ())
-    report = duality_pairing(0, 9, q, max_faces=max_faces, catalog=Catalog(0, 9, q, ()))
+    report = duality_pairing(0, 9, q, max_faces=max_faces)
     assert asked == [(0, 9)] and report.contributions == ()
     with pytest.raises(ResourceCapError, match="cap of 13"):
-        duality_pairing(0, 9, q, max_faces=13, catalog=Catalog(0, 9, q, ()))
+        duality_pairing(0, 9, q, max_faces=13)
 
 
-def test_catalog_of_another_key_is_rejected():
-    catalog = enumerate_triangulations(0, 4, (2, 2, 4, 4))
-    with pytest.raises(ValueError, match="catalog of key"):
-        duality_pairing(0, 4, (3, 3, 3, 3), catalog=catalog)
-    with pytest.raises(ValueError, match="catalog of key"):
-        duality_pairing(0, 4, (4, 4, 2, 2), catalog=catalog)
+#: The keys of the benchmark's pairing workload: every labelled q at (0,4)
+#: and (1,2), the anchors, and (1,3,(6,6,6)).
+PAIRING_KEYS = [
+    *((0, 4, q) for q in feasible_q_vectors(0, 4)),
+    *((1, 2, q) for q in feasible_q_vectors(1, 2)),
+    (0, 3, (2, 2, 2)),
+    (1, 1, (6,)),
+    (1, 3, (6, 6, 6)),
+]
+
+
+def test_catalog_cells_are_the_catalog_duals():
+    """The cells marked ``from_catalog`` are exactly the duals of the
+    catalog that ``enumerate_triangulations`` builds by its own search."""
+    assert len(PAIRING_KEYS) == 47
+    for genus, n0, q in PAIRING_KEYS:
+        report = duality_pairing(genus, n0, q)
+        catalog = enumerate_triangulations(genus, n0, q)
+        marked = [c.code for c in report.contributions if c.from_catalog]
+        assert set(marked) == {entry.code for entry in catalog.entries}, (genus, n0, q)
+        assert report.cardinality == catalog.cardinality == len(marked), (genus, n0, q)
 
 
 @pytest.mark.parametrize("key", [(1, 3, (6, 6, 6)), (0, 4, (2, 3, 3, 4))])
