@@ -8,19 +8,19 @@ relates them.
 A triangulation and its dual trivalent ribbon graph are one object: the
 slot gluing is the edge involution alpha of the dual, and the vertices are
 the orbits of sigma o alpha.  One gluing search per face count finds every
-connected matching, loops included, and ``enumerate_gluings`` classifies
-each once, by genus, sorted orbit sizes and whether it has a loop, into one
-cached index.  Both outputs read that index: a catalog key (g, N0, q)
-labels the orbits of the loop-free entry (g, sorted(q)), and the ribbon
-cells of (g, N0) label the boundaries of every entry of genus g with N0
-orbits.  One unlabelled canonical pass per matching keeps the first of
-each isomorphism class in an entry, ``_classes``, and one loop,
+connected matching, loops included, and sizes its orbits while it glues;
+``enumerate_gluings`` files each by genus, sorted orbit sizes and whether
+it has a loop into one cached index.  Both outputs read that index: a
+catalog key (g, N0, q) labels the orbits of the loop-free entry
+(g, sorted(q)), and the ribbon cells of (g, N0) label the boundaries of
+every entry of genus g with N0 orbits.  One unlabelled canonical pass per
+matching, from its invariant-pruned bases, keeps the first of each
+isomorphism class in an entry, ``_classes``, and one loop,
 ``_labelled_cells``, labels it once per orbit of its automorphism group.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations, product
@@ -143,47 +143,69 @@ class Catalog:
 # one gluing search and one index per face count, shared by every key
 
 
-def _matchings(n2: int) -> tuple[tuple[int, ...], ...]:
-    """All connected slot matchings of n2 faces, as partner arrays.
+def _matchings(n2: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """All connected slot matchings of n2 faces, grouped by the sorted sizes
+    of their sigma o alpha orbits, in search order within each group.
 
     Slots are numbered 3f + i, and a partner array is the edge involution
     alpha of the dual ribbon graph; a slot may be glued to a slot of its own
     face (a loop of the dual).  Face-relabelling symmetry is broken during
-    the search: whenever the lowest unmatched slot is glued to a face not
-    seen before, that face is forced to be the lowest unused one and the
-    gluing lands on its slot 0.  Residual duplicates (isomorphic matchings
-    the pruning does not catch) are removed by ``_classes`` downstream.
+    the search: the lowest unmatched slot s is glued to each unmatched slot
+    of the used faces [0, k) above it, then to slot 0 of face k; s past
+    the used faces means they closed up.  The search keeps sigma o alpha as
+    open paths: gluing s and t adds s -> sigma[t] and t -> sigma[s], each
+    joining two paths or closing one into an orbit, undone on backtrack.
+    Residual duplicates (isomorphic matchings the pruning does not catch)
+    are removed by ``_classes`` downstream.
     """
     n = 3 * n2
+    sigma = corner_rotation(n)
     partner = [-1] * n
-    used = [False] * n2
-    used[0] = True
-    found = []
+    first = list(range(n))  # first[e]: first dart of the path ending at e
+    last = list(range(n))  # last[b]: last dart of the path starting at b
+    length = [1] * n  # length[b]: darts on the path starting at b
+    closed: list[int] = []  # sizes of the closed orbits
+    found: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
-    def rec(matched: int):
-        if matched == n:
-            found.append(tuple(partner))
+    def rec(s: int, k: int):
+        if s == n:
+            found.setdefault(tuple(sorted(closed)), []).append(tuple(partner))
             return
-        s = next(i for i in range(n) if partner[i] == -1)
-        if not used[s // 3]:
+        if s >= 3 * k:
             return  # the faces before s//3 closed up: disconnected
-        new_face = next((f for f in range(n2) if not used[f]), None)
-        candidates = [
-            t for t in range(s + 1, n) if partner[t] == -1 and used[t // 3]
-        ]
-        if new_face is not None:
-            candidates.append(3 * new_face)
+        candidates = [t for t in range(s + 1, 3 * k) if partner[t] == -1]
+        if k < n2:
+            candidates.append(3 * k)
         for t in candidates:
             partner[s], partner[t] = t, s
-            opened = not used[t // 3]
-            used[t // 3] = True
-            rec(matched + 2)
-            if opened:
-                used[t // 3] = False
+            # s -> v, then t -> v2, each joins two paths or closes one
+            v, v2 = sigma[t], sigma[s]
+            b, e = first[s], last[v]
+            if b == v:
+                closed.append(length[b])
+            else:
+                last[b], first[e], length[b] = e, b, length[b] + length[v]
+            b2, e2 = first[t], last[v2]
+            if b2 == v2:
+                closed.append(length[b2])
+            else:
+                last[b2], first[e2], length[b2] = e2, b2, length[b2] + length[v2]
+            after = s + 1
+            while after < n and partner[after] != -1:
+                after += 1
+            rec(after, k + (t == 3 * k))
+            if b2 == v2:
+                closed.pop()
+            else:
+                last[b2], first[e2], length[b2] = t, v2, length[b2] - length[v2]
+            if b == v:
+                closed.pop()
+            else:
+                last[b], first[e], length[b] = s, v, length[b] - length[v]
             partner[s] = partner[t] = -1
 
-    rec(0)
-    return tuple(found)
+    rec(0, 1)
+    return found
 
 
 @lru_cache(maxsize=None)
@@ -201,14 +223,11 @@ def enumerate_gluings(n2: int) -> MappingProxyType:
     Matchings keep their search order within an entry.  The index is
     cached, so it is returned read-only.
     """
-    sigma = corner_rotation(3 * n2)
-    index: dict[tuple, list] = {}
-    for alpha in _matchings(n2):
-        sizes = tuple(sorted(len(o) for o in orbits([sigma[a] for a in alpha])))
-        genus = (2 - len(sizes) + n2 // 2) // 2  # chi = V - 3 N2 / 2 + N2
-        has_loop = sizes[0] == 1
-        index.setdefault((genus, sizes, has_loop), []).append(alpha)
-    return MappingProxyType({signature: tuple(a) for signature, a in index.items()})
+    return MappingProxyType({
+        # genus from chi = V - 3 N2 / 2 + N2
+        ((2 - len(sizes) + n2 // 2) // 2, sizes, sizes[0] == 1): tuple(alphas)
+        for sizes, alphas in _matchings(n2).items()
+    })
 
 
 @lru_cache(maxsize=None)
@@ -329,6 +348,8 @@ def enumerate_triangulations(
     jobs = [(alpha, group, q) for alpha, group in classes]
 
     if workers > 1 and jobs:
+        from concurrent.futures import ProcessPoolExecutor  # kept out of import time
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_entries_for_gluing, jobs))
     else:

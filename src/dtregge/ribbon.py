@@ -142,14 +142,22 @@ def canonical_form(sigma, alpha, labels=None) -> tuple[bytes, tuple[tuple[int, .
 
     From a base dart, each dart in breadth-first order contributes the new
     numbers of its sigma and alpha images and its label.  Only bases with
-    the least (loop flag, label) are tried.  Two bases tie exactly when the
-    automorphism mapping the i-th dart of one order to the i-th of the
+    the least (loop flag, label) are tried; unlabelled, only bases with the
+    rarest (loop flag, lengths of the boundaries through d and alpha[d]),
+    the least if equally rare.  Isomorphisms keep both, so the tried bases
+    correspond and are a union of group orbits.  Two bases tie exactly when
+    the automorphism mapping the i-th dart of one order to the i-th of the
     other exists, and an automorphism is fixed by the image of one dart, so
     the ties, read against the first, are the group (ascending dart maps).
     """
     n = len(sigma)
-    opening = [(alpha[d] != sigma[d], labels[d] if labels else 0) for d in range(n)]
-    least = min(opening)
+    if labels:
+        opening = [(alpha[d] != sigma[d], labels[d]) for d in range(n)]
+        least = min(opening)
+    else:
+        side = {d: len(cycle) for cycle in orbits([sigma[a] for a in alpha]) for d in cycle}
+        opening = [(alpha[d] != sigma[d], side[d], side[alpha[d]]) for d in range(n)]
+        least = min(set(opening), key=lambda value: (opening.count(value), value))
     best, tied = None, []
     for base in range(n):
         if opening[base] != least:

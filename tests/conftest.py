@@ -58,3 +58,44 @@ def union_find_corner_classes(faces, gluing) -> list[frozenset]:
     for corner in parent:
         groups.setdefault(find(corner), set()).add(corner)
     return [frozenset(g) for g in groups.values()]
+
+
+def search_matchings(n2: int) -> tuple[tuple[int, ...], ...]:
+    """The connected slot matchings of n2 faces as partner arrays, in the
+    order of the gluing search: an oracle for ``catalog._matchings``, which
+    finds the same matchings and classifies them while it glues.
+
+    The lowest unmatched slot is glued to each unmatched slot above it on a
+    used face, then to slot 0 of the lowest unused face; the used faces are
+    found by rescanning, and nothing else is tracked.
+    """
+    n = 3 * n2
+    partner = [-1] * n
+    used = [False] * n2
+    used[0] = True
+    found = []
+
+    def rec(matched: int):
+        if matched == n:
+            found.append(tuple(partner))
+            return
+        s = next(i for i in range(n) if partner[i] == -1)
+        if not used[s // 3]:
+            return  # the faces before s//3 closed up: disconnected
+        new_face = next((f for f in range(n2) if not used[f]), None)
+        candidates = [
+            t for t in range(s + 1, n) if partner[t] == -1 and used[t // 3]
+        ]
+        if new_face is not None:
+            candidates.append(3 * new_face)
+        for t in candidates:
+            partner[s], partner[t] = t, s
+            opened = not used[t // 3]
+            used[t // 3] = True
+            rec(matched + 2)
+            if opened:
+                used[t // 3] = False
+            partner[s] = partner[t] = -1
+
+    rec(0)
+    return tuple(found)

@@ -3,13 +3,12 @@ from itertools import permutations
 
 import pytest
 
-from conftest import union_find_corner_classes
+from conftest import search_matchings, union_find_corner_classes
 from dtregge.catalog import (
     Catalog,
     InfeasibleKeyError,
     ResourceCapError,
     _classes,
-    _matchings,
     check_feasible,
     enumerate_gluings,
     enumerate_ribbon_cells,
@@ -25,6 +24,7 @@ from dtregge.triangulation import (
     corner_rotation,
     curvature_assignments,
     gauss_bonnet_check,
+    orbits,
 )
 
 
@@ -176,7 +176,7 @@ def _slot_pairs(alpha):
 
 
 def _loop_free_search(n2):
-    """The pruned search of ``_matchings`` with every gluing of a slot to
+    """The pruned search of ``search_matchings`` with every gluing of a slot to
     its own face excluded during the search, not filtered afterwards."""
     n = 3 * n2
     partner = [-1] * n
@@ -214,14 +214,14 @@ def _loop_free_search(n2):
 def test_orbit_corner_classes_equal_union_find_on_every_matching():
     for n2 in (2, 4, 6, 8):
         faces = [(0, 0, 0)] * n2
-        for alpha in _matchings(n2):
+        for alpha in search_matchings(n2):
             gluing = _slot_pairs(alpha)
             assert corner_classes(faces, gluing) == union_find_corner_classes(faces, gluing)
 
 
 def test_signature_index_matches_a_scan_of_every_gluing():
     for n2 in (2, 4, 6, 8):
-        matchings = _matchings(n2)
+        matchings = search_matchings(n2)
         index = enumerate_gluings(n2)
         signature_of = {alpha: sig for sig, alphas in index.items() for alpha in alphas}
         # every matching lands in exactly one entry
@@ -242,6 +242,21 @@ def test_signature_index_matches_a_scan_of_every_gluing():
             assert has_loop == (1 in sizes)  # a loop bounds a 1-sided boundary
         loop_free = [alpha for alpha in matchings if not signature_of[alpha][2]]
         assert loop_free == _loop_free_search(n2)
+
+
+def test_gluing_index_equals_the_oracle_search_and_its_orbits():
+    """The sizes the search tracks while it glues equal the orbits of
+    sigma o alpha computed afterwards, entry for entry and in order."""
+    for n2 in (2, 4, 6, 8):
+        sigma = corner_rotation(3 * n2)
+        expected: dict = {}
+        for alpha in search_matchings(n2):
+            sizes = tuple(sorted(len(o) for o in orbits([sigma[a] for a in alpha])))
+            genus = (2 - len(sizes) + n2 // 2) // 2
+            expected.setdefault((genus, sizes, sizes[0] == 1), []).append(alpha)
+        index = enumerate_gluings(n2)
+        assert list(index) == list(expected)
+        assert [list(alphas) for alphas in index.values()] == list(expected.values())
 
 
 def test_catalogs_are_the_loop_free_cells_with_their_side_counts():

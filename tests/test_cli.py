@@ -119,16 +119,25 @@ def test_unparsable_integer_list_names_no_wrong_option(runner, command):
     assert "q-list" not in result.output
 
 
-def test_cli_import_does_not_load_sympy():
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether ``import dtregge.cli`` in a fresh interpreter loads ``module``."""
     source = str(Path(dtregge.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {source!r}); "
-        "import dtregge.cli; print('sympy' in sys.modules)"
+        f"import dtregge.cli; print({module!r} in sys.modules)"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_cli_import_does_not_load_sympy():
+    assert not _loaded_by_cli_import("sympy")
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    assert not _loaded_by_cli_import("concurrent.futures.process")
 
 
 def test_check_rank_reports_q_minus_1(runner):

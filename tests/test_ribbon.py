@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -11,6 +12,8 @@ from dtregge.catalog import (
     enumerate_gluings,
     enumerate_ribbon_cells,
     enumerate_triangulations,
+    face_count,
+    feasible_q_vectors,
 )
 from dtregge.ribbon import (
     RibbonGraph,
@@ -19,6 +22,7 @@ from dtregge.ribbon import (
     canonical_code,
     dualize,
 )
+from dtregge.triangulation import corner_rotation
 
 
 def _encode(graph: RibbonGraph) -> nx.DiGraph:
@@ -262,3 +266,36 @@ def test_automorphisms_equal_the_depth_first_oracle_on_every_cell():
             assert set(elements) == _dfs_automorphisms(graph)
             nontrivial += order > 1
     assert loop_cells > 0 and nontrivial > 0
+
+
+def _all_bases_classes(n2, signature):
+    """The first matching of each unlabelled class of an index entry, with
+    its orientation-preserving group, from the unpruned references: the
+    least encoding over every base dart and the depth-first automorphisms,
+    run on the map with one label on every dart."""
+    sigma = corner_rotation(3 * n2)
+    classes = {}
+    for alpha in enumerate_gluings(n2).get(signature, ()):
+        unlabelled = SimpleNamespace(
+            dart_count=len(alpha), sigma=sigma, alpha=alpha, dart_labels=lambda: [0] * len(alpha)
+        )
+        code = _reference_code(unlabelled)
+        if code not in classes:
+            classes[code] = (alpha, tuple(sorted(_dfs_automorphisms(unlabelled))))
+    return tuple(classes.values())
+
+
+def test_pruned_class_pass_equals_the_all_bases_pass():
+    entries = [(n2, s) for n2 in (2, 4, 6) for s in enumerate_gluings(n2)]
+    survey_n2_8 = {tuple(sorted(q)) for q in feasible_q_vectors(0, 6)}
+    assert face_count(0, 6) == 8
+    entries += [(8, (0, q, False)) for q in sorted(survey_n2_8)]
+    nontrivial = survey_matchings = 0
+    for n2, signature in entries:
+        classes = _classes(n2, signature)
+        assert classes == _all_bases_classes(n2, signature)
+        nontrivial += sum(len(group) > 1 for _, group in classes)
+        if n2 == 8:
+            survey_matchings += len(enumerate_gluings(n2).get(signature, ()))
+    assert nontrivial > 0
+    assert survey_matchings == 296  # every loop-free genus-0 matching of 8 faces

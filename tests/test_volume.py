@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -143,6 +144,39 @@ def test_lebesgue_volume_matches_lasserre_on_random_polytopes():
             if all(sum(r * x for r, x in zip(row, sol)) + b >= 0 for row, b in geq):
                 vertices.add(tuple(sol))
         assert lebesgue_volume(sorted(vertices), geq) == oracle
+
+
+def _box_inequalities(dim):
+    """The unit cube [0,1]^dim as A x <= b."""
+    ineqs = []
+    for j in range(dim):
+        e = [Fraction(0)] * dim
+        e[j] = Fraction(1)
+        ineqs += [(e, Fraction(1)), ([-x for x in e], Fraction(0))]
+    return ineqs
+
+
+@pytest.mark.parametrize("name, dim, vertices, ineqs, volume", [
+    ("cube", 3, list(product((0, 1), repeat=3)), _box_inequalities(3), 1),
+    ("4-cube", 4, list(product((0, 1), repeat=4)), _box_inequalities(4), 1),
+    # triangle x, y >= 0, x + y <= 1 times 0 <= z <= 2
+    ("prism", 3, [(x, y, z) for x, y in ((0, 0), (1, 0), (0, 1)) for z in (0, 2)],
+     [([-1, 0, 0], 0), ([0, -1, 0], 0), ([1, 1, 0], 1), ([0, 0, 1], 2), ([0, 0, -1], 0)],
+     1),
+    # unit square base in x = 0; the apex sorts first, so the recursion
+    # starts there and must decompose the square
+    ("pyramid", 3, [(Fraction(-1), Fraction(1, 2), Fraction(1, 2))]
+     + [(0, y, z) for y in (0, 1) for z in (0, 1)],
+     [([1, 0, 0], 0), ([-1, -2, 0], 0), ([-1, 2, 0], 2), ([-1, 0, -2], 0), ([-1, 0, 2], 2)],
+     Fraction(1, 3)),
+])
+def test_lebesgue_volume_on_bodies_whose_facets_are_not_simplices(name, dim, vertices, ineqs, volume):
+    """Square and cube facets make the facet recursion work below its top
+    level; the volumes are exact and agree with the Lasserre oracle."""
+    points = [tuple(Fraction(x) for x in p) for p in vertices]
+    geq = [([-Fraction(x) for x in row], Fraction(b)) for row, b in ineqs]
+    assert lasserre_volume(ineqs, dim) == volume
+    assert lebesgue_volume(points, geq) == volume
 
 
 def test_leray_volumes_match_lasserre_on_dual_polytopes():
