@@ -4,6 +4,8 @@ Files are written atomically (temp file in the same directory, then
 rename) and carry the normative-convention version stamp; files written
 under an older convention are ignored.  The cache directory is taken from
 the DTREGGE_CACHE_DIR environment variable, with a per-user default.
+``read_json`` and ``atomic_write_json`` read and write every file dtregge
+uses, and raise ``InputError`` for one they cannot.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import os
 import tempfile
 from pathlib import Path
 
-from .catalog import CONVENTION_VERSION, Catalog, check_feasible, enumerate_triangulations
+from .catalog import (CONVENTION_VERSION, MAX_FACES, Catalog, check_feasible,
+                      enumerate_triangulations)
 from .measure import incidence_matrix
 from .ribbon import aut_boundary, canonical_code
 from .triangulation import curvature_assignments, gauss_bonnet_check
@@ -21,8 +24,22 @@ from .triangulation import curvature_assignments, gauss_bonnet_check
 CACHE_ENV = "DTREGGE_CACHE_DIR"
 
 
-class CacheError(ValueError):
-    pass
+class InputError(ValueError):
+    """A file that cannot be read as what it should hold, or written."""
+
+
+class CacheError(InputError):
+    """A catalog file written under another convention, or inconsistent."""
+
+
+def read_json(path, parse, what: str):
+    """``parse`` of the JSON in ``path``; InputError if it cannot be read."""
+    try:
+        return parse(json.loads(Path(path).read_bytes()))
+    except InputError:
+        raise
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError) as exc:
+        raise InputError(f"cannot read {what}: {exc}") from exc
 
 
 def cache_dir() -> Path:
@@ -41,19 +58,21 @@ def catalog_path(genus: int, n0: int, q, directory: Path | None = None) -> Path:
 
 
 def atomic_write_json(path: Path, data) -> None:
+    """Write ``data`` by a temp file and a rename; InputError if it cannot."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(data, indent=2, sort_keys=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-            handle.write("\n")
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def save_catalog(catalog: Catalog, directory: Path | None = None) -> Path:
@@ -63,19 +82,23 @@ def save_catalog(catalog: Catalog, directory: Path | None = None) -> Path:
 
 
 def load_catalog(path: Path) -> Catalog:
-    with open(path) as handle:
-        data = json.load(handle)
-    if data.get("version") != CONVENTION_VERSION:
-        raise CacheError(
-            f"{path}: written under convention version {data.get('version')}, "
-            f"current is {CONVENTION_VERSION}"
-        )
-    if data.get("cardinality") != len(data["entries"]):
-        raise CacheError(
-            f"{path}: stored cardinality {data.get('cardinality')} does not match "
-            f"its {len(data['entries'])} entries"
-        )
-    return Catalog.from_dict(data)
+    """The catalog in ``path``: CacheError for another convention version or
+    a wrong cardinality, InputError for any other file not a catalog."""
+
+    def parse(data) -> Catalog:
+        if data.get("version") != CONVENTION_VERSION:
+            raise CacheError(
+                f"{path}: written under convention version {data.get('version')}, "
+                f"current is {CONVENTION_VERSION}"
+            )
+        if data.get("cardinality") != len(data["entries"]):
+            raise CacheError(
+                f"{path}: stored cardinality {data.get('cardinality')} does not match "
+                f"its {len(data['entries'])} entries"
+            )
+        return Catalog.from_dict(data)
+
+    return read_json(path, parse, "catalog")
 
 
 def verify_catalog(catalog: Catalog) -> list[str]:
@@ -113,7 +136,7 @@ def cached_catalog(
     genus: int,
     n0: int,
     q,
-    max_faces: int = 12,
+    max_faces: int = MAX_FACES,
     workers: int = 1,
     path: Path | None = None,
     read: bool = True,
@@ -123,31 +146,31 @@ def cached_catalog(
     catalog of that key, else enumerated (and written when ``write``).
 
     The key and the face cap are checked before any file is read.  A file
-    that cannot be loaded, belongs to another key or fails verification is
-    ignored.  ``path`` defaults to the key's file in the cache directory;
-    writing there is best effort (an unwritable cache directory only costs
-    the next call an enumeration), while an explicit ``path`` must be written.
+    that ``load_catalog`` cannot read, of another key or failing verification
+    is a miss: the key is enumerated and the file rewritten.  ``path``
+    defaults to the key's file in the cache directory; writing there is best
+    effort (an unwritable cache directory only costs the next call an
+    enumeration), while an explicit ``path`` must be written.
     """
     q = tuple(q)
     check_feasible(genus, n0, q, max_faces)
     explicit = path is not None
     path = Path(path) if explicit else catalog_path(genus, n0, q)
-    if read and path.is_file():
-        try:
-            candidate = load_catalog(path)
-        except (OSError, ValueError, KeyError, TypeError):
-            candidate = None
-        if (
-            candidate is not None
-            and (candidate.genus, candidate.vertex_count, candidate.q) == (genus, n0, q)
-            and not verify_catalog(candidate)
-        ):
-            return candidate, path
+    try:
+        candidate = load_catalog(path) if read else None
+    except InputError:
+        candidate = None
+    if (
+        candidate is not None
+        and (candidate.genus, candidate.vertex_count, candidate.q) == (genus, n0, q)
+        and not verify_catalog(candidate)
+    ):
+        return candidate, path
     catalog = enumerate_triangulations(genus, n0, q, max_faces=max_faces, workers=workers)
     if write:
         try:
             atomic_write_json(path, catalog.to_dict())
-        except OSError:
+        except InputError:
             if explicit:
                 raise
     return catalog, path

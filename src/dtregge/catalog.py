@@ -35,6 +35,9 @@ from .triangulation import Triangulation, build_triangulation, corner_rotation, 
 #: verification is only ignored after a bump.
 CONVENTION_VERSION = 1
 
+#: Default cap on the face count N2 of a key, for the library and the CLI.
+MAX_FACES = 12
+
 
 class InfeasibleKeyError(ValueError):
     """The requested (genus, N0, q) admits no triangulation on parity grounds."""
@@ -244,7 +247,7 @@ def _classes(n2: int, signature: tuple) -> tuple:
 
 
 def enumerate_ribbon_cells(
-    genus: int, n0: int, max_faces: int | None = 12
+    genus: int, n0: int, max_faces: int | None = MAX_FACES
 ) -> tuple[RibbonGraph, ...]:
     """All labelled trivalent ribbon graphs with the given genus and number
     of boundaries, loops included, in canonical-code order.
@@ -338,7 +341,7 @@ def enumerate_triangulations(
     genus: int,
     n0: int,
     q,
-    max_faces: int = 12,
+    max_faces: int = MAX_FACES,
     workers: int = 1,
 ) -> Catalog:
     """Catalog of all labelled triangulations realizing (genus, N0, q)."""

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success / all checks pass, 1 check failure, 2 input error,
-3 resource cap exceeded.  Machine output is JSON with exact rationals as
-"p/q" strings.
+Exit codes, from ``EXIT_CODES``: 0 success / all checks pass, 1 check
+failure, 2 input error (a bad key, an ``--in`` file that cannot be read or
+an ``--out`` path that cannot be written), 3 resource cap exceeded.
+Machine output is JSON with exact rationals as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -18,23 +19,19 @@ import click
 
 from . import cache as cache_mod
 from . import polygon
-from .catalog import Catalog, InfeasibleKeyError, ResourceCapError
+from .catalog import MAX_FACES, Catalog, InfeasibleKeyError, ResourceCapError
 from .geometry import half_edge_lengths, median_identity_check, random_fan
 from .intersection import ExponentError, GenusError, tau
 from .measure import DimensionError, incidence_matrix, kontsevich_check
 from .pairing import duality_pairing
 from .report import RunReport, rational
-from .ribbon import RibbonGraphError, dualize
-from .triangulation import Triangulation, TriangulationError, gauss_bonnet_check
+from .ribbon import dualize
+from .triangulation import Triangulation, gauss_bonnet_check
 from .volume import VolumeError, leray_volume
 
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_CAP = 3
-
-
-class InputError(Exception):
-    """An input file that cannot be read as the object it should hold."""
 
 
 #: Exit code of each error that a command reports as ``error: <message>``
@@ -43,7 +40,7 @@ EXIT_CODES = {
     InfeasibleKeyError: EXIT_INPUT_ERROR,
     GenusError: EXIT_INPUT_ERROR,
     ExponentError: EXIT_INPUT_ERROR,
-    InputError: EXIT_INPUT_ERROR,
+    cache_mod.InputError: EXIT_INPUT_ERROR,
     DimensionError: EXIT_INPUT_ERROR,
     VolumeError: EXIT_INPUT_ERROR,
     ResourceCapError: EXIT_RESOURCE_CAP,
@@ -75,15 +72,6 @@ def reports_errors(command):
     return run
 
 
-def _read_json(path, parse, what: str):
-    """``parse`` of the JSON in ``path``; unreadable input is an InputError."""
-    try:
-        with open(path) as handle:
-            return parse(json.load(handle))
-    except (OSError, json.JSONDecodeError, KeyError, TriangulationError, RibbonGraphError) as exc:
-        raise InputError(f"cannot read {what}: {exc}") from exc
-
-
 @click.group()
 @click.option("--precision", type=int, default=None, help="decimal digits for real arithmetic")
 def main(precision):
@@ -108,7 +96,7 @@ def with_key(func):
 @main.command("enumerate")
 @with_key
 @click.option("--out", type=click.Path(path_type=Path), default=None)
-@click.option("--max-faces", type=int, default=12, show_default=True)
+@click.option("--max-faces", type=int, default=MAX_FACES, show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--no-cache", is_flag=True, help="do not read or write the catalog cache")
 @reports_errors
@@ -147,9 +135,8 @@ def cmd_enumerate(genus, vertices, qlist, out, max_faces, workers, no_cache):
 @reports_errors
 def cmd_dual(in_path, out):
     """Dualize a triangulation JSON file into a ribbon graph JSON file."""
-    t = _read_json(in_path, Triangulation.from_dict, "triangulation")
-    graph = dualize(t)
-    data = graph.to_dict()
+    t = cache_mod.read_json(in_path, Triangulation.from_dict, "triangulation")
+    data = dualize(t).to_dict()
     if out is not None:
         cache_mod.atomic_write_json(out, data)
     else:
@@ -158,7 +145,7 @@ def cmd_dual(in_path, out):
 
 def _load_catalog_or_key(in_path, genus, vertices, qlist, max_faces) -> Catalog:
     if in_path is not None:
-        return _read_json(in_path, Catalog.from_dict, "input")
+        return cache_mod.read_json(in_path, Catalog.from_dict, "input")
     if genus is None or vertices is None or qlist is None:
         raise click.UsageError("provide either --in or the key (--genus/--vertices/--q)")
     return cache_mod.cached_catalog(genus, vertices, _parse_q(qlist), max_faces=max_faces)[0]
@@ -170,7 +157,7 @@ def _load_catalog_or_key(in_path, genus, vertices, qlist, max_faces) -> Catalog:
 @click.option("--genus", "-g", type=int, default=None)
 @click.option("--vertices", "-n", type=int, default=None)
 @click.option("--q", "qlist", type=str, default=None)
-@click.option("--max-faces", type=int, default=12, show_default=True)
+@click.option("--max-faces", type=int, default=MAX_FACES, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--q-max", type=click.IntRange(min=3), default=8, show_default=True)
@@ -232,7 +219,7 @@ def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_
 
 @main.command("volume")
 @with_key
-@click.option("--max-faces", type=int, default=12, show_default=True)
+@click.option("--max-faces", type=int, default=MAX_FACES, show_default=True)
 @reports_errors
 def cmd_volume(genus, vertices, qlist, max_faces):
     """Exact Leray volumes of the constraint polytopes at a key."""
@@ -280,7 +267,7 @@ def cmd_tau(genus, dlist, enable_dvv):
 
 @main.command("pairing")
 @with_key
-@click.option("--max-faces", type=int, default=12, show_default=True)
+@click.option("--max-faces", type=int, default=MAX_FACES, show_default=True)
 @click.option("--enable-dvv", is_flag=True, help="allow genus >= 2 via the KdV recursion")
 @reports_errors
 def cmd_pairing(genus, vertices, qlist, max_faces, enable_dvv):
@@ -321,9 +308,8 @@ def cache_verify():
     ok = True
     for path in cache_mod.list_cache():
         try:
-            catalog = cache_mod.load_catalog(path)
-            problems = cache_mod.verify_catalog(catalog)
-        except (cache_mod.CacheError, json.JSONDecodeError, KeyError, ValueError) as exc:
+            problems = cache_mod.verify_catalog(cache_mod.load_catalog(path))
+        except cache_mod.InputError as exc:
             problems = [str(exc)]
         status = "ok" if not problems else "FAIL: " + "; ".join(problems)
         click.echo(f"{path}: {status}")

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import det, rref
 from .qsqrt3 import QSqrt3
 
 
@@ -188,13 +189,16 @@ class CornerLinearization:
 
 
 def linearized_map_at_equilateral() -> CornerLinearization:
-    """Exact 3x3 corner linearization of the half-edge map at l = a."""
-    matrix = tuple(
-        tuple(_THIRD_ROOT * c for c in row) for row in _CORNER_ROWS
+    """Exact 3x3 corner linearization of the half-edge map at l = a: c R with
+    c = 1/(3*sqrt(3)) and R = ``_CORNER_ROWS``, so det = c^3 det R and the
+    inverse is R^-1 / c, read off the reduced [R | I]."""
+    rows = [[*row, *(int(i == j) for j in range(3))] for i, row in enumerate(_CORNER_ROWS)]
+    reduced, _ = rref(rows)
+    return CornerLinearization(
+        tuple(tuple(_THIRD_ROOT * c for c in row) for row in _CORNER_ROWS),
+        _THIRD_ROOT * _THIRD_ROOT * _THIRD_ROOT * det(_CORNER_ROWS),
+        tuple(tuple(c / _THIRD_ROOT for c in row[3:]) for row in reduced),
     )
-    det = _det3(matrix)
-    inv = _inverse3(matrix, det)
-    return CornerLinearization(matrix, det, inv)
 
 
 def vertex_jacobian(q: int) -> list[list[QSqrt3]]:
@@ -234,23 +238,3 @@ def _matvec(matrix, vec):
     return tuple(
         sum((row[j] * vec[j] for j in range(len(vec))), QSqrt3(0)) for row in matrix
     )
-
-
-def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def _inverse3(m, det):
-    cof = [
-        [
-            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-            for i in range(3)
-        ]
-        for j in range(3)
-    ]
-    return tuple(tuple(c / det for c in row) for row in cof)

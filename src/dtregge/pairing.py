@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
-from .catalog import check_feasible, enumerate_ribbon_cells
+from .catalog import MAX_FACES, check_feasible, enumerate_ribbon_cells
 from .intersection import generating_F
 from .measure import ConstraintSystem, constraint_system
 from .ribbon import RibbonGraph, aut_boundary, canonical_code
@@ -132,7 +132,7 @@ def duality_pairing(
     n0: int,
     q,
     enable_higher_genus: bool = False,
-    max_faces: int = 12,
+    max_faces: int = MAX_FACES,
 ) -> PairingReport:
     """Both sides of the pairing at (genus, N0, q), with a cell breakdown.
 
@@ -184,7 +184,7 @@ def duality_pairing(
 
 
 def cardinality_and_average(
-    genus: int, n0: int, q, max_faces: int = 12
+    genus: int, n0: int, q, max_faces: int = MAX_FACES
 ) -> tuple[int, Fraction | None]:
     """Catalog cardinality and the orbifold-weighted average cell volume
     (see ``PairingReport.average_volume``)."""

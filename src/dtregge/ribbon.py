@@ -121,18 +121,21 @@ class RibbonGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RibbonGraph":
-        n = data["darts"]
-        sigma = [None] * n
+        n = sum(len(cycle) for cycle in data["sigma"])
+        if data["darts"] != n or n > 256:  # canonical codes number darts in bytes
+            raise RibbonGraphError(f"{data['darts']} darts declared, {n} in sigma; at most 256")
+        sigma, alpha = [None] * n, [None] * n
         for cycle in data["sigma"]:
             for i, d in enumerate(cycle):
                 sigma[d] = cycle[(i + 1) % len(cycle)]
-        alpha = [None] * n
         for d, e in data["alpha"]:
             alpha[d], alpha[e] = e, d
-        if any(x is None for x in sigma) or any(x is None for x in alpha):
+        if None in sigma or None in alpha:
             raise RibbonGraphError("sigma cycles / alpha pairs do not cover all darts")
         raw = data["boundary_labels"]
         labels = tuple(raw[str(i)] for i in range(len(raw)))
+        if not all(type(x) is int and 0 <= x < 256 for x in labels):  # code bytes too
+            raise RibbonGraphError(f"boundary labels {labels} are not integers in 0..255")
         return cls(tuple(sigma), tuple(alpha), labels)
 
 

@@ -28,6 +28,22 @@ def one_vertex_torus():
     )
 
 
+def bipyramid(k: int):
+    """The sphere as two cones over a k-gon: 2k faces, 3 * 2k darts.
+
+    Equator vertices are 1..k and the apexes k+1 (faces 0..k-1) and k+2
+    (faces k..2k-1); faces i and k+i share the equator edge from i+1.
+    """
+    top, bottom = k + 1, k + 2
+    faces = [(i + 1, (i + 1) % k + 1, top) for i in range(k)]
+    faces += [((i + 1) % k + 1, i + 1, bottom) for i in range(k)]
+    gluing = []
+    for i in range(k):
+        j = (i + 1) % k
+        gluing += [((i, 0), (k + i, 0)), ((i, 1), (j, 2)), ((k + i, 2), (k + j, 1))]
+    return build_triangulation(k + 2, faces, gluing)
+
+
 def union_find_corner_classes(faces, gluing) -> list[frozenset]:
     """Corner classes by union-find over the gluing: an oracle for the
     orbit computation of ``triangulation.corner_classes``.

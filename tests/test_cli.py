@@ -5,10 +5,15 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from conftest import bipyramid
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dtregge.cache
+from dtregge.catalog import enumerate_triangulations
 from dtregge.cli import main
 from dtregge.measure import DimensionError
+from dtregge.ribbon import dualize
 from dtregge.volume import UnboundedPolytopeError
 
 
@@ -360,3 +365,169 @@ def test_cache_verify_exits_1_on_a_stale_entry(runner):
     result = runner.invoke(main, ["cache", "verify"])
     assert result.exit_code == 1
     assert "stale" in result.output
+
+
+# ---------------------------------------------------------------------------
+# malformed files: every one is bad input (exit 2) or a cache miss, never a
+# traceback
+
+THETA_KEY = ["-g", "0", "-n", "3", "--q", "2,2,2"]
+CATALOG = enumerate_triangulations(0, 3, (2, 2, 2)).to_dict()
+TRIANGULATION = CATALOG["entries"][0]["triangulation"]
+BIPYRAMID = bipyramid(43)
+#: A catalog of the same key whose one entry has 258 darts, more than
+#: canonical codes can number.
+BIG_CATALOG = {**CATALOG, "entries": [{
+    "triangulation": BIPYRAMID.to_dict(),
+    "dual": dualize(BIPYRAMID).to_dict(),
+    "aut_boundary": 1,
+    "code": "00",
+}]}
+
+
+def _with(doc, path: tuple, value):
+    """A copy of ``doc`` with the subtree at ``path``, a tuple of keys and
+    indices, replaced by ``value``."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return doc
+
+
+def _write(path: Path, content) -> None:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
+
+
+def _exited(result) -> bool:
+    """The command ended by returning or exiting, not by an exception."""
+    return result.exception is None or isinstance(result.exception, SystemExit)
+
+
+HUGE_DARTS = _with(CATALOG, ("entries", 0, "dual", "darts"), 10**12)
+LABEL_300 = _with(CATALOG, ("entries", 0, "dual", "boundary_labels", "2"), 300)
+LABEL_MINUS_1 = _with(CATALOG, ("entries", 0, "dual", "boundary_labels", "0"), -1)
+
+
+@pytest.mark.parametrize("command,content", [
+    (["check", "gauss-bonnet"], _with(CATALOG, ("entries",), 5)),
+    (["check", "gauss-bonnet"], _with(CATALOG, ("key",), [])),
+    (["check", "gauss-bonnet"], [1, 2]),
+    (["check", "gauss-bonnet"], b"\xff\xfe"),
+    (["dual"], [1, 2]),
+    (["dual"], b"\xff\xfe"),
+    (["dual"], _with(TRIANGULATION, ("faces",), 5)),
+    (["dual"], _with(TRIANGULATION, ("vertex_count",), "x")),
+    (["dual"], _with(TRIANGULATION, ("gluing", 0), [[0, 0]])),
+    (["dual"], b"[" * 100000 + b"]" * 100000),  # nested past the recursion limit
+    (["check", "gauss-bonnet"], HUGE_DARTS),
+], ids=["check-entries-5", "check-key-list", "check-list", "check-bytes", "dual-list",
+        "dual-bytes", "dual-faces-5", "dual-vertex-count-x", "dual-one-slot-pair",
+        "dual-deep", "check-darts-1e12"])
+def test_malformed_input_file_exits_2(runner, tmp_path, command, content):
+    path = tmp_path / "in.json"
+    _write(path, content)
+    result = runner.invoke(main, [*command, "--in", str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: cannot read ") and _exited(result)
+
+
+@pytest.mark.parametrize("command,content", [
+    (["enumerate"], [1, 2]),
+    (["check", "gauss-bonnet"], [1, 2]),
+    (["volume"], [1, 2]),
+    (["enumerate"], HUGE_DARTS),
+    (["enumerate"], BIG_CATALOG),
+    (["enumerate"], LABEL_300),
+    (["enumerate"], LABEL_MINUS_1),
+], ids=["enumerate-list", "check-list", "volume-list", "enumerate-darts-1e12",
+        "enumerate-258-darts", "enumerate-label-300", "enumerate-label-minus-1"])
+def test_unreadable_cache_file_is_a_cache_miss(runner, command, content):
+    path = dtregge.cache.catalog_path(0, 3, (2, 2, 2))
+    path.parent.mkdir(parents=True)
+    _write(path, content)
+    result = runner.invoke(main, [*command, *THETA_KEY])
+    assert result.exit_code == 0, result.output
+    assert _exited(result)
+    assert json.loads(path.read_text()) == CATALOG
+
+
+@pytest.mark.parametrize("content", [[1, 2], _with(CATALOG, ("entries",), 5), None, BIG_CATALOG,
+                                     LABEL_300, LABEL_MINUS_1],
+                         ids=["list", "entries-5", "directory", "258-darts", "label-300",
+                              "label-minus-1"])
+def test_cache_verify_fails_each_unreadable_file(runner, content):
+    assert runner.invoke(main, ["enumerate", *THETA_KEY]).exit_code == 0
+    bad = dtregge.cache.cache_dir() / "catalog-x.json"
+    if content is None:
+        bad.mkdir()
+    else:
+        _write(bad, content)
+    result = runner.invoke(main, ["cache", "verify"])
+    assert result.exit_code == 1, result.output
+    assert _exited(result)
+    ok, fail = sorted(result.output.splitlines())
+    assert ok.endswith("-v1.json: ok") and fail.startswith(f"{bad}: FAIL: ")
+
+
+@pytest.mark.parametrize("command", ["enumerate", "dual"])
+def test_unwritable_out_path_exits_2(runner, tmp_path, command):
+    source = tmp_path / "tri.json"
+    _write(source, TRIANGULATION)
+    args = [command, *THETA_KEY] if command == "enumerate" else [command, "--in", str(source)]
+    out = source / "x.json"  # under a regular file
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"error: cannot write {out}: ") and _exited(result)
+
+
+def _subtrees(node, path=()):
+    """The path of every subtree of ``node``, the root included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _subtrees(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats(-3, 300) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=4),
+    max_leaves=10,
+)
+FUZZ_CASES = [(["check", "gauss-bonnet"], CATALOG, path) for path in _subtrees(CATALOG)]
+FUZZ_CASES += [(["dual"], TRIANGULATION, path) for path in _subtrees(TRIANGULATION)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=st.sampled_from(FUZZ_CASES), value=JSON_VALUES)
+def test_any_subtree_replaced_by_any_value_exits_0_or_2(tmp_path_factory, case, value):
+    command, doc, path = case
+    in_path = tmp_path_factory.mktemp("fuzz") / "in.json"
+    _write(in_path, _with(doc, path, value))
+    result = CliRunner().invoke(main, [*command, "--in", str(in_path)])
+    assert result.exit_code in (0, 2), (path, value, result.output)
+    assert _exited(result), (path, value, result.exception)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(path=st.sampled_from(list(_subtrees(CATALOG))), value=JSON_VALUES)
+def test_any_cache_file_subtree_replaced_by_any_value_fails_verify_or_is_used(
+        tmp_path_factory, path, value):
+    """`cache verify` reports the file, and a file it fails is a cache miss."""
+    directory = tmp_path_factory.mktemp("cache")
+    cache_file = dtregge.cache.catalog_path(0, 3, (2, 2, 2), directory)
+    _write(cache_file, _with(CATALOG, path, value))
+    runner = CliRunner(env={"DTREGGE_CACHE_DIR": str(directory)})
+    verify = runner.invoke(main, ["cache", "verify"])
+    assert verify.exit_code in (0, 1) and _exited(verify), (path, value, verify.output)
+    result = runner.invoke(main, ["enumerate", *THETA_KEY])
+    assert result.exit_code == 0 and _exited(result), (path, value, result.output)
+    if verify.exit_code == 1:
+        assert json.loads(cache_file.read_text()) == CATALOG, (path, value)

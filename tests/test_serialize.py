@@ -2,10 +2,13 @@ import hashlib
 import json
 from fractions import Fraction
 
+import pytest
+from conftest import bipyramid
+
 from dtregge.catalog import CatalogEntry, enumerate_triangulations, feasible_q_vectors
 from dtregge.pairing import duality_pairing
 from dtregge.report import SCHEMA, RunReport, rational
-from dtregge.ribbon import RibbonGraph, dualize
+from dtregge.ribbon import RibbonGraph, RibbonGraphError, dualize
 from dtregge.triangulation import Triangulation
 
 
@@ -22,6 +25,29 @@ def test_ribbon_graph_json_round_trip(theta_sphere):
     again = RibbonGraph.from_dict(json.loads(text))
     assert again == graph
     assert json.dumps(again.to_dict(), sort_keys=True) == text
+
+
+@pytest.mark.parametrize("darts", [pytest.param(10**12, id="darts-1e12"), 5])
+def test_ribbon_graph_darts_must_count_the_sigma_cycles(theta_sphere, darts):
+    data = dualize(theta_sphere).to_dict()
+    data["darts"] = darts  # 10**12 is rejected before any list is built
+    with pytest.raises(RibbonGraphError, match="darts declared"):
+        RibbonGraph.from_dict(data)
+
+
+def test_ribbon_graph_past_256_darts_is_not_read():
+    data = dualize(bipyramid(43)).to_dict()
+    assert data["darts"] == 258
+    with pytest.raises(RibbonGraphError, match="at most 256"):
+        RibbonGraph.from_dict(data)
+
+
+@pytest.mark.parametrize("label", [300, -1, 2.5, None])
+def test_ribbon_graph_boundary_labels_must_be_bytes(theta_sphere, label):
+    data = dualize(theta_sphere).to_dict()
+    data["boundary_labels"]["0"] = label  # canonical codes hold labels in bytes
+    with pytest.raises(RibbonGraphError, match="not integers in 0..255"):
+        RibbonGraph.from_dict(data)
 
 
 def test_catalog_entry_round_trip():
