@@ -17,8 +17,7 @@ from pathlib import Path
 
 from .catalog import (CONVENTION_VERSION, MAX_FACES, Catalog, check_feasible,
                       enumerate_triangulations)
-from .measure import incidence_matrix
-from .ribbon import aut_boundary, canonical_code
+from .ribbon import aut_boundary, canonical_code, dualize
 from .triangulation import curvature_assignments, gauss_bonnet_check
 
 CACHE_ENV = "DTREGGE_CACHE_DIR"
@@ -82,8 +81,10 @@ def save_catalog(catalog: Catalog, directory: Path | None = None) -> Path:
 
 
 def load_catalog(path: Path) -> Catalog:
-    """The catalog in ``path``: CacheError for another convention version or
-    a wrong cardinality, InputError for any other file not a catalog."""
+    """The catalog in ``path``, verified, for the cache and ``--in`` alike:
+    CacheError naming every problem for another convention version, a wrong
+    cardinality or a failed ``verify_catalog``; InputError for any other
+    file not a catalog."""
 
     def parse(data) -> Catalog:
         if data.get("version") != CONVENTION_VERSION:
@@ -96,7 +97,11 @@ def load_catalog(path: Path) -> Catalog:
                 f"{path}: stored cardinality {data.get('cardinality')} does not match "
                 f"its {len(data['entries'])} entries"
             )
-        return Catalog.from_dict(data)
+        catalog = Catalog.from_dict(data)
+        problems = verify_catalog(catalog)
+        if problems:
+            raise CacheError(f"{path}: " + "; ".join(problems))
+        return catalog
 
     return read_json(path, parse, "catalog")
 
@@ -115,13 +120,8 @@ def verify_catalog(catalog: Catalog) -> list[str]:
         if not ok:
             problems.append(f"entry {i}: total curvature {total}*pi fails Gauss-Bonnet")
         dual = entry.dual
-        if dual.genus() != t.genus:
-            problems.append(f"entry {i}: dual genus mismatch")
-        if len(dual.boundary_cycles) != t.n0:
-            problems.append(f"entry {i}: dual has wrong boundary count")
-        system = incidence_matrix(dual)
-        if tuple(int(x) for x in system.rhs) != catalog.q:
-            problems.append(f"entry {i}: dual side counts do not match q")
+        if dualize(t) != dual:
+            problems.append(f"entry {i}: stored dual is not the dual of its triangulation")
         if canonical_code(dual) != entry.code:
             problems.append(f"entry {i}: stored canonical code is stale")
         if aut_boundary(dual)[0] != entry.aut_order:
@@ -146,11 +146,11 @@ def cached_catalog(
     catalog of that key, else enumerated (and written when ``write``).
 
     The key and the face cap are checked before any file is read.  A file
-    that ``load_catalog`` cannot read, of another key or failing verification
-    is a miss: the key is enumerated and the file rewritten.  ``path``
-    defaults to the key's file in the cache directory; writing there is best
-    effort (an unwritable cache directory only costs the next call an
-    enumeration), while an explicit ``path`` must be written.
+    that ``load_catalog`` refuses, or of another key, is a miss: the key is
+    enumerated and the file rewritten.  ``path`` defaults to the key's file
+    in the cache directory; writing there is best effort (an unwritable
+    cache directory only costs the next call an enumeration), while an
+    explicit ``path`` must be written.
     """
     q = tuple(q)
     check_feasible(genus, n0, q, max_faces)
@@ -160,11 +160,7 @@ def cached_catalog(
         candidate = load_catalog(path) if read else None
     except InputError:
         candidate = None
-    if (
-        candidate is not None
-        and (candidate.genus, candidate.vertex_count, candidate.q) == (genus, n0, q)
-        and not verify_catalog(candidate)
-    ):
+    if candidate and (candidate.genus, candidate.vertex_count, candidate.q) == (genus, n0, q):
         return candidate, path
     catalog = enumerate_triangulations(genus, n0, q, max_faces=max_faces, workers=workers)
     if write:

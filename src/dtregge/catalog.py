@@ -21,6 +21,7 @@ isomorphism class in an entry, ``_classes``, and one loop,
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations, product
@@ -353,7 +354,9 @@ def enumerate_triangulations(
     if workers > 1 and jobs:
         from concurrent.futures import ProcessPoolExecutor  # kept out of import time
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts all its workers at once, needed or not
+        size = min(workers, len(jobs), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=size) as pool:
             results = list(pool.map(_entries_for_gluing, jobs))
     else:
         results = [_entries_for_gluing(job) for job in jobs]

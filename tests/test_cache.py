@@ -77,3 +77,15 @@ def test_verify_catalog_detects_tampering(catalog):
     mislabeled = Catalog(catalog.genus, catalog.vertex_count, (2, 2, 3), catalog.entries)
     problems = cache.verify_catalog(mislabeled)
     assert problems
+
+    four = enumerate_triangulations(0, 4, (3, 3, 3, 3))
+    first, second = four.entries
+    swapped = dataclasses.replace(four, entries=(
+        dataclasses.replace(first, triangulation=second.triangulation),
+        dataclasses.replace(second, triangulation=first.triangulation),
+    ))
+    problems = cache.verify_catalog(swapped)
+    assert problems == [
+        "entry 0: stored dual is not the dual of its triangulation",
+        "entry 1: stored dual is not the dual of its triangulation",
+    ]

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import os
 from itertools import permutations
 
 import pytest
@@ -123,6 +125,37 @@ def test_parallel_equals_serial():
     serial = enumerate_triangulations(0, 4, (3, 3, 3, 3), workers=1)
     parallel = enumerate_triangulations(0, 4, (3, 3, 3, 3), workers=2)
     assert serial.to_dict() == parallel.to_dict()
+
+
+@pytest.mark.parametrize("workers,cpus,size", [
+    (10**6, 8, 3),  # the key has 3 jobs
+    (2, 8, 2),
+    (10**6, 1, 1),
+    (10**6, None, 1),
+])
+def test_process_pool_is_no_larger_than_its_jobs_or_the_cpus(monkeypatch, workers, cpus, size):
+    """The pool is only recorded and mapped serially: no process starts."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    key = (1, 4, (6, 6, 6, 6))
+    serial = enumerate_triangulations(*key)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert enumerate_triangulations(*key, workers=workers).to_dict() == serial.to_dict()
+    assert sizes == [size]
 
 
 def test_resource_cap():

@@ -145,6 +145,10 @@ def test_cli_import_does_not_load_the_process_pool():
     assert not _loaded_by_cli_import("concurrent.futures.process")
 
 
+def test_cli_import_does_not_load_mpmath():
+    assert not _loaded_by_cli_import("mpmath")
+
+
 def test_check_rank_reports_q_minus_1(runner):
     result = runner.invoke(main, ["check", "rank"])
     assert result.exit_code == 0, result.output
@@ -195,41 +199,6 @@ def test_pairing_genus2_with_dvv_flag(runner):
     body = json.loads(result.output)["results"]
     assert body["equal"] is True
     assert body["lhs"] == body["rhs"] == "1594323/4"
-
-
-def _malformed_catalog(face, alpha):
-    return {
-        "version": 1,
-        "key": {"genus": 0, "vertices": 3, "q": [2, 2, 2]},
-        "cardinality": 1,
-        "entries": [{
-            "triangulation": {
-                "vertex_count": 3,
-                "faces": [[1, 2, 3], face],
-                "gluing": [[[0, 0], [1, 0]], [[0, 1], [1, 2]], [[0, 2], [1, 1]]],
-            },
-            "dual": {
-                "darts": 6,
-                "sigma": [[0, 1, 2], [3, 4, 5]],
-                "alpha": alpha,
-                "boundary_labels": {"0": 1, "1": 2, "2": 3},
-            },
-            "aut_boundary": 1,
-            "code": "00",
-        }],
-    }
-
-
-@pytest.mark.parametrize("face,alpha", [
-    ([2, 1, 4], [[0, 3], [1, 5], [2, 4]]),  # label 4 at a 3-vertex key
-    ([2, 1, 3], [[0, 3], [1, 4], [2, 5]]),  # dual boundary count is wrong
-])
-def test_check_malformed_catalog_is_input_error(runner, tmp_path, face, alpha):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(_malformed_catalog(face, alpha)))
-    result = runner.invoke(main, ["check", "gauss-bonnet", "--in", str(bad)])
-    assert result.exit_code == 2
-    assert "error:" in result.output and result.exc_info[0] is SystemExit
 
 
 KEY_0_4 = ["-g", "0", "-n", "4", "--q", "2,3,3,4"]
@@ -410,6 +379,56 @@ def _exited(result) -> bool:
     return result.exception is None or isinstance(result.exception, SystemExit)
 
 
+def _malformed_catalog(face, alpha):
+    return {
+        "version": 1,
+        "key": {"genus": 0, "vertices": 3, "q": [2, 2, 2]},
+        "cardinality": 1,
+        "entries": [{
+            "triangulation": {
+                "vertex_count": 3,
+                "faces": [[1, 2, 3], face],
+                "gluing": [[[0, 0], [1, 0]], [[0, 1], [1, 2]], [[0, 2], [1, 1]]],
+            },
+            "dual": {
+                "darts": 6,
+                "sigma": [[0, 1, 2], [3, 4, 5]],
+                "alpha": alpha,
+                "boundary_labels": {"0": 1, "1": 2, "2": 3},
+            },
+            "aut_boundary": 1,
+            "code": "00",
+        }],
+    }
+
+
+#: The two-entry catalog of (0,4,(3,3,3,3)) with its entries' triangulations
+#: swapped: each dual alone still has the genus, boundaries and side counts
+#: of its triangulation, but is not its dual.
+FOUR = enumerate_triangulations(0, 4, (3, 3, 3, 3)).to_dict()
+SWAPPED = json.loads(json.dumps(FOUR))
+_first, _second = SWAPPED["entries"]
+_first["triangulation"], _second["triangulation"] = _second["triangulation"], _first["triangulation"]
+
+
+@pytest.mark.parametrize("doc", [
+    _malformed_catalog([2, 1, 4], [[0, 3], [1, 5], [2, 4]]),
+    _malformed_catalog([2, 1, 3], [[0, 3], [1, 4], [2, 5]]),
+    _with(CATALOG, ("key", "genus"), 7),
+    _with(CATALOG, ("key", "q"), "abc"),
+    _with(CATALOG, ("version",), 99),
+    SWAPPED,
+], ids=["label-4-at-3-vertices", "dual-boundary-count", "key-genus-7", "key-q-abc",
+        "version-99", "swapped-triangulations"])
+def test_check_malformed_catalog_is_input_error(runner, tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["check", "gauss-bonnet", "--in", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.output
+    assert result.exc_info[0] is SystemExit
+
+
 HUGE_DARTS = _with(CATALOG, ("entries", 0, "dual", "darts"), 10**12)
 LABEL_300 = _with(CATALOG, ("entries", 0, "dual", "boundary_labels", "2"), 300)
 LABEL_MINUS_1 = _with(CATALOG, ("entries", 0, "dual", "boundary_labels", "0"), -1)
@@ -438,30 +457,36 @@ def test_malformed_input_file_exits_2(runner, tmp_path, command, content):
     assert result.output.startswith("error: cannot read ") and _exited(result)
 
 
-@pytest.mark.parametrize("command,content", [
-    (["enumerate"], [1, 2]),
-    (["check", "gauss-bonnet"], [1, 2]),
-    (["volume"], [1, 2]),
-    (["enumerate"], HUGE_DARTS),
-    (["enumerate"], BIG_CATALOG),
-    (["enumerate"], LABEL_300),
-    (["enumerate"], LABEL_MINUS_1),
+@pytest.mark.parametrize("command,content,fresh", [
+    (["enumerate"], [1, 2], CATALOG),
+    (["check", "gauss-bonnet"], [1, 2], CATALOG),
+    (["volume"], [1, 2], CATALOG),
+    (["enumerate"], HUGE_DARTS, CATALOG),
+    (["enumerate"], BIG_CATALOG, CATALOG),
+    (["enumerate"], LABEL_300, CATALOG),
+    (["enumerate"], LABEL_MINUS_1, CATALOG),
+    (["enumerate"], SWAPPED, FOUR),
 ], ids=["enumerate-list", "check-list", "volume-list", "enumerate-darts-1e12",
-        "enumerate-258-darts", "enumerate-label-300", "enumerate-label-minus-1"])
-def test_unreadable_cache_file_is_a_cache_miss(runner, command, content):
-    path = dtregge.cache.catalog_path(0, 3, (2, 2, 2))
+        "enumerate-258-darts", "enumerate-label-300", "enumerate-label-minus-1",
+        "enumerate-swapped-triangulations"])
+def test_unreadable_cache_file_is_a_cache_miss(runner, command, content, fresh):
+    """The cache file of ``fresh``'s key holds ``content``; ``command`` at
+    that key replaces it with ``fresh``, the enumerated catalog."""
+    genus, vertices, q = fresh["key"]["genus"], fresh["key"]["vertices"], fresh["key"]["q"]
+    path = dtregge.cache.catalog_path(genus, vertices, q)
     path.parent.mkdir(parents=True)
     _write(path, content)
-    result = runner.invoke(main, [*command, *THETA_KEY])
+    key = ["-g", str(genus), "-n", str(vertices), "--q", ",".join(map(str, q))]
+    result = runner.invoke(main, [*command, *key])
     assert result.exit_code == 0, result.output
     assert _exited(result)
-    assert json.loads(path.read_text()) == CATALOG
+    assert json.loads(path.read_text()) == fresh
 
 
 @pytest.mark.parametrize("content", [[1, 2], _with(CATALOG, ("entries",), 5), None, BIG_CATALOG,
-                                     LABEL_300, LABEL_MINUS_1],
+                                     LABEL_300, LABEL_MINUS_1, SWAPPED],
                          ids=["list", "entries-5", "directory", "258-darts", "label-300",
-                              "label-minus-1"])
+                              "label-minus-1", "swapped-triangulations"])
 def test_cache_verify_fails_each_unreadable_file(runner, content):
     assert runner.invoke(main, ["enumerate", *THETA_KEY]).exit_code == 0
     bad = dtregge.cache.cache_dir() / "catalog-x.json"
