@@ -24,7 +24,8 @@ CACHE_ENV = "DTREGGE_CACHE_DIR"
 
 
 class InputError(ValueError):
-    """A file that cannot be read as what it should hold, or written."""
+    """A file that cannot be read as what it should hold, or written.  A read
+    error does not name the file: the caller does, once."""
 
 
 class CacheError(InputError):
@@ -38,7 +39,8 @@ def read_json(path, parse, what: str):
     except InputError:
         raise
     except (OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError) as exc:
-        raise InputError(f"cannot read {what}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's own text names the file
+        raise InputError(f"cannot read {what}: {reason}") from exc
 
 
 def cache_dir() -> Path:
@@ -89,18 +91,18 @@ def load_catalog(path: Path) -> Catalog:
     def parse(data) -> Catalog:
         if data.get("version") != CONVENTION_VERSION:
             raise CacheError(
-                f"{path}: written under convention version {data.get('version')}, "
+                f"written under convention version {data.get('version')}, "
                 f"current is {CONVENTION_VERSION}"
             )
         if data.get("cardinality") != len(data["entries"]):
             raise CacheError(
-                f"{path}: stored cardinality {data.get('cardinality')} does not match "
+                f"stored cardinality {data.get('cardinality')} does not match "
                 f"its {len(data['entries'])} entries"
             )
         catalog = Catalog.from_dict(data)
         problems = verify_catalog(catalog)
         if problems:
-            raise CacheError(f"{path}: " + "; ".join(problems))
+            raise CacheError("; ".join(problems))
         return catalog
 
     return read_json(path, parse, "catalog")

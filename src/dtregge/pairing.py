@@ -109,11 +109,50 @@ def system_class(system: ConstraintSystem) -> tuple:
     return tuple(sorted(system.rhs)), columns
 
 
+def has_interior_point(rhs, columns) -> bool:
+    """Whether some L > 0 solves A L = rhs, where A has the given columns.
+
+    Each column must sum to 2: it is an edge between the two rows where it
+    holds a 1, or a loop at the row where it holds a 2.  On this multigraph
+    such an L exists exactly when, for every independent set I of rows with
+    neighbour set N(I), rhs(I) <= rhs(N(I)), and where the two are equal no
+    edge joins N(I) to a row outside I (a loop at N(I) included).  Summing
+    the rows of I and of N(I) shows that both are needed; the fractional
+    perfect b-matching theorem with its tight sets (Schrijver, 2003, ch. 31)
+    that they suffice.  It costs at most 2^N0 - 1 sets and no LP.
+    """
+    adjacent = [0] * len(rhs)
+    for column in columns:
+        ends = [i for i, x in enumerate(column) for _ in range(x)]
+        if sum(column) != 2 or len(ends) != 2:
+            raise ValueError(f"column {column} does not sum to 2 over nonnegative entries")
+        adjacent[ends[0]] |= 1 << ends[1]
+        adjacent[ends[1]] |= 1 << ends[0]
+    # neighbour set and rhs sum of every row set, each from the set less its lowest row
+    neighbours, weight = [0] * (1 << len(rhs)), [0] * (1 << len(rhs))
+    for rows in range(1, 1 << len(rhs)):
+        low = (rows & -rows).bit_length() - 1
+        neighbours[rows] = neighbours[rows & (rows - 1)] | adjacent[low]
+        weight[rows] = weight[rows & (rows - 1)] + rhs[low]
+    for rows, near in enumerate(neighbours):
+        if rows and not near & rows and (
+            weight[rows] > weight[near]
+            or weight[rows] == weight[near] and neighbours[near] & ~rows
+        ):
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def class_volume(key: tuple) -> Fraction:
     """Leray volume of the constraint systems of one ``system_class``,
-    computed once per process from the class's own representative."""
+    computed once per process from the class's own representative.  A
+    class with no L > 0 (``has_interior_point``) gets 0 without a call to
+    ``leray_volume``: the equations of a cell's system fix no edge length at
+    0, so its polytope then lies in a face of lower dimension."""
     rhs, columns = key
+    if not has_interior_point(rhs, columns):
+        return Fraction(0)
     return leray_volume(ConstraintSystem(tuple(zip(*columns)), rhs)).value
 
 
@@ -125,6 +164,21 @@ def _incidence_rows(graph: RibbonGraph) -> tuple[tuple[int, ...], ...]:
     ``enumerate_ribbon_cells`` keeps builds them once for every key.
     """
     return constraint_system(graph, dict.fromkeys(graph.boundary_labels, 0)).a
+
+
+_cell_classes: dict[tuple, tuple] = {}
+
+
+def cell_class(graph: RibbonGraph, q: tuple) -> tuple:
+    """``system_class`` of a cell's system at perimeters q, memoized for the
+    process per (sigma, alpha, perimeter of each boundary cycle in cycle
+    order).  The labelled cells of one class share sigma and alpha, so that
+    key fixes their rows up to the simultaneous row permutation that the
+    labels make, which ``system_class`` ignores."""
+    key = (graph.sigma, graph.alpha, tuple(q[label - 1] for label in graph.boundary_labels))
+    if key not in _cell_classes:
+        _cell_classes[key] = system_class(ConstraintSystem(_incidence_rows(graph), q))
+    return _cell_classes[key]
 
 
 def duality_pairing(
@@ -139,12 +193,15 @@ def duality_pairing(
     The key and the face cap are checked before the cells are read.  The
     catalog part is read off the cells: a cell is the dual of a catalog
     triangulation exactly when its boundary labelled k has q_k sides, and
-    the catalog cardinality is the number of such cells.  Each volume is
-    computed once per ``system_class`` and process, by ``class_volume``, and
-    shared by every cell of that class at this and every later key; the
-    keys of one (g, N0) share most classes.  Code and aut order are cached
-    on the cells, which ``enumerate_ribbon_cells`` keeps per (g, N0), and
-    so are their constraint rows, so no key recomputes them.
+    the catalog cardinality is the number of such cells.  Each cell's
+    ``system_class`` is found once per cell class and perimeter pattern, by
+    ``cell_class``.  Each volume is computed once per ``system_class`` and
+    process, by ``class_volume``, and shared by every cell of that class at
+    this and every later key; the keys of one (g, N0) share most classes.
+    Most classes are empty (no L > 0), and ``class_volume`` decides that
+    without a volume.  Code and aut order are cached on the cells, which
+    ``enumerate_ribbon_cells`` keeps per (g, N0), and so are their
+    constraint rows, so no key recomputes them.
     """
     q = tuple(q)
     check_feasible(genus, n0, q, max_faces)
@@ -156,10 +213,9 @@ def duality_pairing(
     catalog_total = Fraction(0)
     for graph in enumerate_ribbon_cells(genus, n0, max_faces):
         # the labels are 1..N0, and int perimeters are exact
-        system = ConstraintSystem(_incidence_rows(graph), q)
-        volume = class_volume(system_class(system))
+        volume = class_volume(cell_class(graph, q))
         aut = aut_boundary(graph)[0]
-        sides = tuple(map(sum, system.a))  # rows are in label order
+        sides = tuple(map(sum, _incidence_rows(graph)))  # rows are in label order
         from_catalog = sides == q
         # a loop bounds a one-sided boundary, and nothing else does
         contributions.append(

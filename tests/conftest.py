@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from dtregge.triangulation import build_triangulation
@@ -115,3 +117,73 @@ def search_matchings(n2: int) -> tuple[tuple[int, ...], ...]:
 
     rec(0)
     return tuple(found)
+
+
+def _pivot(tableau, basis, i, j):
+    """Make column j basic in row i of the tableau, in place."""
+    pivot = tableau[i][j]
+    tableau[i] = [x / pivot for x in tableau[i]]
+    for k, row in enumerate(tableau):
+        if k != i and row[j]:
+            factor = row[j]
+            tableau[k] = [x - factor * y for x, y in zip(row, tableau[i])]
+    basis[i] = j
+
+
+def _bland_simplex(tableau, basis, cost, columns):
+    """Primal simplex with Bland's rule, maximizing ``cost`` with the entering
+    column taken from ``columns``: the least index of positive reduced cost
+    enters, and among the rows of least ratio the least basic index leaves."""
+    while True:
+        entering = next((
+            j for j in columns
+            if cost[j] > sum(cost[b] * row[j] for b, row in zip(basis, tableau))
+        ), None)
+        if entering is None:
+            return
+        rows = [i for i, row in enumerate(tableau) if row[entering] > 0]
+        if not rows:
+            raise ValueError("unbounded")
+        leaving = min(rows, key=lambda i: (tableau[i][-1] / tableau[i][entering], basis[i]))
+        _pivot(tableau, basis, leaving, entering)
+
+
+def lp_maximum(a, b, cost):
+    """max cost . x over {a x = b, x >= 0}, or None when that set is empty: an
+    exact two-phase simplex on Fractions with Bland's rule.
+
+    Phase 1 minimizes the sum of one artificial variable per row.  Any
+    artificial still basic at level zero is then pivoted out on a nonzero
+    entry of its row, or its row, redundant, is dropped; left in, phase 2
+    could pivot it above zero and answer for a relaxed system.
+    """
+    m, n = len(a), len(a[0])
+    tableau = [
+        [Fraction(x if bi >= 0 else -x) for x in row]
+        + [Fraction(int(k == i)) for k in range(m)]
+        + [Fraction(abs(bi))]
+        for i, (row, bi) in enumerate(zip(a, b))
+    ]
+    basis = list(range(n, n + m))
+    _bland_simplex(tableau, basis, [0] * n + [-1] * m, range(n + m))
+    if any(row[-1] for j, row in zip(basis, tableau) if j >= n):
+        return None
+    for i in reversed(range(m)):
+        if basis[i] >= n:
+            j = next((j for j in range(n) if tableau[i][j]), None)
+            if j is None:
+                del tableau[i], basis[i]
+            else:
+                _pivot(tableau, basis, i, j)
+    tableau = [row[:n] + row[-1:] for row in tableau]
+    _bland_simplex(tableau, basis, cost, range(n))
+    return sum(cost[j] * row[-1] for j, row in zip(basis, tableau))
+
+
+def has_positive_solution(a, rhs) -> bool:
+    """Whether some L > 0 solves a L = rhs, by LP: the largest t in [0, 1]
+    with L = s + t (1, ..., 1) and s >= 0 is positive."""
+    n1 = len(a[0])
+    rows = [[*row, sum(row), 0] for row in a] + [[0] * n1 + [1, 1]]
+    best = lp_maximum(rows, [*rhs, 1], [0] * n1 + [1, 0])
+    return best is not None and best > 0

@@ -334,6 +334,24 @@ def test_cache_verify_exits_1_on_a_stale_entry(runner):
     result = runner.invoke(main, ["cache", "verify"])
     assert result.exit_code == 1
     assert "stale" in result.output
+    for line in result.output.splitlines():
+        assert line.count(str(path)) == 1, line
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("version", 99, "written under convention version 99"),
+    ("cardinality", 2, "stored cardinality 2 does not match its 1 entries"),
+])
+def test_cache_verify_names_the_path_once(runner, field, value, reason):
+    assert runner.invoke(main, ["enumerate", "-g", "1", "-n", "1", "--q", "6"]).exit_code == 0
+    [path] = dtregge.cache.list_cache()
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["cache", "verify"])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"{path}: FAIL: {reason}")
+    assert result.output.count(str(path)) == 1, result.output
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +517,7 @@ def test_cache_verify_fails_each_unreadable_file(runner, content):
     assert _exited(result)
     ok, fail = sorted(result.output.splitlines())
     assert ok.endswith("-v1.json: ok") and fail.startswith(f"{bad}: FAIL: ")
+    assert fail.count(str(bad)) == 1, fail
 
 
 @pytest.mark.parametrize("command", ["enumerate", "dual"])

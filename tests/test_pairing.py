@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from conftest import has_positive_solution, lp_maximum
 from dtregge.catalog import (
     ResourceCapError,
     enumerate_ribbon_cells,
@@ -14,8 +15,10 @@ from dtregge.intersection import GenusError, tau
 from dtregge.measure import ConstraintSystem, constraint_system
 from dtregge.pairing import (
     cardinality_and_average,
+    cell_class,
     class_volume,
     duality_pairing,
+    has_interior_point,
     pairing_constant,
     system_class,
 )
@@ -174,6 +177,7 @@ def test_memoized_volumes_equal_direct_volumes(key):
             d // 3 == graph.alpha[d] // 3 for d in range(graph.dart_count)
         )
         assert contribution.volume == leray_volume(constraint_system(graph, perimeters)).value
+        assert cell_class(graph, q) == system_class(constraint_system(graph, perimeters))
 
 
 def test_pairing_computes_one_volume_per_system_class(monkeypatch):
@@ -188,7 +192,8 @@ def test_pairing_computes_one_volume_per_system_class(monkeypatch):
     report = duality_pairing(1, 3, (6, 6, 6))
     assert report.equal
     assert len(report.contributions) == 236
-    assert len(calls) == 31
+    assert class_volume.cache_info().currsize == 31
+    assert len(calls) == 15  # the nonempty classes
 
 
 def _brute_force_class(system):
@@ -249,8 +254,10 @@ def test_system_class_ignores_every_boundary_relabelling():
                 assert system_class(moved) == key
 
 
-@pytest.mark.parametrize("genus, n0, volumes", [(0, 4, 106), (1, 2, 41)])
-def test_labelled_keys_share_one_volume_per_class(monkeypatch, genus, n0, volumes):
+@pytest.mark.parametrize(
+    "genus, n0, classes, volumes", [(0, 4, 106, 16), (1, 2, 41, 21)], ids=["0-4-106", "1-2-41"]
+)
+def test_labelled_keys_share_one_volume_per_class(monkeypatch, genus, n0, classes, volumes):
     calls = []
 
     def counting(system):
@@ -261,7 +268,8 @@ def test_labelled_keys_share_one_volume_per_class(monkeypatch, genus, n0, volume
     monkeypatch.setattr("dtregge.pairing.leray_volume", counting)
     for q in feasible_q_vectors(genus, n0):
         assert duality_pairing(genus, n0, q).equal
-    assert len(calls) == volumes
+    assert class_volume.cache_info().currsize == classes
+    assert len(calls) == volumes  # the nonempty classes
 
 
 @pytest.mark.parametrize("key", [(0, 4, (4, 3, 3, 2)), (1, 2, (7, 5))])
@@ -279,6 +287,71 @@ def test_pairing_at_0_5_with_perimeters_3_3_4_4_4():
     report = duality_pairing(0, 5, (3, 3, 4, 4, 4))
     assert report.equal
     assert report.lhs == report.rhs == 3891
+
+
+@pytest.mark.parametrize("genus, n0, q, value", [
+    (1, 4, (6, 6, 6, 6), 3790800),
+    (2, 2, (12, 12), Fraction(331444224, 5)),
+])
+def test_pairing_at_eight_faces(genus, n0, q, value):
+    report = duality_pairing(genus, n0, q, enable_higher_genus=genus >= 2)
+    assert report.equal
+    assert report.lhs == report.rhs == value
+
+
+@pytest.mark.parametrize("keys, classes, nonempty", [
+    (PAIRING_KEYS, 181, 54),
+    ([(0, 5, (3, 3, 4, 4, 4))], 163, 29),
+    ([(1, 4, (6, 6, 6, 6))], 244, 56),
+], ids=["pairing-keys", "0-5", "1-4"])
+def test_interior_point_test_agrees_with_the_lp_and_the_volumes(keys, classes, nonempty):
+    """On every class of the keys, ``has_interior_point`` agrees with the LP
+    oracle, and the Leray volume is zero exactly where it finds no L > 0."""
+    found = {
+        cell_class(graph, q) for genus, n0, q in keys for graph in enumerate_ribbon_cells(genus, n0)
+    }
+    assert len(found) == classes
+    count = 0
+    for rhs, columns in found:
+        a = tuple(zip(*columns))
+        interior = has_interior_point(rhs, columns)
+        assert has_positive_solution(a, rhs) == interior, (rhs, columns)
+        assert (leray_volume(ConstraintSystem(a, rhs)).value != 0) == interior, (rhs, columns)
+        count += interior
+    assert count == nonempty
+
+
+# Each row is a boundary; a column holding 1, 1 is an edge, one holding 2 a loop.
+@pytest.mark.parametrize("rows, rhs, interior", [
+    # a=b double edge, b-c: I = {a} has q(I) = 3 > q(N(I)) = q(b) = 2
+    ([(1, 1, 0), (1, 1, 1), (0, 0, 1)], (3, 2, 1), False),
+    # the same edges: I = {a, c} is tight, and b has no edge outside I
+    ([(1, 1, 0), (1, 1, 1), (0, 0, 1)], (2, 3, 1), True),
+    # a=b double edge, b-c, c-d: I = {a} is tight, and the edge b-c leaves it
+    ([(1, 1, 0, 0), (1, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)], (2, 2, 2, 2), False),
+    # a=b double edge and a loop at b: I = {a} is tight, and the loop is at N(I)
+    ([(1, 1, 0), (1, 1, 2)], (2, 2), False),
+    ([(1, 1, 0), (1, 1, 2)], (2, 4), True),
+])
+def test_interior_point_test_on_each_clause(rows, rhs, interior):
+    columns = tuple(zip(*rows))
+    assert has_interior_point(rhs, columns) == interior
+    assert has_positive_solution(rows, rhs) == interior
+
+
+@pytest.mark.parametrize("columns", [((1, 0), (1, 1)), ((3, -1), (1, 1)), ((0, 0), (1, 1))])
+def test_interior_point_test_raises_on_a_column_not_summing_to_2(columns):
+    with pytest.raises(ValueError, match="does not sum to 2"):
+        has_interior_point((2, 2), columns)
+
+
+def test_lp_oracle_drives_zero_artificials_out_before_phase_2():
+    # x1 + x2 = 1, x1 + x2 = 1 (a redundant row), x1 - x3 = 0: max x3 is 1
+    assert lp_maximum([(1, 1, 0), (1, 1, 0), (1, 0, -1)], (1, 1, 0), (0, 0, 1)) == 1
+    assert lp_maximum([(1, 1), (1, 1)], (1, 2), (1, 0)) is None
+    # L = (1, 0) is the only solution of L1 + L2 = 1, L1 = 1
+    assert not has_positive_solution([(1, 1), (1, 0)], (1, 1))
+    assert has_positive_solution([(1, 1), (1, 0)], (2, 1))
 
 
 def _double_factorial(k: int) -> int:
