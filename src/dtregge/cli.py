@@ -9,7 +9,6 @@ fails catalog verification, or an ``--out`` path that cannot be written),
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 import sys
@@ -54,25 +53,28 @@ def _parse_q(text: str) -> tuple[int, ...]:
         raise click.UsageError(f"cannot parse {text!r}: expected comma-separated integers")
 
 
-def _emit(report: RunReport) -> None:
-    click.echo(report.to_json())
+class CommandGroup(click.Group):
+    """Starts the clock of every command, and exits with the ``EXIT_CODES``
+    code of an error that a command, ``cache`` ones included, raises."""
 
-
-def reports_errors(command):
-    """Exit with the ``EXIT_CODES`` code of an error the command raises."""
-
-    @functools.wraps(command)
-    def run(*args, **kwargs):
+    def invoke(self, ctx):
+        ctx.meta["start"] = time.perf_counter()
         try:
-            return command(*args, **kwargs)
+            return super().invoke(ctx)
         except tuple(EXIT_CODES) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind)))
 
-    return run
+
+def _report(command: str, inputs: dict, results: dict, passed: bool = True) -> None:
+    """Print the command's ``RunReport`` with its seconds; exit 1 unless passed."""
+    seconds = time.perf_counter() - click.get_current_context().meta["start"]
+    click.echo(RunReport(command, inputs, results, {"seconds": round(seconds, 3)}).to_json())
+    if not passed:
+        sys.exit(EXIT_CHECK_FAILED)
 
 
-@click.group()
+@click.group(cls=CommandGroup)
 def main():
     """Exact tools for triangulations, dual ribbon graphs and moduli volumes."""
 
@@ -96,11 +98,9 @@ def with_key(func):
 @click.option("--max-faces", type=int, default=MAX_FACES, show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--no-cache", is_flag=True, help="do not read or write the catalog cache")
-@reports_errors
 def cmd_enumerate(genus, vertices, qlist, out, max_faces, workers, no_cache):
     """Enumerate all labelled triangulations realizing a curvature key."""
     q = _parse_q(qlist)
-    t0 = time.perf_counter()
     catalog, path = cache_mod.cached_catalog(
         genus,
         vertices,
@@ -111,25 +111,21 @@ def cmd_enumerate(genus, vertices, qlist, out, max_faces, workers, no_cache):
         read=not no_cache,
         write=not no_cache or out is not None,
     )
-    _emit(
-        RunReport(
-            "enumerate",
-            {"genus": genus, "vertices": vertices, "q": list(q)},
-            {
-                "cardinality": catalog.cardinality,
-                "codes": [entry.code.hex() for entry in catalog.entries],
-                "aut_orders": [entry.aut_order for entry in catalog.entries],
-                "path": str(path),
-            },
-            {"seconds": round(time.perf_counter() - t0, 3)},
-        )
+    _report(
+        "enumerate",
+        {"genus": genus, "vertices": vertices, "q": list(q)},
+        {
+            "cardinality": catalog.cardinality,
+            "codes": [entry.code.hex() for entry in catalog.entries],
+            "aut_orders": [entry.aut_order for entry in catalog.entries],
+            "path": str(path),
+        },
     )
 
 
 @main.command("dual")
 @click.option("--in", "in_path", type=click.Path(path_type=Path), required=True)
 @click.option("--out", type=click.Path(path_type=Path), default=None)
-@reports_errors
 def cmd_dual(in_path, out):
     """Dualize a triangulation JSON file into a ribbon graph JSON file."""
     t = cache_mod.read_json(in_path, Triangulation.from_dict, "triangulation")
@@ -158,17 +154,15 @@ def _load_catalog_or_key(in_path, genus, vertices, qlist, max_faces) -> Catalog:
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--q-max", type=click.IntRange(min=3), default=8, show_default=True)
-@reports_errors
 def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_max):
     """Run an exact identity check and report per-entry results."""
-    t0 = time.perf_counter()
-    results: dict = {"entries": [], "pass": True}
+    entries = []
     if kind in ("gauss-bonnet", "kontsevich"):
         catalog = _load_catalog_or_key(in_path, genus, vertices, qlist, max_faces)
         for entry in catalog.entries:
             if kind == "gauss-bonnet":
                 total, ok = gauss_bonnet_check(entry.triangulation)
-                results["entries"].append(
+                entries.append(
                     {
                         "code": entry.code.hex(),
                         "total_curvature_over_pi": rational(total),
@@ -180,7 +174,7 @@ def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_
                 )
             else:
                 ok, coeff, expected = kontsevich_check(entry.dual)
-                results["entries"].append(
+                entries.append(
                     {
                         "code": entry.code.hex(),
                         "coefficient": int(coeff),
@@ -188,42 +182,33 @@ def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_
                         "pass": ok,
                     }
                 )
-            results["pass"] &= results["entries"][-1]["pass"]
     elif kind == "median":
         rng = random.Random(seed)
         for _ in range(trials):
             fan = random_fan(rng)
             ok = median_identity_check(half_edge_lengths(fan))
-            results["entries"].append({"q": fan.q, "pass": ok})
-            results["pass"] &= ok
+            entries.append({"q": fan.q, "pass": ok})
     else:  # rank
         from . import polygon  # loaded here only: it imports mpmath
 
         for q in range(3, q_max + 1):
             rank = polygon.equilateral_rank(q)
-            ok = rank == q - 1
-            results["entries"].append({"q": q, "rank": rank, "expected": q - 1, "pass": ok})
-            results["pass"] &= ok
-    _emit(
-        RunReport(
-            f"check {kind}",
-            {"in": str(in_path) if in_path else None, "seed": seed},
-            results,
-            {"seconds": round(time.perf_counter() - t0, 3)},
-        )
+            entries.append({"q": q, "rank": rank, "expected": q - 1, "pass": rank == q - 1})
+    passed = all(entry["pass"] for entry in entries)
+    _report(
+        f"check {kind}",
+        {"in": str(in_path) if in_path else None, "seed": seed},
+        {"entries": entries, "pass": passed},
+        passed=passed,
     )
-    if not results["pass"]:
-        sys.exit(EXIT_CHECK_FAILED)
 
 
 @main.command("volume")
 @with_key
 @click.option("--max-faces", type=int, default=MAX_FACES, show_default=True)
-@reports_errors
 def cmd_volume(genus, vertices, qlist, max_faces):
     """Exact Leray volumes of the constraint polytopes at a key."""
     q = _parse_q(qlist)
-    t0 = time.perf_counter()
     catalog = cache_mod.cached_catalog(genus, vertices, q, max_faces=max_faces)[0]
     entries = []
     for entry in catalog.entries:
@@ -236,59 +221,36 @@ def cmd_volume(genus, vertices, qlist, max_faces):
                 "aut_boundary": entry.aut_order,
             }
         )
-    _emit(
-        RunReport(
-            "volume",
-            {"genus": genus, "vertices": vertices, "q": list(q)},
-            {"entries": entries},
-            {"seconds": round(time.perf_counter() - t0, 3)},
-        )
-    )
+    _report("volume", {"genus": genus, "vertices": vertices, "q": list(q)}, {"entries": entries})
 
 
 @main.command("tau")
 @click.option("--genus", "-g", type=int, required=True)
 @click.option("--d", "dlist", type=str, required=True, help="comma-separated exponents")
 @click.option("--enable-dvv", is_flag=True, help="allow genus >= 2 via the KdV recursion")
-@reports_errors
 def cmd_tau(genus, dlist, enable_dvv):
     """One intersection number <tau_{d_1} ... tau_{d_n}>_g."""
     ds = _parse_q(dlist)
     value = tau(genus, ds, enable_higher_genus=enable_dvv)
-    _emit(
-        RunReport(
-            "tau",
-            {"genus": genus, "d": list(ds)},
-            {"value": rational(value)},
-        )
-    )
+    _report("tau", {"genus": genus, "d": list(ds)}, {"value": rational(value)})
 
 
 @main.command("pairing")
 @with_key
 @click.option("--max-faces", type=int, default=MAX_FACES, show_default=True)
 @click.option("--enable-dvv", is_flag=True, help="allow genus >= 2 via the KdV recursion")
-@reports_errors
 def cmd_pairing(genus, vertices, qlist, max_faces, enable_dvv):
     """Verify the duality pairing at a key; exit status reflects equality."""
     q = _parse_q(qlist)
-    t0 = time.perf_counter()
     report = duality_pairing(
         genus, vertices, q, enable_higher_genus=enable_dvv, max_faces=max_faces
     )
     body = report.to_dict()
     average = report.average_volume
     body["average_volume"] = rational(average) if average is not None else None
-    _emit(
-        RunReport(
-            "pairing",
-            {"genus": genus, "vertices": vertices, "q": list(q)},
-            body,
-            {"seconds": round(time.perf_counter() - t0, 3)},
-        )
+    _report(
+        "pairing", {"genus": genus, "vertices": vertices, "q": list(q)}, body, passed=report.equal
     )
-    if not report.equal:
-        sys.exit(EXIT_CHECK_FAILED)
 
 
 @main.group("cache")

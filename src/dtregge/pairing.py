@@ -156,16 +156,6 @@ def class_volume(key: tuple) -> Fraction:
     return leray_volume(ConstraintSystem(tuple(zip(*columns)), rhs)).value
 
 
-@lru_cache(maxsize=None)
-def _incidence_rows(graph: RibbonGraph) -> tuple[tuple[int, ...], ...]:
-    """The rows of a cell's constraint system, in boundary-label order.
-
-    They do not depend on the perimeters, so each cell that
-    ``enumerate_ribbon_cells`` keeps builds them once for every key.
-    """
-    return constraint_system(graph, dict.fromkeys(graph.boundary_labels, 0)).a
-
-
 _cell_classes: dict[tuple, tuple] = {}
 
 
@@ -174,10 +164,12 @@ def cell_class(graph: RibbonGraph, q: tuple) -> tuple:
     process per (sigma, alpha, perimeter of each boundary cycle in cycle
     order).  The labelled cells of one class share sigma and alpha, so that
     key fixes their rows up to the simultaneous row permutation that the
-    labels make, which ``system_class`` ignores."""
+    labels make, which ``system_class`` ignores.  The rows are built only on
+    a miss, and nothing of them is kept for the cell."""
     key = (graph.sigma, graph.alpha, tuple(q[label - 1] for label in graph.boundary_labels))
     if key not in _cell_classes:
-        _cell_classes[key] = system_class(ConstraintSystem(_incidence_rows(graph), q))
+        rows = constraint_system(graph, dict.fromkeys(graph.boundary_labels, 0)).a
+        _cell_classes[key] = system_class(ConstraintSystem(rows, q))
     return _cell_classes[key]
 
 
@@ -200,8 +192,7 @@ def duality_pairing(
     this and every later key; the keys of one (g, N0) share most classes.
     Most classes are empty (no L > 0), and ``class_volume`` decides that
     without a volume.  Code and aut order are cached on the cells, which
-    ``enumerate_ribbon_cells`` keeps per (g, N0), and so are their
-    constraint rows, so no key recomputes them.
+    ``enumerate_ribbon_cells`` keeps per (g, N0).
     """
     q = tuple(q)
     check_feasible(genus, n0, q, max_faces)
@@ -215,7 +206,11 @@ def duality_pairing(
         # the labels are 1..N0, and int perimeters are exact
         volume = class_volume(cell_class(graph, q))
         aut = aut_boundary(graph)[0]
-        sides = tuple(map(sum, _incidence_rows(graph)))  # rows are in label order
+        # side counts in label order: each dart of a boundary cycle is one side
+        counts = [0] * n0
+        for label, cycle in zip(graph.boundary_labels, graph.boundary_cycles):
+            counts[label - 1] = len(cycle)
+        sides = tuple(counts)
         from_catalog = sides == q
         # a loop bounds a one-sided boundary, and nothing else does
         contributions.append(

@@ -52,10 +52,6 @@ class PolygonChart:
         cy = -sum(y for _, y in self.z)
         return list(self.z) + [(cx, cy)]
 
-    def rescaled(self, factor) -> "PolygonChart":
-        """Projective action: multiply every edge by a real factor."""
-        return PolygonChart(tuple((factor * x, factor * y) for x, y in self.z))
-
     @classmethod
     def regular(cls, q: int, a=1) -> "PolygonChart":
         """Equilateral q-gon with side u = sqrt(3)/3 * a."""

@@ -167,6 +167,7 @@ def test_tau_values_and_genus_gate(runner):
     result = runner.invoke(main, ["tau", "-g", "1", "--d", "1"])
     assert result.exit_code == 0
     assert json.loads(result.output)["results"]["value"] == "1/24"
+    assert json.loads(result.output)["timings"]["seconds"] >= 0
     result = runner.invoke(main, ["tau", "-g", "2", "--d", "4"])
     assert result.exit_code == 2
     result = runner.invoke(main, ["tau", "-g", "2", "--d", "4", "--enable-dvv"])

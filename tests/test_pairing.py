@@ -11,6 +11,7 @@ from dtregge.catalog import (
     enumerate_triangulations,
     feasible_q_vectors,
 )
+from dtregge import pairing
 from dtregge.intersection import GenusError, tau
 from dtregge.measure import ConstraintSystem, constraint_system
 from dtregge.pairing import (
@@ -292,11 +293,21 @@ def test_pairing_at_0_5_with_perimeters_3_3_4_4_4():
 @pytest.mark.parametrize("genus, n0, q, value", [
     (1, 4, (6, 6, 6, 6), 3790800),
     (2, 2, (12, 12), Fraction(331444224, 5)),
+    (0, 6, (4, 4, 4, 4, 4, 4), 679936),
 ])
 def test_pairing_at_eight_faces(genus, n0, q, value):
     report = duality_pairing(genus, n0, q, enable_higher_genus=genus >= 2)
     assert report.equal
     assert report.lhs == report.rhs == value
+
+
+def test_pairing_builds_rows_only_on_a_cell_class_miss():
+    """The pairing keeps nothing per cell beyond what the enumerator caches:
+    a cell gets its ``dart_edge`` only when it builds the rows of a new
+    ``cell_class`` entry."""
+    duality_pairing(1, 4, (6, 6, 6, 6))
+    with_rows = sum("dart_edge" in vars(graph) for graph in enumerate_ribbon_cells(1, 4))
+    assert 0 < with_rows <= len(pairing._cell_classes)
 
 
 @pytest.mark.parametrize("keys, classes, nonempty", [
