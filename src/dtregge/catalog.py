@@ -28,7 +28,7 @@ from itertools import chain, permutations, product
 from types import MappingProxyType
 
 from .ribbon import RibbonGraph, aut_boundary, canonical_code, canonical_form
-from .triangulation import Triangulation, build_triangulation, corner_rotation, orbits
+from .triangulation import Triangulation, boundary_cycles, build_triangulation, corner_rotation
 
 #: Bump when a normative counting/orientation convention changes, or when the
 #: enumerator's output (entries, their order or codes) changes: the CLI reads
@@ -287,7 +287,7 @@ def _labelled_cells(alpha, group, labellings):
     in different orbits give different codes.
     """
     sigma = corner_rotation(len(alpha))
-    cycles = orbits([sigma[a] for a in alpha])
+    cycles = boundary_cycles(sigma, alpha)
     where = {d: i for i, cycle in enumerate(cycles) for d in cycle}
     moves = [[where[g[cycle[0]]] for cycle in cycles] for g in group]
     seen = set()
@@ -326,8 +326,7 @@ def _entries_for_gluing(args) -> list[CatalogEntry]:
     triangulation is built from the dart labels and the slot pairs of alpha.
     """
     alpha, group, q = args
-    sigma = corner_rotation(len(alpha))
-    vertices = orbits([sigma[a] for a in alpha])
+    vertices = boundary_cycles(corner_rotation(len(alpha)), alpha)
     gluing = [(divmod(d, 3), divmod(a, 3)) for d, a in enumerate(alpha) if d < a]
     entries = []
     for graph in _labelled_cells(alpha, group, _label_assignments(vertices, q)):

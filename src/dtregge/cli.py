@@ -21,12 +21,12 @@ from . import cache as cache_mod
 from .catalog import MAX_FACES, Catalog, InfeasibleKeyError, ResourceCapError
 from .geometry import half_edge_lengths, median_identity_check, random_fan
 from .intersection import ExponentError, GenusError, tau
-from .measure import DimensionError, incidence_matrix, kontsevich_check
-from .pairing import duality_pairing
+from .measure import DimensionError, kontsevich_check
+from .pairing import cell_class, class_volume, duality_pairing
 from .report import RunReport, rational
 from .ribbon import dualize
 from .triangulation import Triangulation, gauss_bonnet_check
-from .volume import VolumeError, leray_volume
+from .volume import VolumeError
 
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
@@ -96,7 +96,7 @@ def with_key(func):
 @with_key
 @click.option("--out", type=click.Path(path_type=Path), default=None)
 @click.option("--max-faces", type=int, default=MAX_FACES, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--no-cache", is_flag=True, help="do not read or write the catalog cache")
 def cmd_enumerate(genus, vertices, qlist, out, max_faces, workers, no_cache):
     """Enumerate all labelled triangulations realizing a curvature key."""
@@ -207,20 +207,18 @@ def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_
 @with_key
 @click.option("--max-faces", type=int, default=MAX_FACES, show_default=True)
 def cmd_volume(genus, vertices, qlist, max_faces):
-    """Exact Leray volumes of the constraint polytopes at a key."""
+    """Exact Leray volumes at a key, one per ``system_class`` as in the pairing."""
     q = _parse_q(qlist)
     catalog = cache_mod.cached_catalog(genus, vertices, q, max_faces=max_faces)[0]
-    entries = []
-    for entry in catalog.entries:
-        vol = leray_volume(incidence_matrix(entry.dual))
-        entries.append(
-            {
-                "code": entry.code.hex(),
-                "volume": rational(vol.value),
-                "dim": vol.dimension,
-                "aut_boundary": entry.aut_order,
-            }
-        )
+    entries = [
+        {
+            "code": entry.code.hex(),
+            "volume": rational(class_volume(cell_class(entry.dual, q))),
+            "dim": entry.dual.edge_count - vertices,
+            "aut_boundary": entry.aut_order,
+        }
+        for entry in catalog.entries
+    ]
     _report("volume", {"genus": genus, "vertices": vertices, "q": list(q)}, {"entries": entries})
 
 

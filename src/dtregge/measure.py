@@ -10,7 +10,7 @@ u = sqrt(3)/3 * a = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -27,7 +27,6 @@ class SkewForm:
     """Integer skew matrix of the total 2-form over global edge indices."""
 
     matrix: tuple[tuple[int, ...], ...]
-    side_sequences: tuple[tuple[int, ...], ...] = field(default=())  # per-boundary edge words
 
     @property
     def dimension(self) -> int:
@@ -61,22 +60,17 @@ def constraint_system(graph: RibbonGraph, perimeters) -> ConstraintSystem:
     """Incidence rows in boundary-label order, with prescribed perimeters.
 
     ``perimeters`` maps each boundary label to its fixed perimeter in units
-    u = 1.
+    u = 1.  Row k counts the sides of the k-th word of ``boundary_edge_words``
+    on each edge.
     """
-    n1 = graph.edge_count
     rows = []
-    rhs = []
-    order = sorted(
-        range(len(graph.boundary_cycles)), key=lambda i: graph.boundary_labels[i]
-    )
-    for i in order:
-        cycle = graph.boundary_cycles[i]
-        row = [0] * n1
-        for d in cycle:
-            row[graph.dart_edge[d]] += 1
+    for word in boundary_edge_words(graph):
+        row = [0] * graph.edge_count
+        for j in word:
+            row[j] += 1
         rows.append(tuple(row))
-        rhs.append(Fraction(perimeters[graph.boundary_labels[i]]))
-    return ConstraintSystem(tuple(rows), tuple(rhs))
+    rhs = tuple(Fraction(perimeters[label]) for label in sorted(graph.boundary_labels))
+    return ConstraintSystem(tuple(rows), rhs)
 
 
 def incidence_matrix(graph: RibbonGraph) -> ConstraintSystem:
@@ -113,8 +107,7 @@ def total_form(graph: RibbonGraph) -> SkewForm:
     """
     n1 = graph.edge_count
     b = [[0] * n1 for _ in range(n1)]
-    words = boundary_edge_words(graph)
-    for word in words:
+    for word in boundary_edge_words(graph):
         sides = word[:-1]
         for i in range(len(sides)):
             for j in range(i + 1, len(sides)):
@@ -123,7 +116,7 @@ def total_form(graph: RibbonGraph) -> SkewForm:
                     continue
                 b[ei][ej] += 1
                 b[ej][ei] -= 1
-    return SkewForm(tuple(tuple(row) for row in b), tuple(words))
+    return SkewForm(tuple(tuple(row) for row in b))
 
 
 def pfaffian(matrix) -> object:

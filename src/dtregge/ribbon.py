@@ -3,8 +3,9 @@
 A ribbon graph is a set of darts together with a vertex rotation ``sigma``
 (cycles of length 3, counterclockwise dart order at each vertex) and a
 fixed-point-free edge involution ``alpha``.  Boundary cycles are the orbits
-of ``sigma o alpha`` (first alpha, then sigma); this composition order is
-the single source of truth for all side orderings downstream.
+of ``sigma o alpha`` (first alpha, then sigma); ``triangulation.boundary_cycles``
+is the one definition of that composition order, and the single source of
+truth for all side orderings downstream.
 
 One breadth-first pass over base darts, ``canonical_form``, gives both a
 canonical code and an automorphism group: the bases whose encodings tie at
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .triangulation import Triangulation, TriangulationError, corner_rotation, orbits
+from .triangulation import Triangulation, TriangulationError, boundary_cycles, corner_rotation, orbits
 
 
 class RibbonGraphError(ValueError):
@@ -54,9 +55,9 @@ class RibbonGraph:
 
     @cached_property
     def boundary_cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of sigma o alpha, each rotated to start at its least dart."""
-        phi = tuple(self.sigma[self.alpha[d]] for d in range(self.dart_count))
-        return tuple(orbits(phi))
+        """Orbits of sigma o alpha, each from its least dart, sorted; one tuple
+        for a run of graphs on one (sigma, alpha) (``boundary_cycles``)."""
+        return boundary_cycles(self.sigma, self.alpha)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -100,14 +101,10 @@ class RibbonGraph:
         Per-dart boundary labels of the mirror are the original labels
         composed with sigma, which is constant along the mirrored cycles.
         """
-        n = self.dart_count
-        inv = [0] * n
-        for d in range(n):
-            inv[self.sigma[d]] = d
+        inv = tuple(sorted(range(self.dart_count), key=self.sigma.__getitem__))
         old = self.dart_labels()
-        phi = tuple(inv[self.alpha[d]] for d in range(n))
-        labels = tuple(old[self.sigma[cycle[0]]] for cycle in orbits(phi))
-        return RibbonGraph(tuple(inv), self.alpha, labels)
+        cycles = boundary_cycles(inv, self.alpha)
+        return RibbonGraph(inv, self.alpha, tuple(old[self.sigma[c[0]]] for c in cycles))
 
     def to_dict(self) -> dict:
         return {
@@ -158,7 +155,7 @@ def canonical_form(sigma, alpha, labels=None) -> tuple[bytes, tuple[tuple[int, .
         opening = [(alpha[d] != sigma[d], labels[d]) for d in range(n)]
         least = min(opening)
     else:
-        side = {d: len(cycle) for cycle in orbits([sigma[a] for a in alpha]) for d in cycle}
+        side = {d: len(cycle) for cycle in boundary_cycles(sigma, alpha) for d in cycle}
         opening = [(alpha[d] != sigma[d], side[d], side[alpha[d]]) for d in range(n)]
         least = min(set(opening), key=lambda value: (opening.count(value), value))
     best, tied = None, []
@@ -241,9 +238,8 @@ def dualize(t: Triangulation) -> RibbonGraph:
         alpha[3 * f + i], alpha[3 * g + j] = 3 * g + j, 3 * f + i
     alpha = tuple(alpha)
 
-    phi = tuple(sigma[alpha[d]] for d in range(n))
     labels = []
-    for cycle in orbits(phi):
+    for cycle in boundary_cycles(sigma, alpha):
         # dart 3f+i issues from corner i of face f
         sources = {t.faces[d // 3][d % 3] for d in cycle}
         if len(sources) != 1:

@@ -181,6 +181,17 @@ def orbits(perm) -> list[tuple[int, ...]]:
     return cycles
 
 
+@lru_cache(maxsize=1)
+def boundary_cycles(sigma, alpha) -> tuple[tuple[int, ...], ...]:
+    """Orbits of sigma o alpha (first alpha, then sigma), as ``orbits`` gives
+    them: the vertices of a triangulation and the boundaries of its dual.
+    The one place that composes the two.  Both must be tuples.  The labelled
+    cells of a class are built in a row, so remembering the last pair hands
+    all of them one tuple.
+    """
+    return tuple(orbits([sigma[a] for a in alpha]))
+
+
 def corner_classes(faces, gluing) -> list[frozenset[tuple[int, int]]]:
     """Partition of the corners (face, corner) into geometric vertices.
 
@@ -194,10 +205,9 @@ def corner_classes(faces, gluing) -> list[frozenset[tuple[int, int]]]:
     alpha = [0] * n
     for (f, i), (g, j) in gluing:
         alpha[3 * f + i], alpha[3 * g + j] = 3 * g + j, 3 * f + i
-    sigma = corner_rotation(n)
     return [
         frozenset(divmod(d, 3) for d in orbit)
-        for orbit in orbits([sigma[a] for a in alpha])
+        for orbit in boundary_cycles(corner_rotation(n), tuple(alpha))
     ]
 
 

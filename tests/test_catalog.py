@@ -179,6 +179,14 @@ def test_feasible_q_vectors():
     assert list(feasible_q_vectors(0, 3)) == [(2, 2, 2)]
 
 
+def test_cells_of_one_class_share_one_boundary_cycles_tuple():
+    cells = enumerate_ribbon_cells(0, 5)
+    shared = {}
+    for cell in cells:
+        assert shared.setdefault(cell.alpha, cell.boundary_cycles) is cell.boundary_cycles
+    assert len(shared) < len(cells)
+
+
 def test_ribbon_cells_include_catalog_duals_and_loops():
     cells = enumerate_ribbon_cells(0, 4)
     assert len(cells) == 64

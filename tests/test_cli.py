@@ -13,6 +13,7 @@ import dtregge.cache
 from dtregge.catalog import enumerate_triangulations
 from dtregge.cli import main
 from dtregge.measure import DimensionError
+from dtregge.pairing import class_volume
 from dtregge.ribbon import dualize
 from dtregge.volume import UnboundedPolytopeError
 
@@ -111,6 +112,14 @@ def test_check_that_would_check_nothing_is_a_usage_error(runner, command):
     result = runner.invoke(main, command)
     assert result.exit_code == 2, result.output
     assert '"pass"' not in result.output
+
+
+@pytest.mark.parametrize("workers", ["-3", "0"])
+def test_enumerate_without_a_worker_is_a_usage_error(runner, workers):
+    command = ["enumerate", "-g", "0", "-n", "3", "--q", "2,2,2", "--workers", workers]
+    result = runner.invoke(main, command)
+    assert result.exit_code == 2, result.output
+    assert '"results"' not in result.output
 
 
 @pytest.mark.parametrize("command", [
@@ -306,7 +315,8 @@ def test_volume_error_exits_2(runner, monkeypatch):
     def fail(system):
         raise UnboundedPolytopeError("a zero column makes the polytope unbounded")
 
-    monkeypatch.setattr("dtregge.cli.leray_volume", fail)
+    class_volume.cache_clear()  # else a volume an earlier test found skips the fake
+    monkeypatch.setattr("dtregge.pairing.leray_volume", fail)
     result = runner.invoke(main, ["volume", "-g", "1", "-n", "1", "--q", "6"])
     assert result.exit_code == 2, result.output
     assert result.output.startswith("error: ") and result.exc_info[0] is SystemExit
