@@ -7,15 +7,15 @@ relates them.
 
 A triangulation and its dual trivalent ribbon graph are one object: the
 slot gluing is the edge involution alpha of the dual, and the vertices are
-the orbits of sigma o alpha.  One gluing search per face count finds every
-connected matching, loops included, and sizes its orbits while it glues;
-``enumerate_gluings`` files each by genus, sorted orbit sizes and whether
-it has a loop into one cached index.  Both outputs read that index: a
-catalog key (g, N0, q) labels the orbits of the loop-free entry
-(g, sorted(q)), and the ribbon cells of (g, N0) label the boundaries of
-every entry of genus g with N0 orbits.  One unlabelled canonical pass per
-matching, from its invariant-pruned bases, keeps the first of each
-isomorphism class in an entry, ``_classes``, and one loop,
+the orbits of sigma o alpha.  One cached gluing search per (g, N0),
+``enumerate_gluings``, finds every connected matching with N0 orbits,
+loops included, sizes its orbits while it glues and groups the matchings
+by their sorted orbit sizes; it stops past ``MAX_MATCHINGS`` stored
+matchings.  A catalog key (g, N0, q) labels the orbits of the group
+sorted(q), which holds no loop since q >= 2, and the ribbon cells of
+(g, N0) label the boundaries of every group.  One unlabelled canonical
+pass per matching, from its invariant-pruned bases, keeps the first of
+each isomorphism class in a group, ``_classes``, and one loop,
 ``_labelled_cells``, labels it once per orbit of its automorphism group.
 """
 
@@ -37,7 +37,10 @@ from .triangulation import Triangulation, boundary_cycles, build_triangulation, 
 CONVENTION_VERSION = 1
 
 #: Default cap on the face count N2 of a key, for the library and the CLI.
-MAX_FACES = 12
+MAX_FACES = 10
+
+#: Most matchings one gluing search stores before it raises ResourceCapError.
+MAX_MATCHINGS = 500_000
 
 
 class InfeasibleKeyError(ValueError):
@@ -45,7 +48,7 @@ class InfeasibleKeyError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """The requested key needs more faces than the configured cap."""
+    """The requested key needs more faces, darts or gluings than the caps allow."""
 
 
 def face_count(genus: int, n0: int) -> int:
@@ -144,24 +147,32 @@ class Catalog:
 
 
 # ---------------------------------------------------------------------------
-# one gluing search and one index per face count, shared by every key
+# one gluing search per (genus, N0), shared by its catalogs and its cells
 
 
-def _matchings(n2: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """All connected slot matchings of n2 faces, grouped by the sorted sizes
-    of their sigma o alpha orbits, in search order within each group.
+@lru_cache(maxsize=None)
+def enumerate_gluings(genus: int, n0: int) -> MappingProxyType:
+    """The connected slot matchings of genus ``genus`` with ``n0`` orbits,
+    loops included, grouped by the sorted sizes of their sigma o alpha
+    orbits, in search order within each group.
 
-    Slots are numbered 3f + i, and a partner array is the edge involution
-    alpha of the dual ribbon graph; a slot may be glued to a slot of its own
-    face (a loop of the dual).  Face-relabelling symmetry is broken during
+    Slots are numbered 3f + i of N2 = ``face_count(genus, n0)`` faces, and a
+    partner array is the edge involution alpha of the dual ribbon graph; a
+    slot may be glued to a slot of its own face (a loop of the dual, which
+    bounds an orbit of size 1).  Face-relabelling symmetry is broken during
     the search: the lowest unmatched slot s is glued to each unmatched slot
     of the used faces [0, k) above it, then to slot 0 of face k; s past
     the used faces means they closed up.  The search keeps sigma o alpha as
     open paths: gluing s and t adds s -> sigma[t] and t -> sigma[s], each
     joining two paths or closing one into an orbit, undone on backtrack.
-    Residual duplicates (isomorphic matchings the pruning does not catch)
-    are removed by ``_classes`` downstream.
+    At fixed N2 the orbit count fixes the genus, so a branch stops once N0
+    orbits have closed while darts are still unmatched.  Branches are cut,
+    never reordered.  Residual duplicates (isomorphic matchings the pruning
+    does not catch) are removed by ``_classes`` downstream.  Storing more
+    than ``MAX_MATCHINGS`` raises ResourceCapError, and nothing is cached;
+    the result is cached, so it is returned read-only.
     """
+    n2 = face_count(genus, n0)
     n = 3 * n2
     sigma = corner_rotation(n)
     partner = [-1] * n
@@ -170,10 +181,19 @@ def _matchings(n2: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     length = [1] * n  # length[b]: darts on the path starting at b
     closed: list[int] = []  # sizes of the closed orbits
     found: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    stored = 0
 
     def rec(s: int, k: int):
+        nonlocal stored
         if s == n:
-            found.setdefault(tuple(sorted(closed)), []).append(tuple(partner))
+            if len(closed) == n0:
+                found.setdefault(tuple(sorted(closed)), []).append(tuple(partner))
+                stored += 1
+                if stored > MAX_MATCHINGS:
+                    raise ResourceCapError(
+                        f"genus {genus} with {n0} vertices needs more than "
+                        f"{MAX_MATCHINGS} gluings"
+                    )
             return
         if s >= 3 * k:
             return  # the faces before s//3 closed up: disconnected
@@ -197,7 +217,8 @@ def _matchings(n2: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
             after = s + 1
             while after < n and partner[after] != -1:
                 after += 1
-            rec(after, k + (t == 3 * k))
+            if len(closed) < n0 or after == n:  # unmatched darts close one more
+                rec(after, k + (t == 3 * k))
             if b2 == v2:
                 closed.pop()
             else:
@@ -209,39 +230,18 @@ def _matchings(n2: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
             partner[s] = partner[t] = -1
 
     rec(0, 1)
-    return found
+    return MappingProxyType({sizes: tuple(alphas) for sizes, alphas in found.items()})
 
 
 @lru_cache(maxsize=None)
-def enumerate_gluings(n2: int) -> MappingProxyType:
-    """The matchings of ``_matchings(n2)`` grouped by signature.
-
-    The signature of a matching alpha is ``(genus, sorted sizes of the
-    sigma o alpha orbits, has_loop)``: the orbits are the vertices of the
-    triangulation (the boundaries of the dual), and a loop is a slot glued
-    to its own face.  The gluings of a catalog key (g, N0, q) are the entry
-    ``(g, sorted(q), False)``; the ribbon cells of (g, N0) are the entries
-    of genus g with N0 orbits.  A loop bounds an orbit of size 1, and only
-    a loop does, so has_loop is ``sizes[0] == 1``; the flag states the
-    catalogs' exclusion of loops instead of leaving it to the check q >= 2.
-    Matchings keep their search order within an entry.  The index is
-    cached, so it is returned read-only.
-    """
-    return MappingProxyType({
-        # genus from chi = V - 3 N2 / 2 + N2
-        ((2 - len(sizes) + n2 // 2) // 2, sizes, sizes[0] == 1): tuple(alphas)
-        for sizes, alphas in _matchings(n2).items()
-    })
-
-
-@lru_cache(maxsize=None)
-def _classes(n2: int, signature: tuple) -> tuple:
-    """The first matching of each unlabelled class in an index entry, with
-    its orientation-preserving automorphism group, both read off one
-    unlabelled ``canonical_form`` pass per matching."""
-    sigma = corner_rotation(3 * n2)
+def _classes(genus: int, sizes: tuple[int, ...]) -> tuple:
+    """The first matching of each unlabelled class among the gluings of
+    genus ``genus`` with these sorted orbit sizes, with its orientation-
+    preserving automorphism group, both read off one unlabelled
+    ``canonical_form`` pass per matching."""
+    sigma = corner_rotation(3 * face_count(genus, len(sizes)))
     classes: dict[bytes, tuple] = {}
-    for alpha in enumerate_gluings(n2).get(signature, ()):
+    for alpha in enumerate_gluings(genus, len(sizes)).get(sizes, ()):
         code, group = canonical_form(sigma, alpha)
         classes.setdefault(code, (alpha, group))
     return tuple(classes.values())
@@ -257,8 +257,9 @@ def enumerate_ribbon_cells(
     the loop-free ones are exactly the duals of catalog triangulations.
     Each unlabelled class is labelled once, from its first matching, with
     one labelling of 1..N0 per orbit of its automorphism group.  A key
-    needing more than ``max_faces`` faces, or more than 256 darts, raises
-    ResourceCapError.  The cells are kept per (g, N0).
+    needing more than ``max_faces`` faces, more than 256 darts or more than
+    ``MAX_MATCHINGS`` gluings raises ResourceCapError.  The cells are kept
+    per (g, N0).
     """
     _check_faces(face_count(genus, n0), max_faces)
     return _cells(genus, n0)
@@ -267,13 +268,11 @@ def enumerate_ribbon_cells(
 @lru_cache(maxsize=None)
 def _cells(genus: int, n0: int) -> tuple[RibbonGraph, ...]:
     """The cells of ``enumerate_ribbon_cells``, uncapped."""
-    n2 = face_count(genus, n0)
     cells = []
-    for signature in enumerate_gluings(n2):
-        if signature[0] == genus and len(signature[1]) == n0:
-            for alpha, group in _classes(n2, signature):
-                labellings = permutations(range(1, n0 + 1))
-                cells.extend(_labelled_cells(alpha, group, labellings))
+    for sizes in enumerate_gluings(genus, n0):
+        for alpha, group in _classes(genus, sizes):
+            labellings = permutations(range(1, n0 + 1))
+            cells.extend(_labelled_cells(alpha, group, labellings))
     return tuple(sorted(cells, key=canonical_code))
 
 
@@ -346,9 +345,8 @@ def enumerate_triangulations(
 ) -> Catalog:
     """Catalog of all labelled triangulations realizing (genus, N0, q)."""
     q = tuple(q)
-    n2 = check_feasible(genus, n0, q, max_faces)
-    classes = _classes(n2, (genus, tuple(sorted(q)), False))
-    jobs = [(alpha, group, q) for alpha, group in classes]
+    check_feasible(genus, n0, q, max_faces)
+    jobs = [(alpha, group, q) for alpha, group in _classes(genus, tuple(sorted(q)))]
 
     if workers > 1 and jobs:
         from concurrent.futures import ProcessPoolExecutor  # kept out of import time

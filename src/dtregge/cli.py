@@ -86,6 +86,12 @@ key_options = [
 ]
 
 
+#: Every key needs at least 2 faces, so a lower cap is a usage error.
+max_faces_option = click.option(
+    "--max-faces", type=click.IntRange(min=2), default=MAX_FACES, show_default=True
+)
+
+
 def with_key(func):
     for option in reversed(key_options):
         func = option(func)
@@ -95,7 +101,7 @@ def with_key(func):
 @main.command("enumerate")
 @with_key
 @click.option("--out", type=click.Path(path_type=Path), default=None)
-@click.option("--max-faces", type=int, default=MAX_FACES, show_default=True)
+@max_faces_option
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--no-cache", is_flag=True, help="do not read or write the catalog cache")
 def cmd_enumerate(genus, vertices, qlist, out, max_faces, workers, no_cache):
@@ -150,7 +156,7 @@ def _load_catalog_or_key(in_path, genus, vertices, qlist, max_faces) -> Catalog:
 @click.option("--genus", "-g", type=int, default=None)
 @click.option("--vertices", "-n", type=int, default=None)
 @click.option("--q", "qlist", type=str, default=None)
-@click.option("--max-faces", type=int, default=MAX_FACES, show_default=True)
+@max_faces_option
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--q-max", type=click.IntRange(min=3), default=8, show_default=True)
@@ -205,7 +211,7 @@ def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_
 
 @main.command("volume")
 @with_key
-@click.option("--max-faces", type=int, default=MAX_FACES, show_default=True)
+@max_faces_option
 def cmd_volume(genus, vertices, qlist, max_faces):
     """Exact Leray volumes at a key, one per ``system_class`` as in the pairing."""
     q = _parse_q(qlist)
@@ -235,7 +241,7 @@ def cmd_tau(genus, dlist, enable_dvv):
 
 @main.command("pairing")
 @with_key
-@click.option("--max-faces", type=int, default=MAX_FACES, show_default=True)
+@max_faces_option
 @click.option("--enable-dvv", is_flag=True, help="allow genus >= 2 via the KdV recursion")
 def cmd_pairing(genus, vertices, qlist, max_faces, enable_dvv):
     """Verify the duality pairing at a key; exit status reflects equality."""

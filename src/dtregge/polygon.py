@@ -2,7 +2,7 @@
 
 A chart stores the first q-1 complex edge vectors; the last edge closes the
 polygon.  Components may be exact rationals or high-precision reals
-(mpmath, configurable working precision).  The perimeter normalization is
+(mpmath, at ``DEFAULT_DPS`` decimal digits).  The perimeter normalization is
 u * q with u = sqrt(3)/3 * a, so the squared normalization constant is the
 rational 3 / (a q)^2.
 """
@@ -20,14 +20,7 @@ class PolygonError(ValueError):
 
 
 DEFAULT_DPS = 50
-
-
-def set_precision(dps: int) -> None:
-    """Set the working decimal precision for chart arithmetic."""
-    mpmath.mp.dps = dps
-
-
-set_precision(DEFAULT_DPS)
+mpmath.mp.dps = DEFAULT_DPS
 
 
 @dataclass(frozen=True)

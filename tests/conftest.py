@@ -1,13 +1,25 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from dtregge import catalog
 from dtregge.triangulation import build_triangulation
 
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("DTREGGE_CACHE_DIR", str(tmp_path / "cache"))
+
+
+@pytest.fixture
+def fresh_gluing_caches(monkeypatch):
+    """Empty caches for the gluing search and the classes and cells that
+    read it, so a test sees nothing an earlier test cached; the shared
+    caches, still full, come back after the test."""
+    for name in ("enumerate_gluings", "_classes", "_cells"):
+        uncached = getattr(catalog, name).__wrapped__
+        monkeypatch.setattr(catalog, name, lru_cache(maxsize=None)(uncached))
 
 
 @pytest.fixture
@@ -80,8 +92,9 @@ def union_find_corner_classes(faces, gluing) -> list[frozenset]:
 
 def search_matchings(n2: int) -> tuple[tuple[int, ...], ...]:
     """The connected slot matchings of n2 faces as partner arrays, in the
-    order of the gluing search: an oracle for ``catalog._matchings``, which
-    finds the same matchings and classifies them while it glues.
+    order of the gluing search: an oracle for ``catalog.enumerate_gluings``,
+    which finds the same matchings one (genus, N0) at a time and classifies
+    them while it glues.
 
     The lowest unmatched slot is glued to each unmatched slot above it on a
     used face, then to slot 0 of the lowest unused face; the used faces are

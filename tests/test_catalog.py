@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from conftest import search_matchings, union_find_corner_classes
+from dtregge import catalog
 from dtregge.catalog import (
     Catalog,
     InfeasibleKeyError,
@@ -163,6 +164,21 @@ def test_resource_cap():
         enumerate_triangulations(0, 6, (3,) * 4 + (6, 6), max_faces=4)
 
 
+def test_gluing_budget(monkeypatch, fresh_gluing_caches):
+    budget = catalog.MAX_MATCHINGS
+    monkeypatch.setattr(catalog, "MAX_MATCHINGS", 1000)  # (1, 4) holds 14912
+    with pytest.raises(ResourceCapError, match="more than 1000 gluings"):
+        enumerate_ribbon_cells(1, 4)
+    with pytest.raises(ResourceCapError, match="more than 1000 gluings"):
+        enumerate_triangulations(1, 4, (6, 6, 6, 6))
+    assert catalog.enumerate_gluings.cache_info().currsize == 0
+    assert catalog._cells.cache_info().currsize == 0
+    monkeypatch.setattr(catalog, "MAX_MATCHINGS", budget)
+    assert enumerate_triangulations(1, 4, (6, 6, 6, 6)).cardinality > 0
+    assert enumerate_ribbon_cells(1, 4)
+    assert sum(map(len, catalog.enumerate_gluings(1, 4).values())) == 14912
+
+
 def test_json_round_trip_is_bit_identical():
     catalog = enumerate_triangulations(1, 1, (6,))
     first = json.dumps(catalog.to_dict(), indent=2, sort_keys=True)
@@ -260,44 +276,60 @@ def test_orbit_corner_classes_equal_union_find_on_every_matching():
             assert corner_classes(faces, gluing) == union_find_corner_classes(faces, gluing)
 
 
-def test_signature_index_matches_a_scan_of_every_gluing():
+def _keys_with_faces(n2):
+    """Every (genus, N0) whose face count is n2."""
+    return [(g, n2 // 2 + 2 - 2 * g) for g in range(n2 // 4 + 2) if n2 // 2 + 2 - 2 * g >= 1]
+
+
+def test_gluing_groups_match_a_scan_of_every_gluing():
     for n2 in (2, 4, 6, 8):
         matchings = search_matchings(n2)
-        index = enumerate_gluings(n2)
-        signature_of = {alpha: sig for sig, alphas in index.items() for alpha in alphas}
-        # every matching lands in exactly one entry
-        assert sum(len(v) for v in index.values()) == len(matchings) == len(signature_of)
+        groups = [
+            (genus, n0, sizes, alphas)
+            for genus, n0 in _keys_with_faces(n2)
+            for sizes, alphas in enumerate_gluings(genus, n0).items()
+        ]
+        group_of = {alpha: group[:3] for group in groups for alpha in group[3]}
+        # every matching lands in exactly one group of one search
+        assert sum(len(group[3]) for group in groups) == len(matchings) == len(group_of)
         for alpha in matchings:
             gluing = _slot_pairs(alpha)
             classes = union_find_corner_classes([(0, 0, 0)] * n2, gluing)
             chi = len(classes) - 3 * n2 // 2 + n2
-            assert signature_of[alpha] == (
-                (2 - chi) // 2,
-                tuple(sorted(len(c) for c in classes)),
-                any(s[0] == t[0] for s, t in gluing),
+            genus, n0, sizes = group_of[alpha]
+            assert (genus, n0, sizes) == (
+                (2 - chi) // 2, len(classes), tuple(sorted(len(c) for c in classes))
             )
+            # a loop bounds a 1-sided boundary, and only a loop does
+            assert any(s[0] == t[0] for s, t in gluing) == (1 in sizes)
         position = {alpha: i for i, alpha in enumerate(matchings)}
-        for alphas in index.values():
+        for *_, alphas in groups:
             assert [position[a] for a in alphas] == sorted(position[a] for a in alphas)
-        for genus, sizes, has_loop in index:
-            assert has_loop == (1 in sizes)  # a loop bounds a 1-sided boundary
-        loop_free = [alpha for alpha in matchings if not signature_of[alpha][2]]
+        loop_free = [alpha for alpha in matchings if 1 not in group_of[alpha][2]]
         assert loop_free == _loop_free_search(n2)
 
 
-def test_gluing_index_equals_the_oracle_search_and_its_orbits():
-    """The sizes the search tracks while it glues equal the orbits of
-    sigma o alpha computed afterwards, entry for entry and in order."""
+def test_gluing_searches_equal_the_oracle_search_and_its_orbits():
+    """The sizes each (genus, N0) search tracks while it glues equal the
+    orbits of sigma o alpha computed afterwards, group for group and in
+    order, loops included."""
     for n2 in (2, 4, 6, 8):
         sigma = corner_rotation(3 * n2)
-        expected: dict = {}
+        expected: dict = {key: {} for key in _keys_with_faces(n2)}
         for alpha in search_matchings(n2):
             sizes = tuple(sorted(len(o) for o in orbits([sigma[a] for a in alpha])))
             genus = (2 - len(sizes) + n2 // 2) // 2
-            expected.setdefault((genus, sizes, sizes[0] == 1), []).append(alpha)
-        index = enumerate_gluings(n2)
-        assert list(index) == list(expected)
-        assert [list(alphas) for alphas in index.values()] == list(expected.values())
+            expected[genus, len(sizes)].setdefault(sizes, []).append(alpha)
+        for (genus, n0), groups in expected.items():
+            search = enumerate_gluings(genus, n0)
+            assert list(search) == list(groups)
+            assert [list(alphas) for alphas in search.values()] == list(groups.values())
+
+
+def test_gluing_search_of_genus_three_with_one_vertex():
+    search = enumerate_gluings(3, 1)
+    assert list(search) == [(30,)]
+    assert len(search[30,]) == 50050
 
 
 def test_catalogs_are_the_loop_free_cells_with_their_side_counts():
@@ -338,7 +370,7 @@ def test_dart_cap_in_check_feasible():
 
 def test_face_and_dart_caps_in_enumerate_ribbon_cells():
     with pytest.raises(ResourceCapError, match="14 faces"):
-        enumerate_ribbon_cells(0, 9)  # the default cap is 12 faces
+        enumerate_ribbon_cells(0, 9)  # the default cap is 10 faces
     with pytest.raises(ResourceCapError, match="6 faces"):
         enumerate_ribbon_cells(0, 5, max_faces=4)
     with pytest.raises(ResourceCapError, match="258 darts"):
@@ -353,16 +385,16 @@ CELL_KEYS = [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
 
 def _labelling_loop_cells(genus, n0):
     """The cells of (genus, N0) found by building and coding every labelling
-    of every matching of the index, keeping the first graph of each code."""
+    of every matching of the oracle search with N0 orbits, keeping the
+    first graph of each code."""
     out = {}
-    for (g, sizes, _), alphas in enumerate_gluings(face_count(genus, n0)).items():
-        if g != genus or len(sizes) != n0:
+    sigma = corner_rotation(3 * face_count(genus, n0))
+    for alpha in search_matchings(face_count(genus, n0)):
+        if len(orbits([sigma[a] for a in alpha])) != n0:
             continue
-        for alpha in alphas:
-            sigma = corner_rotation(len(alpha))
-            for labels in permutations(range(1, n0 + 1)):
-                graph = RibbonGraph(sigma, alpha, labels)
-                out.setdefault(canonical_code(graph), graph)
+        for labels in permutations(range(1, n0 + 1)):
+            graph = RibbonGraph(sigma, alpha, labels)
+            out.setdefault(canonical_code(graph), graph)
     return [out[code] for code in sorted(out)]
 
 
@@ -391,20 +423,17 @@ def _check_orbit_stabilizer(graph, group):
 def test_orbit_stabilizer_automorphisms_equal_the_coding_pass():
     moved = 0
     for genus, n0 in CELL_KEYS:
-        n2 = face_count(genus, n0)
         groups = {
             alpha: group
-            for signature in enumerate_gluings(n2)
-            if signature[0] == genus and len(signature[1]) == n0
-            for alpha, group in _classes(n2, signature)
+            for sizes in enumerate_gluings(genus, n0)
+            for alpha, group in _classes(genus, sizes)
         }
         for cell in enumerate_ribbon_cells(genus, n0):
             moved += _check_orbit_stabilizer(cell, groups[cell.alpha])
     entries = 0
     for genus, n0 in [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3)]:
-        n2 = face_count(genus, n0)
         for q in sorted({tuple(sorted(q)) for q in feasible_q_vectors(genus, n0)}):
-            groups = dict(_classes(n2, (genus, q, False)))
+            groups = dict(_classes(genus, q))
             for entry in enumerate_triangulations(genus, n0, q).entries:
                 moved += _check_orbit_stabilizer(entry.dual, groups[entry.dual.alpha])
                 assert entry.aut_order == aut_boundary(entry.dual)[0]

@@ -47,6 +47,32 @@ def test_enumerate_resource_cap(runner):
     assert result.exit_code == 3
 
 
+def test_key_of_twelve_faces_is_a_resource_cap_at_the_default_cap(runner):
+    result = runner.invoke(main, ["enumerate", "-g", "2", "-n", "4", "--q", "9,9,9,9"])
+    assert result.exit_code == 3, result.output
+    assert result.output == "error: key needs 12 faces, above the cap of 10\n"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "pairing"])
+def test_gluing_budget_is_a_resource_cap(runner, monkeypatch, fresh_gluing_caches, command):
+    monkeypatch.setattr("dtregge.catalog.MAX_MATCHINGS", 1000)
+    result = runner.invoke(main, [command, "-g", "1", "-n", "4", "--q", "6,6,6,6"])
+    assert result.exit_code == 3, result.output
+    assert result.output == "error: genus 1 with 4 vertices needs more than 1000 gluings\n"
+    assert result.exc_info[0] is SystemExit
+
+
+@pytest.mark.parametrize("command", [
+    ["enumerate"], ["check", "gauss-bonnet"], ["volume"], ["pairing"],
+])
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_face_cap_below_two_is_a_usage_error(runner, command, cap):
+    key = ["-g", "0", "-n", "3", "--q", "2,2,2"]
+    result = runner.invoke(main, [*command, *key, "--max-faces", cap])
+    assert result.exit_code == 2, result.output
+    assert "--max-faces" in result.output and '"results"' not in result.output
+
+
 @pytest.mark.parametrize("command", ["enumerate", "volume", "pairing"])
 def test_key_past_256_darts_is_a_resource_cap(runner, command):
     q = ",".join(["6"] * 33 + ["5"] * 12)  # 86 faces, 258 darts

@@ -129,7 +129,7 @@ def test_face_cap_is_checked_before_the_cells(monkeypatch):
 
 @pytest.mark.parametrize("max_faces", [14, None])
 def test_cells_take_the_face_cap_of_the_pairing(monkeypatch, max_faces):
-    # (0, 9) needs 14 faces, above the default cap of 12 of the cells
+    # (0, 9) needs 14 faces, above the default cap of 10 of the cells
     q = (4,) * 6 + (6,) * 3
     asked = []
     monkeypatch.setattr("dtregge.catalog._cells", lambda *key: asked.append(key) or ())

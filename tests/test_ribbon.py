@@ -228,10 +228,10 @@ def test_labelling_loop_validates_each_matching_once(monkeypatch):
     )
     ribbon._check_darts.cache_clear()
     _cells.__wrapped__(1, 2)  # labels each class from its first matching
-    signatures = [s for s in enumerate_gluings(4) if s[0] == 1 and len(s[1]) == 2]
-    representatives = [alpha for s in signatures for alpha, _ in _classes(4, s)]
-    matchings = [alpha for s in signatures for alpha in enumerate_gluings(4)[s]]
-    assert checked == representatives  # each representative once, in index order
+    groups = enumerate_gluings(1, 2)
+    representatives = [alpha for sizes in groups for alpha, _ in _classes(1, sizes)]
+    matchings = [alpha for alphas in groups.values() for alpha in alphas]
+    assert checked == representatives  # each representative once, in search order
     assert len(set(checked)) == len(checked) < len(matchings)
 
 
@@ -268,14 +268,14 @@ def test_automorphisms_equal_the_depth_first_oracle_on_every_cell():
     assert loop_cells > 0 and nontrivial > 0
 
 
-def _all_bases_classes(n2, signature):
-    """The first matching of each unlabelled class of an index entry, with
-    its orientation-preserving group, from the unpruned references: the
+def _all_bases_classes(genus, sizes):
+    """The first matching of each unlabelled class of a group of gluings,
+    with its orientation-preserving group, from the unpruned references: the
     least encoding over every base dart and the depth-first automorphisms,
     run on the map with one label on every dart."""
-    sigma = corner_rotation(3 * n2)
+    sigma = corner_rotation(3 * face_count(genus, len(sizes)))
     classes = {}
-    for alpha in enumerate_gluings(n2).get(signature, ()):
+    for alpha in enumerate_gluings(genus, len(sizes)).get(sizes, ()):
         unlabelled = SimpleNamespace(
             dart_count=len(alpha), sigma=sigma, alpha=alpha, dart_labels=lambda: [0] * len(alpha)
         )
@@ -286,16 +286,17 @@ def _all_bases_classes(n2, signature):
 
 
 def test_pruned_class_pass_equals_the_all_bases_pass():
-    entries = [(n2, s) for n2 in (2, 4, 6) for s in enumerate_gluings(n2)]
+    keys = [(0, 3), (1, 1), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1)]  # every key with N2 <= 6
+    groups = [(genus, sizes) for genus, n0 in keys for sizes in enumerate_gluings(genus, n0)]
     survey_n2_8 = {tuple(sorted(q)) for q in feasible_q_vectors(0, 6)}
     assert face_count(0, 6) == 8
-    entries += [(8, (0, q, False)) for q in sorted(survey_n2_8)]
+    groups += [(0, q) for q in sorted(survey_n2_8)]
     nontrivial = survey_matchings = 0
-    for n2, signature in entries:
-        classes = _classes(n2, signature)
-        assert classes == _all_bases_classes(n2, signature)
+    for genus, sizes in groups:
+        classes = _classes(genus, sizes)
+        assert classes == _all_bases_classes(genus, sizes)
         nontrivial += sum(len(group) > 1 for _, group in classes)
-        if n2 == 8:
-            survey_matchings += len(enumerate_gluings(n2).get(signature, ()))
+        if face_count(genus, len(sizes)) == 8:
+            survey_matchings += len(enumerate_gluings(genus, len(sizes)).get(sizes, ()))
     assert nontrivial > 0
     assert survey_matchings == 296  # every loop-free genus-0 matching of 8 faces
