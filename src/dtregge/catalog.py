@@ -11,12 +11,13 @@ the orbits of sigma o alpha.  One cached gluing search per (g, N0),
 ``enumerate_gluings``, finds every connected matching with N0 orbits,
 loops included, sizes its orbits while it glues and groups the matchings
 by their sorted orbit sizes; it stops past ``MAX_MATCHINGS`` stored
-matchings.  A catalog key (g, N0, q) labels the orbits of the group
-sorted(q), which holds no loop since q >= 2, and the ribbon cells of
-(g, N0) label the boundaries of every group.  One unlabelled canonical
-pass per matching, from its invariant-pruned bases, keeps the first of
-each isomorphism class in a group, ``_classes``, and one loop,
-``_labelled_cells``, labels it once per orbit of its automorphism group.
+matchings or ``MAX_NODES`` visited nodes.  A catalog key (g, N0, q)
+labels the orbits of the group sorted(q), which holds no loop since
+q >= 2, and the ribbon cells of (g, N0) label the boundaries of every
+group.  One unlabelled canonical pass per matching, from its
+invariant-pruned bases, keeps the first of each isomorphism class in a
+group, ``_classes``, and one loop, ``_labelled_cells``, labels it once per
+orbit of its automorphism group.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ MAX_FACES = 10
 
 #: Most matchings one gluing search stores before it raises ResourceCapError.
 MAX_MATCHINGS = 500_000
+
+#: Most nodes one gluing search visits before it raises ResourceCapError:
+#: about twice the 2.25 M of (0,7), the largest search at N2 <= 10.
+MAX_NODES = 4_500_000
 
 
 class InfeasibleKeyError(ValueError):
@@ -169,8 +174,9 @@ def enumerate_gluings(genus: int, n0: int) -> MappingProxyType:
     orbits have closed while darts are still unmatched.  Branches are cut,
     never reordered.  Residual duplicates (isomorphic matchings the pruning
     does not catch) are removed by ``_classes`` downstream.  Storing more
-    than ``MAX_MATCHINGS`` raises ResourceCapError, and nothing is cached;
-    the result is cached, so it is returned read-only.
+    than ``MAX_MATCHINGS`` matchings or visiting more than ``MAX_NODES``
+    nodes raises ResourceCapError, and nothing is cached; the result is
+    cached, so it is returned read-only.
     """
     n2 = face_count(genus, n0)
     n = 3 * n2
@@ -181,10 +187,16 @@ def enumerate_gluings(genus: int, n0: int) -> MappingProxyType:
     length = [1] * n  # length[b]: darts on the path starting at b
     closed: list[int] = []  # sizes of the closed orbits
     found: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    stored = 0
+    stored = visited = 0
 
     def rec(s: int, k: int):
-        nonlocal stored
+        nonlocal stored, visited
+        visited += 1
+        if visited > MAX_NODES:
+            raise ResourceCapError(
+                f"genus {genus} with {n0} vertices needs a gluing search of more "
+                f"than {MAX_NODES} nodes"
+            )
         if s == n:
             if len(closed) == n0:
                 found.setdefault(tuple(sorted(closed)), []).append(tuple(partner))
@@ -257,9 +269,9 @@ def enumerate_ribbon_cells(
     the loop-free ones are exactly the duals of catalog triangulations.
     Each unlabelled class is labelled once, from its first matching, with
     one labelling of 1..N0 per orbit of its automorphism group.  A key
-    needing more than ``max_faces`` faces, more than 256 darts or more than
-    ``MAX_MATCHINGS`` gluings raises ResourceCapError.  The cells are kept
-    per (g, N0).
+    needing more than ``max_faces`` faces, more than 256 darts, more than
+    ``MAX_MATCHINGS`` gluings or a search of more than ``MAX_NODES`` nodes
+    raises ResourceCapError.  The cells are kept per (g, N0).
     """
     _check_faces(face_count(genus, n0), max_faces)
     return _cells(genus, n0)

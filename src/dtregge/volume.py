@@ -1,12 +1,14 @@
 """Exact Leray volumes of the isoperimetric constraint polytopes.
 
-The Leray measure mu on {L >= 0, A L = rhs} is fixed by
-mu ^ d(eta_1) ^ ... ^ d(eta_N0) = dL_1 ^ ... ^ dL_N1.  In kernel
-coordinates L = L0 + K y the mu-density relative to Lebesgue dy is
-|det[K | W]| / |det(A W)| for any complement W of unit columns, and
-|det[K | W]| is the d x d minor of K off that complement.  The Lebesgue
-factor is an exact rational polytope volume computed by vertex enumeration
-and a facet-recursive simplicial decomposition.
+The Leray measure mu on P = {L >= 0, A L = rhs} is fixed by
+mu ^ d(eta_1) ^ ... ^ d(eta_N0) = dL_1 ^ ... ^ dL_N1 with eta = A L.  The
+volume is computed in the edge lengths L themselves.  Take N0 columns C at
+which A is nonsingular and let F be the other d = N1 - N0 columns: on
+{A L = rhs}, L_C = A_C^-1 (rhs - A_F L_F), so L -> L_F is one to one on P
+and mu = dL_F / |det A_C|.  The vertices of P are its nonnegative basic
+solutions, and a vertex's zero coordinates are its tight facets.  The
+Lebesgue volume of the vertices projected onto F is exact, from a
+facet-recursive simplicial decomposition.
 """
 
 from __future__ import annotations
@@ -15,17 +17,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
-# det, rref, solve_square and matrix_rank are re-exported as part of this
-# module's interface.
+# perfbench's tracer wraps volume.det and volume.solve_square by these
+# names, so the volume path calls them here rather than their linalg cores.
 from .linalg import (
     clear_denominators,
     det,
     integer_det,
     kernel_and_particular,
     matrix_rank,
-    rref,
     solve_square,
 )
 from .measure import ConstraintSystem
@@ -62,39 +63,35 @@ def kernel_basis_and_particular(system: ConstraintSystem):
 
 
 # ---------------------------------------------------------------------------
-# vertex enumeration and exact Lebesgue volume in kernel coordinates
+# vertex enumeration and exact Lebesgue volume
 
 
-def polytope_vertices(basis, l0):
-    """Vertices of {y : L0 + K y >= 0}, K given as a list of columns.
+def polytope_vertices(system: ConstraintSystem):
+    """Vertices of {L >= 0, A L = rhs}: its nonnegative basic solutions.
 
-    Every d-subset of the facets is solved on integers: with row i of
-    [K | L0] cleared to (k_i, c_i), a solution num / D of the subset is
-    feasible when sign(D) (k_i . num + D c_i) >= 0 for every i, and only
-    the feasible ones become Fractions.
+    Every N0-subset B of the columns is solved on integers, A_B x = s rhs
+    with s the least common denominator of rhs.  A solution num / D is the
+    vertex L_B = num / (s D), zero off B, when sign(D) num >= 0; only those
+    become Fractions.  A degenerate vertex solves several subsets and is
+    kept once.
     """
-    d = len(basis)
-    n1 = len(l0)
-    if d == 0:
-        return [()] if all(x >= 0 for x in l0) else []
-    rows = [
-        clear_denominators([basis[j][i] for j in range(d)] + [l0[i]])[0]
-        for i in range(n1)
-    ]
+    rhs, scale = clear_denominators(list(system.rhs))
     vertices = set()
-    for subset in combinations(rows, d):
+    for subset in combinations(range(system.n1), system.n0):
         solution = solve_square(
-            [row[:d] for row in subset], [-row[d] for row in subset], fraction_free=True
+            [[row[j] for j in subset] for row in system.a], rhs, fraction_free=True
         )
         if solution is None:
             continue
         den, num = solution
         if den < 0:
             den, num = -den, [-x for x in num]
-        if all(sum(k * x for k, x in zip(row, num)) + row[d] * den >= 0 for row in rows):
-            common = gcd(den, *num)
-            vertices.add((den // common,) + tuple(x // common for x in num))
-    return sorted(tuple(Fraction(x, den) for x in num) for den, *num in vertices)
+        if all(x >= 0 for x in num):
+            vertex = [Fraction(0)] * system.n1
+            for j, x in zip(subset, num):
+                vertex[j] = Fraction(x, den * scale)
+            vertices.add(tuple(vertex))
+    return sorted(vertices)
 
 
 def _affine_rank(points) -> int:
@@ -108,12 +105,11 @@ def _affine_rank(points) -> int:
 def _triangulate(points, incidence, dim):
     """Simplices decomposing the convex hull of ``points``.
 
-    ``incidence`` maps each point to the set of inequalities tight at it.
-    The faces of the polytope are the sets of its points tight at some
-    inequalities, so the facets of every level of the recursion are the
-    inclusion-maximal proper sets of its points tight at one inequality.
-    ``points`` must be the vertices of a polytope that affinely spans
-    ``dim`` dimensions.
+    ``incidence`` maps each point to the set of facets tight at it.  The
+    faces of the polytope are the sets of its points tight at some facets,
+    so the facets of every level of the recursion are the inclusion-maximal
+    proper sets of its points tight at one facet.  ``points`` must be the
+    vertices of a polytope that affinely spans ``dim`` dimensions.
     """
     points = sorted(points)
     if dim == 0:
@@ -121,7 +117,7 @@ def _triangulate(points, incidence, dim):
     if len(points) == dim + 1:
         return [tuple(points)]
     apex = points[0]
-    tight: dict[int, set] = {}  # inequality -> its tight points
+    tight: dict[int, set] = {}  # facet -> its tight points
     for p in points:
         for i in incidence[p]:
             tight.setdefault(i, set()).add(p)
@@ -135,13 +131,12 @@ def _triangulate(points, incidence, dim):
     return simplices
 
 
-def lebesgue_volume(points, inequalities) -> Fraction:
+def lebesgue_volume(points, tight_sets) -> Fraction:
     """Exact Lebesgue volume of the hull of full-dimensional points.
 
-    The decomposition runs on integers: the points are scaled to a common
-    denominator s and each inequality is cleared of its denominators, so a
-    simplex determinant is s^dim times the true one.  Each point's tight
-    inequalities are found once, on the scaled points.
+    ``tight_sets[i]`` holds the facets tight at ``points[i]``.  The
+    decomposition runs on integers: the points are scaled to a common
+    denominator s, so a simplex determinant is s^dim times the true one.
     """
     if not points:
         return Fraction(0)
@@ -152,19 +147,8 @@ def lebesgue_volume(points, inequalities) -> Fraction:
     scaled = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
     if _affine_rank(scaled) < dim:
         return Fraction(0)
-    cleared = []
-    for row, offset in inequalities:
-        integers = clear_denominators(list(row) + [offset])[0]
-        cleared.append((integers[:dim], integers[dim] * scale))
-    incidence = {
-        p: frozenset(
-            i for i, (row, offset) in enumerate(cleared)
-            if sum(r * x for r, x in zip(row, p)) + offset == 0
-        )
-        for p in scaled
-    }
     total = 0
-    for simplex in _triangulate(scaled, incidence, dim):
+    for simplex in _triangulate(scaled, dict(zip(scaled, tight_sets)), dim):
         base = simplex[0]
         total += abs(integer_det([[x - b for x, b in zip(p, base)] for p in simplex[1:]]))
     return Fraction(total, factorial(dim) * scale**dim)
@@ -175,63 +159,55 @@ def lebesgue_volume(points, inequalities) -> Fraction:
 
 
 def leray_volume(system: ConstraintSystem, rng: random.Random | None = None) -> LerayVolume:
-    """Exact Leray volume of {L >= 0, A L = rhs}.
+    """Exact Leray volume of {L >= 0, A L = rhs}: the Lebesgue volume of the
+    vertices projected onto the columns F off the pivot columns C, divided
+    by |det A_C|.
 
-    ``rng``, when given, re-randomizes the kernel basis (unimodular mix),
-    the pivot complement and the edge ordering; the result is invariant
-    under all three choices.
+    ``rng``, when given, re-randomizes the edge order, the columns C and a
+    unimodular map of the coordinates L_F; the result is invariant under
+    all three choices.
     """
     a = [list(row) for row in system.a]
-    rhs = list(system.rhs)
     n0, n1 = system.n0, system.n1
     if any(sum(col) <= 0 for col in zip(*a)):
         raise UnboundedPolytopeError("a zero column makes the polytope unbounded")
 
-    order = list(range(n1))
     if rng is not None:
+        order = list(range(n1))
         rng.shuffle(order)
         a = [[row[j] for j in order] for row in a]
-    permuted = ConstraintSystem(tuple(tuple(row) for row in a), tuple(rhs))
+    permuted = ConstraintSystem(tuple(tuple(row) for row in a), tuple(system.rhs))
 
-    basis, l0, pivots = kernel_basis_and_particular(permuted)
-    d = len(basis)
-
-    if rng is not None and d > 0:
-        basis = _unimodular_mix(basis, rng)
-    complement = list(pivots)
+    complement = kernel_basis_and_particular(permuted)[2]
     if rng is not None:
         complement = _random_complement(a, n1, n0, rng)
+    free = [j for j in range(n1) if j not in complement]
 
-    # mu-density relative to Lebesgue measure in kernel coordinates; the
-    # unit columns of W reduce det[K | W] to the rows of K off the complement
-    free = [i for i in range(n1) if i not in complement]
-    density_num = abs(det([[col[i] for col in basis] for i in free]))
-    density_den = abs(det([[a[r][c] for c in complement] for r in range(n0)]))
-    if density_den == 0:
-        raise RankDeficientError("chosen complement is singular")
-    density = density_num / density_den
-
-    vertices = polytope_vertices(basis, l0)
+    vertices = polytope_vertices(permuted)
     if not vertices:
-        return LerayVolume(Fraction(0), d)
-    rows = [[basis[j][i] for j in range(d)] for i in range(n1)]
-    inequalities = [(rows[i], l0[i]) for i in range(n1)]
-    return LerayVolume(density * lebesgue_volume(vertices, inequalities), d)
+        return LerayVolume(Fraction(0), len(free))
+    coordinates = [[vertex[f] for vertex in vertices] for f in free]
+    if rng is not None:
+        coordinates = _unimodular_mix(coordinates, rng)
+    points = [tuple(c[i] for c in coordinates) for i in range(len(vertices))]
+    tight_sets = [frozenset(j for j, x in enumerate(vertex) if not x) for vertex in vertices]
+    scale = abs(det([[row[c] for c in complement] for row in a]))
+    return LerayVolume(lebesgue_volume(points, tight_sets) / scale, len(free))
 
 
-def _unimodular_mix(basis, rng: random.Random):
-    cols = [list(c) for c in basis]
-    d = len(cols)
+def _unimodular_mix(vectors, rng: random.Random):
+    vectors = [list(v) for v in vectors]
+    d = len(vectors)
     for _ in range(3 * d):
         i, j = rng.randrange(d), rng.randrange(d)
         if i == j:
             continue
         coeff = rng.choice((-2, -1, 1, 2))
-        cols[i] = [x + coeff * y for x, y in zip(cols[i], cols[j])]
+        vectors[i] = [x + coeff * y for x, y in zip(vectors[i], vectors[j])]
     if rng.random() < 0.5 and d > 1:
         i, j = rng.sample(range(d), 2)
-        cols[i], cols[j] = cols[j], cols[i]
-    return cols
+        vectors[i], vectors[j] = vectors[j], vectors[i]
+    return vectors
 
 
 def _random_complement(a, n1, n0, rng: random.Random):

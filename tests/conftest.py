@@ -1,10 +1,23 @@
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import gcd
 
 import pytest
 
 from dtregge import catalog
+from dtregge.linalg import clear_denominators, solve_square
 from dtregge.triangulation import build_triangulation
+
+#: The keys of the benchmark's pairing workload: every labelled q at (0,4)
+#: and (1,2), the anchors, and (1,3,(6,6,6)).
+PAIRING_KEYS = [
+    *((0, 4, q) for q in catalog.feasible_q_vectors(0, 4)),
+    *((1, 2, q) for q in catalog.feasible_q_vectors(1, 2)),
+    (0, 3, (2, 2, 2)),
+    (1, 1, (6,)),
+    (1, 3, (6, 6, 6)),
+]
 
 
 @pytest.fixture(autouse=True)
@@ -200,3 +213,37 @@ def has_positive_solution(a, rhs) -> bool:
     rows = [[*row, sum(row), 0] for row in a] + [[0] * n1 + [1, 1]]
     best = lp_maximum(rows, [*rhs, 1], [0] * n1 + [1, 0])
     return best is not None and best > 0
+
+
+def kernel_vertices(basis, l0):
+    """Vertices of {y : L0 + K y >= 0}, K given as a list of columns: an
+    oracle for ``volume.polytope_vertices``, which solves N0-subsets of the
+    columns of A L = q in the edge lengths instead.
+
+    Every d-subset of the facets is solved on integers: with row i of
+    [K | L0] cleared to (k_i, c_i), a solution num / D of the subset is
+    feasible when sign(D) (k_i . num + D c_i) >= 0 for every i, and only
+    the feasible ones become Fractions.
+    """
+    d = len(basis)
+    n1 = len(l0)
+    if d == 0:
+        return [()] if all(x >= 0 for x in l0) else []
+    rows = [
+        clear_denominators([basis[j][i] for j in range(d)] + [l0[i]])[0]
+        for i in range(n1)
+    ]
+    vertices = set()
+    for subset in combinations(rows, d):
+        solution = solve_square(
+            [row[:d] for row in subset], [-row[d] for row in subset], fraction_free=True
+        )
+        if solution is None:
+            continue
+        den, num = solution
+        if den < 0:
+            den, num = -den, [-x for x in num]
+        if all(sum(k * x for k, x in zip(row, num)) + row[d] * den >= 0 for row in rows):
+            common = gcd(den, *num)
+            vertices.add((den // common,) + tuple(x // common for x in num))
+    return sorted(tuple(Fraction(x, den) for x in num) for den, *num in vertices)

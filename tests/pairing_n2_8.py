@@ -3,12 +3,13 @@
     PYTHONPATH=src python3 tests/pairing_n2_8.py
 
 runs ``duality_pairing`` at (1, 4, (5, 5, 7, 7)) and (0, 6, (3, 3, 4, 4,
-5, 5)) and prints, per key, both sides, the seconds (cells included; the
-gluing index at N2 = 8 is built once, for the first key), the distinct
-system classes and the nonempty ones, which alone need a volume.  It exits
-1 when the two sides differ.  Most of the time goes to the vertex
-enumeration of the nonempty classes.  pytest does not collect this file,
-as its name does not start with ``test_``.
+5, 5)) and prints, per key, both sides, the seconds (cells and their
+gluing search included), the distinct system classes and the nonempty
+ones, which alone need a volume, and the seconds ``leray_volume`` takes
+over the nonempty classes, each computed afresh.  It exits 1 when the two
+sides differ.  Most of the time goes to the vertex enumeration of the
+nonempty classes.  pytest does not collect this file, as its name does not
+start with ``test_``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import sys
 import time
 
 from dtregge.catalog import enumerate_ribbon_cells
+from dtregge.measure import ConstraintSystem
 from dtregge.pairing import cell_class, duality_pairing, has_interior_point
+from dtregge.volume import leray_volume
 
 KEYS = [(1, 4, (5, 5, 7, 7)), (0, 6, (3, 3, 4, 4, 5, 5))]
 
@@ -29,11 +32,16 @@ def main() -> int:
         report = duality_pairing(genus, n0, q)
         seconds = time.perf_counter() - start
         classes = {cell_class(graph, q) for graph in enumerate_ribbon_cells(genus, n0)}
-        nonempty = sum(has_interior_point(*key) for key in classes)
+        nonempty = [key for key in classes if has_interior_point(*key)]
+        start = time.perf_counter()
+        for rhs, columns in nonempty:
+            leray_volume(ConstraintSystem(tuple(zip(*columns)), rhs))
+        volume_seconds = time.perf_counter() - start
         failed |= not report.equal
         print(
             f"g={genus} N0={n0} q={q}: lhs={report.lhs} rhs={report.rhs} "
-            f"in {seconds:.1f} s, {len(classes)} classes, {nonempty} nonempty"
+            f"in {seconds:.1f} s, {len(classes)} classes, {len(nonempty)} nonempty, "
+            f"volumes in {volume_seconds:.1f} s"
         )
     return 1 if failed else 0
 

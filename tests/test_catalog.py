@@ -179,6 +179,18 @@ def test_gluing_budget(monkeypatch, fresh_gluing_caches):
     assert sum(map(len, catalog.enumerate_gluings(1, 4).values())) == 14912
 
 
+def test_gluing_node_cap(monkeypatch, fresh_gluing_caches):
+    monkeypatch.setattr(catalog, "MAX_NODES", 1000)  # (1, 4) visits 64871
+    with pytest.raises(ResourceCapError, match="more than 1000 nodes"):
+        enumerate_ribbon_cells(1, 4)
+    with pytest.raises(ResourceCapError, match="more than 1000 nodes"):
+        enumerate_triangulations(1, 4, (6, 6, 6, 6))
+    assert catalog.enumerate_gluings.cache_info().currsize == 0
+    assert catalog._cells.cache_info().currsize == 0
+    monkeypatch.setattr(catalog, "MAX_NODES", 64871)
+    assert sum(map(len, catalog.enumerate_gluings(1, 4).values())) == 14912
+
+
 def test_json_round_trip_is_bit_identical():
     catalog = enumerate_triangulations(1, 1, (6,))
     first = json.dumps(catalog.to_dict(), indent=2, sort_keys=True)

@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
-from conftest import has_positive_solution, lp_maximum
+from conftest import PAIRING_KEYS, has_positive_solution, lp_maximum
 from dtregge.catalog import (
     ResourceCapError,
     enumerate_ribbon_cells,
@@ -137,17 +137,6 @@ def test_cells_take_the_face_cap_of_the_pairing(monkeypatch, max_faces):
     assert asked == [(0, 9)] and report.contributions == ()
     with pytest.raises(ResourceCapError, match="cap of 13"):
         duality_pairing(0, 9, q, max_faces=13)
-
-
-#: The keys of the benchmark's pairing workload: every labelled q at (0,4)
-#: and (1,2), the anchors, and (1,3,(6,6,6)).
-PAIRING_KEYS = [
-    *((0, 4, q) for q in feasible_q_vectors(0, 4)),
-    *((1, 2, q) for q in feasible_q_vectors(1, 2)),
-    (0, 3, (2, 2, 2)),
-    (1, 1, (6,)),
-    (1, 3, (6, 6, 6)),
-]
 
 
 def test_catalog_cells_are_the_catalog_duals():

@@ -1,22 +1,21 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from dtregge.catalog import enumerate_triangulations
+from conftest import PAIRING_KEYS, kernel_vertices
+from dtregge.catalog import enumerate_ribbon_cells, enumerate_triangulations, feasible_q_vectors
+from dtregge.linalg import det, matrix_rank, rref, solve_square
 from dtregge.measure import ConstraintSystem, incidence_matrix
+from dtregge.pairing import cell_class, has_interior_point
 from dtregge.volume import (
     RankDeficientError,
     UnboundedPolytopeError,
-    det,
     kernel_basis_and_particular,
     lebesgue_volume,
     leray_volume,
-    matrix_rank,
     polytope_vertices,
-    rref,
-    solve_square,
 )
 
 
@@ -77,16 +76,26 @@ def lasserre_volume(ineqs, dim) -> Fraction:
     return total / dim
 
 
-def _kernel_polytope(system):
-    basis, l0, _ = kernel_basis_and_particular(system)
-    d = len(basis)
-    n1 = system.n1
-    rows = [[basis[j][i] for j in range(d)] for i in range(n1)]
-    vertices = polytope_vertices(basis, l0)
-    inequalities = [(rows[i], l0[i]) for i in range(n1)]
-    # convert row.y + off >= 0 into (-row).y <= off for the oracle
-    oracle_ineqs = [([-x for x in row], off) for row, off in inequalities]
-    return vertices, inequalities, oracle_ineqs, d
+def _tight_sets(points, geq):
+    """For each point, the indices of the inequalities row . x + b >= 0
+    that hold with equality there."""
+    return [
+        frozenset(i for i, (row, b) in enumerate(geq) if sum(r * x for r, x in zip(row, p)) + b == 0)
+        for p in points
+    ]
+
+
+def _nonempty_systems(keys):
+    """The constraint system of every class with some L > 0 among the cells
+    of the keys."""
+    found = {
+        cell_class(graph, q) for genus, n0, q in keys for graph in enumerate_ribbon_cells(genus, n0)
+    }
+    return [
+        ConstraintSystem(tuple(zip(*columns)), rhs)
+        for rhs, columns in sorted(found)
+        if has_interior_point(rhs, columns)
+    ]
 
 
 def test_linear_algebra_basics():
@@ -136,14 +145,14 @@ def test_lebesgue_volume_matches_lasserre_on_random_polytopes():
         geq = [([-x for x in row], b) for row, b in ineqs]
         n = len(geq)
         vertices = set()
-        from itertools import combinations
         for subset in combinations(range(n), dim):
             sol = solve_square([geq[i][0] for i in subset], [-geq[i][1] for i in subset])
             if sol is None:
                 continue
             if all(sum(r * x for r, x in zip(row, sol)) + b >= 0 for row, b in geq):
                 vertices.add(tuple(sol))
-        assert lebesgue_volume(sorted(vertices), geq) == oracle
+        vertices = sorted(vertices)
+        assert lebesgue_volume(vertices, _tight_sets(vertices, geq)) == oracle
 
 
 def _box_inequalities(dim):
@@ -176,18 +185,54 @@ def test_lebesgue_volume_on_bodies_whose_facets_are_not_simplices(name, dim, ver
     points = [tuple(Fraction(x) for x in p) for p in vertices]
     geq = [([-Fraction(x) for x in row], Fraction(b)) for row, b in ineqs]
     assert lasserre_volume(ineqs, dim) == volume
-    assert lebesgue_volume(points, geq) == volume
+    assert lebesgue_volume(points, _tight_sets(points, geq)) == volume
 
 
 def test_leray_volumes_match_lasserre_on_dual_polytopes():
+    """The Leray volume equals the Lasserre volume of the polytope in kernel
+    coordinates L = L0 + K y times the density |det K_F| / |det A_C|, with C
+    the pivot columns and F the others, on catalog duals and on every
+    nonempty class of the (1,2) sweep, where d = 4."""
     keys = [(0, 3, (2, 2, 2)), (1, 1, (6,)), (0, 4, (3, 3, 3, 3)), (0, 4, (2, 2, 4, 4))]
-    for genus, n0, q in keys:
-        for entry in enumerate_triangulations(genus, n0, q).entries:
-            system = incidence_matrix(entry.dual)
-            vertices, inequalities, oracle_ineqs, d = _kernel_polytope(system)
-            assert lebesgue_volume(vertices, inequalities) == lasserre_volume(
-                oracle_ineqs, d
-            )
+    systems = [
+        incidence_matrix(entry.dual)
+        for genus, n0, q in keys
+        for entry in enumerate_triangulations(genus, n0, q).entries
+    ]
+    sweep = _nonempty_systems([(1, 2, q) for q in feasible_q_vectors(1, 2)])
+    assert sweep and all(system.n1 - system.n0 == 4 for system in sweep)
+    for system in systems + sweep:
+        basis, l0, pivots = kernel_basis_and_particular(system)
+        d = len(basis)
+        free = [i for i in range(system.n1) if i not in pivots]
+        density = abs(det([[col[i] for col in basis] for i in free])) / abs(
+            det([[row[c] for c in pivots] for row in system.a])
+        )
+        # L0 + K y >= 0 as (-K) y <= L0
+        oracle_ineqs = [
+            ([-basis[j][i] for j in range(d)], l0[i]) for i in range(system.n1)
+        ]
+        expected = density * lasserre_volume(oracle_ineqs, d)
+        assert leray_volume(system).value == expected, system
+
+
+@pytest.mark.parametrize("keys", [
+    PAIRING_KEYS, [(0, 5, (3, 3, 4, 4, 4))], [(1, 4, (6, 6, 6, 6))],
+], ids=["pairing-keys", "0-5", "1-4"])
+def test_basic_solutions_equal_the_kernel_vertex_oracle(keys):
+    """On every nonempty class of the keys, the nonnegative basic solutions
+    are L0 + K y over the vertices y of the kernel polytope, and each one's
+    zero coordinates are the facets tight at its y."""
+    for system in _nonempty_systems(keys):
+        basis, l0, _ = kernel_basis_and_particular(system)
+        expected = {}
+        for y in kernel_vertices(basis, l0):
+            vertex = tuple(l0[i] + sum(col[i] * x for col, x in zip(basis, y)) for i in range(system.n1))
+            expected[vertex] = {i for i, x in enumerate(vertex) if x == 0}
+        vertices = polytope_vertices(system)
+        assert set(vertices) == set(expected), system
+        for vertex in vertices:
+            assert {j for j, x in enumerate(vertex) if not x} == expected[vertex]
 
 
 def test_reference_leray_volumes(theta_sphere, one_vertex_torus):
@@ -203,12 +248,16 @@ def test_reference_leray_volumes(theta_sphere, one_vertex_torus):
 
 
 def test_leray_volume_invariant_under_randomized_choices(one_vertex_torus):
+    """On the torus every basis of A has |det| 2; one class at (1,2,(5,7))
+    has bases of |det| 2 and 4, so a random C must divide by its own."""
     from dtregge.ribbon import dualize
 
-    system = incidence_matrix(dualize(one_vertex_torus))
-    reference = leray_volume(system).value
-    for seed in range(20):
-        assert leray_volume(system, random.Random(seed)).value == reference
+    systems = [incidence_matrix(dualize(one_vertex_torus))]
+    systems += _nonempty_systems([(1, 2, (5, 7))])
+    for system in systems:
+        reference = leray_volume(system).value
+        for seed in range(20):
+            assert leray_volume(system, random.Random(seed)).value == reference
 
 
 def test_unbounded_and_rank_deficient_systems():
