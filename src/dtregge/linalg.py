@@ -122,26 +122,16 @@ def det(rows) -> Fraction:
     )
 
 
-def solve_square(rows, rhs, fraction_free: bool = False):
-    """Solve a square system exactly; returns None if singular.
-
-    The solution is a list of Fractions.  With ``fraction_free`` the rows
-    and rhs must be integers and the solution comes back as the pair
-    (D, numerators) with x = numerators / D, D nonzero of either sign.
-    """
+def solve_square(rows, rhs):
+    """Solve a square system exactly; returns a list of Fractions, or None
+    if singular."""
     n = len(rows)
-    if fraction_free:
-        m = [list(row) + [b] for row, b in zip(rows, rhs)]
-    else:
-        m = [clear_denominators(list(row) + [b])[0] for row, b in zip(rows, rhs)]
+    m = [clear_denominators(list(row) + [b])[0] for row, b in zip(rows, rhs)]
     pivots, _ = eliminate(m, n)
     if len(pivots) < n:
         return None
     d = m[n - 1][n - 1] if n else 1
-    numerators = [m[r][n] for r in range(n)]
-    if fraction_free:
-        return d, numerators
-    return [Fraction(x, d) for x in numerators]
+    return [Fraction(m[r][n], d) for r in range(n)]
 
 
 def rref(rows):

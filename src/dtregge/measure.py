@@ -56,6 +56,22 @@ class ConstraintSystem:
         return len(self.a[0]) if self.a else 0
 
 
+def edge_ends(columns) -> list[tuple[int, int]]:
+    """The columns of a constraint system as edges of its boundary multigraph.
+
+    Each column must sum to 2 over nonnegative entries: it is an edge
+    between the two rows where it holds a 1, or a loop (i, i) at the row i
+    where it holds a 2.
+    """
+    ends = []
+    for column in columns:
+        rows = [i for i, x in enumerate(column) for _ in range(x)]
+        if sum(column) != 2 or len(rows) != 2:
+            raise ValueError(f"column {column} does not sum to 2 over nonnegative entries")
+        ends.append((rows[0], rows[1]))
+    return ends
+
+
 def constraint_system(graph: RibbonGraph, perimeters) -> ConstraintSystem:
     """Incidence rows in boundary-label order, with prescribed perimeters.
 

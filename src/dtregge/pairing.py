@@ -22,7 +22,7 @@ from itertools import permutations, product
 
 from .catalog import MAX_FACES, check_feasible, enumerate_ribbon_cells
 from .intersection import generating_F
-from .measure import ConstraintSystem, constraint_system
+from .measure import ConstraintSystem, constraint_system, edge_ends
 from .ribbon import RibbonGraph, aut_boundary, canonical_code
 from .volume import leray_volume
 
@@ -112,8 +112,8 @@ def system_class(system: ConstraintSystem) -> tuple:
 def has_interior_point(rhs, columns) -> bool:
     """Whether some L > 0 solves A L = rhs, where A has the given columns.
 
-    Each column must sum to 2: it is an edge between the two rows where it
-    holds a 1, or a loop at the row where it holds a 2.  On this multigraph
+    The columns are the edges of a multigraph on the rows (``edge_ends``,
+    which raises ValueError on a column that is not one).  On it
     such an L exists exactly when, for every independent set I of rows with
     neighbour set N(I), rhs(I) <= rhs(N(I)), and where the two are equal no
     edge joins N(I) to a row outside I (a loop at N(I) included).  Summing
@@ -122,12 +122,9 @@ def has_interior_point(rhs, columns) -> bool:
     that they suffice.  It costs at most 2^N0 - 1 sets and no LP.
     """
     adjacent = [0] * len(rhs)
-    for column in columns:
-        ends = [i for i, x in enumerate(column) for _ in range(x)]
-        if sum(column) != 2 or len(ends) != 2:
-            raise ValueError(f"column {column} does not sum to 2 over nonnegative entries")
-        adjacent[ends[0]] |= 1 << ends[1]
-        adjacent[ends[1]] |= 1 << ends[0]
+    for u, v in edge_ends(columns):
+        adjacent[u] |= 1 << v
+        adjacent[v] |= 1 << u
     # neighbour set and rhs sum of every row set, each from the set less its lowest row
     neighbours, weight = [0] * (1 << len(rhs)), [0] * (1 << len(rhs))
     for rows in range(1, 1 << len(rhs)):

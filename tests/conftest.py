@@ -1,7 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
 
 import pytest
 
@@ -217,13 +216,12 @@ def has_positive_solution(a, rhs) -> bool:
 
 def kernel_vertices(basis, l0):
     """Vertices of {y : L0 + K y >= 0}, K given as a list of columns: an
-    oracle for ``volume.polytope_vertices``, which solves N0-subsets of the
-    columns of A L = q in the edge lengths instead.
+    oracle for ``volume.polytope_vertices``, which reads the basic solutions
+    of A L = q in the edge lengths off the boundary multigraph instead.
 
-    Every d-subset of the facets is solved on integers: with row i of
-    [K | L0] cleared to (k_i, c_i), a solution num / D of the subset is
-    feasible when sign(D) (k_i . num + D c_i) >= 0 for every i, and only
-    the feasible ones become Fractions.
+    Every d-subset of the facets is solved exactly; with row i of [K | L0]
+    cleared to (k_i, c_i), a solution y of the subset is a vertex when
+    k_i . y + c_i >= 0 for every i.
     """
     d = len(basis)
     n1 = len(l0)
@@ -235,15 +233,9 @@ def kernel_vertices(basis, l0):
     ]
     vertices = set()
     for subset in combinations(rows, d):
-        solution = solve_square(
-            [row[:d] for row in subset], [-row[d] for row in subset], fraction_free=True
-        )
+        solution = solve_square([row[:d] for row in subset], [-row[d] for row in subset])
         if solution is None:
             continue
-        den, num = solution
-        if den < 0:
-            den, num = -den, [-x for x in num]
-        if all(sum(k * x for k, x in zip(row, num)) + row[d] * den >= 0 for row in rows):
-            common = gcd(den, *num)
-            vertices.add((den // common,) + tuple(x // common for x in num))
-    return sorted(tuple(Fraction(x, den) for x in num) for den, *num in vertices)
+        if all(sum(k * x for k, x in zip(row, solution)) + row[d] >= 0 for row in rows):
+            vertices.add(tuple(solution))
+    return sorted(vertices)

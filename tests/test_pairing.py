@@ -283,6 +283,7 @@ def test_pairing_at_0_5_with_perimeters_3_3_4_4_4():
     (1, 4, (6, 6, 6, 6), 3790800),
     (2, 2, (12, 12), Fraction(331444224, 5)),
     (0, 6, (4, 4, 4, 4, 4, 4), 679936),
+    (1, 4, (5, 5, 7, 7), Fraction(586400725, 144)),
 ])
 def test_pairing_at_eight_faces(genus, n0, q, value):
     report = duality_pairing(genus, n0, q, enable_higher_genus=genus >= 2)

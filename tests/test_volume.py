@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import PAIRING_KEYS, kernel_vertices
 from dtregge.catalog import enumerate_ribbon_cells, enumerate_triangulations, feasible_q_vectors
@@ -216,6 +218,20 @@ def test_leray_volumes_match_lasserre_on_dual_polytopes():
         assert leray_volume(system).value == expected, system
 
 
+def _assert_vertices_match_the_oracle(system):
+    """The vertices are L0 + K y over the vertices y of the kernel polytope,
+    in order, and each one's zero coordinates are the facets tight at y."""
+    basis, l0, _ = kernel_basis_and_particular(system)
+    expected = {}
+    for y in kernel_vertices(basis, l0):
+        vertex = tuple(l0[i] + sum(col[i] * x for col, x in zip(basis, y)) for i in range(system.n1))
+        expected[vertex] = {i for i, x in enumerate(vertex) if x == 0}
+    vertices = polytope_vertices(system)
+    assert vertices == sorted(expected), system
+    for vertex in vertices:
+        assert {j for j, x in enumerate(vertex) if not x} == expected[vertex]
+
+
 @pytest.mark.parametrize("keys", [
     PAIRING_KEYS, [(0, 5, (3, 3, 4, 4, 4))], [(1, 4, (6, 6, 6, 6))],
 ], ids=["pairing-keys", "0-5", "1-4"])
@@ -224,15 +240,49 @@ def test_basic_solutions_equal_the_kernel_vertex_oracle(keys):
     are L0 + K y over the vertices y of the kernel polytope, and each one's
     zero coordinates are the facets tight at its y."""
     for system in _nonempty_systems(keys):
-        basis, l0, _ = kernel_basis_and_particular(system)
-        expected = {}
-        for y in kernel_vertices(basis, l0):
-            vertex = tuple(l0[i] + sum(col[i] * x for col, x in zip(basis, y)) for i in range(system.n1))
-            expected[vertex] = {i for i, x in enumerate(vertex) if x == 0}
-        vertices = polytope_vertices(system)
-        assert set(vertices) == set(expected), system
-        for vertex in vertices:
-            assert {j for j, x in enumerate(vertex) if not x} == expected[vertex]
+        _assert_vertices_match_the_oracle(system)
+
+
+@st.composite
+def multigraph_systems(draw):
+    """A random multigraph on N0 <= 5 rows with N1 <= 9 edges, loops,
+    parallel edges and several components allowed, as a constraint system.
+    The rhs is either drawn in halves or is A L for a drawn L >= 0 with
+    zeros, which makes the polytope nonempty and often degenerate."""
+    n0 = draw(st.integers(1, 5))
+    ends = draw(st.lists(st.tuples(st.integers(0, n0 - 1), st.integers(0, n0 - 1)),
+                         min_size=1, max_size=9))
+    a = tuple(tuple((u == i) + (v == i) for u, v in ends) for i in range(n0))
+    if draw(st.booleans()):
+        point = draw(st.lists(st.sampled_from([0, 0, Fraction(1, 2), 1, 2]),
+                              min_size=len(ends), max_size=len(ends)))
+        rhs = tuple(sum(x * p for x, p in zip(row, point)) for row in a)
+    else:
+        rhs = tuple(draw(st.lists(st.integers(0, 12).map(lambda k: Fraction(k, 2)),
+                                  min_size=n0, max_size=n0)))
+    return ConstraintSystem(a, rhs)
+
+
+# an edge and a loop at each end, rhs (2, 2): the vertex (2, 0, 0) solves
+# the bases {edge, either loop}
+@example(ConstraintSystem(((1, 2, 0), (1, 0, 2)), (2, 2)))
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(system=multigraph_systems())
+def test_basic_solutions_on_random_multigraphs(system):
+    """With full row rank the vertices are the kernel oracle's, with the
+    same tight facets; without it there are none."""
+    if matrix_rank([list(row) for row in system.a]) == system.n0:
+        _assert_vertices_match_the_oracle(system)
+    else:
+        assert polytope_vertices(system) == []
+
+
+@pytest.mark.parametrize("column", [(1, 1, 1), (2, -1, 1), (1, 0, 0), (0, 0, 0)])
+def test_vertices_need_columns_of_a_multigraph(column):
+    """A column that does not sum to 2 over nonnegative entries is no edge."""
+    system = ConstraintSystem(tuple(zip((1, 1, 0), (0, 1, 1), column)), (1, 1, 1))
+    with pytest.raises(ValueError, match="does not sum to 2"):
+        polytope_vertices(system)
 
 
 def test_reference_leray_volumes(theta_sphere, one_vertex_torus):
