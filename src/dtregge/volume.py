@@ -7,10 +7,10 @@ which A is nonsingular and let F be the other d = N1 - N0 columns: on
 {A L = rhs}, L_C = A_C^-1 (rhs - A_F L_F), so L -> L_F is one to one on P
 and mu = dL_F / |det A_C|.  The vertices of P are its nonnegative basic
 solutions, and a vertex's zero coordinates are its tight facets.  Each
-column of A is an edge of the boundary multigraph, so the bases and their
-basic solutions are read off subgraphs, with no linear algebra.  The
-Lebesgue volume of the vertices projected onto F is exact, from a
-facet-recursive simplicial decomposition.
+column of A is an edge of the boundary multigraph, so the bases, their
+determinants and their basic solutions are read off subgraphs, with no
+linear algebra.  The Lebesgue volume of the vertices projected onto F is
+exact, from a facet-recursive simplicial decomposition.
 """
 
 from __future__ import annotations
@@ -20,18 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-# perfbench's tracer wraps volume.det and counts volume.solve_square by
-# these names.  The volume path calls det by that name; solve_square it
-# does not call, and binds only so that the tracer finds it, until the
-# benchmark takes its counts from inside the package.
-from .linalg import (
-    clear_denominators,
-    det,
-    integer_det,
-    kernel_and_particular,
-    matrix_rank,
-    solve_square,
-)
+# perfbench's tracer wraps volume.det and volume.kernel_basis_and_particular
+# and counts volume.solve_square by these names.  The volume path calls none
+# of the three: they stay here only so that the tracer finds them, until the
+# benchmark takes its counts from inside the package, and the tests' kernel
+# coordinates come from kernel_basis_and_particular.
+from .linalg import clear_denominators, det, integer_det, kernel_and_particular, solve_square
 from .measure import ConstraintSystem, edge_ends
 
 
@@ -58,7 +52,9 @@ class LerayVolume:
 
 
 def kernel_basis_and_particular(system: ConstraintSystem):
-    """Integer kernel basis columns K, particular solution L0, pivot columns."""
+    """Kernel basis columns K (integral, as ``Fraction``s), particular
+    solution L0 and pivot columns; raises ``RankDeficientError`` unless A
+    has full row rank."""
     basis, l0, pivots = kernel_and_particular(system.a, system.rhs)
     if len(pivots) != system.n0:
         raise RankDeficientError("incidence matrix is rank deficient")
@@ -72,28 +68,39 @@ def kernel_basis_and_particular(system: ConstraintSystem):
 def polytope_vertices(system: ConstraintSystem):
     """Vertices of {L >= 0, A L = rhs}: its nonnegative basic solutions.
 
-    The columns of A are the edges of a multigraph on the rows
-    (``edge_ends``), and N0 of them are a basis exactly when every
-    component of the subgraph they span has one cycle, and that cycle is
-    odd; a loop is an odd cycle.  The bases are found by adding columns in
-    increasing order, with each row's component and its parity along a
-    spanning forest: a column that closes an even cycle or a component's
-    second cycle cuts the branch.  Each basic solution is read off on
-    integers by ``_basic_solution``, and a degenerate vertex, which solves
-    several bases, is kept once.  A has full row rank exactly when some
-    basis exists, so a rank-deficient system has no vertices.
+    Each basis from ``_bases`` has its basic solution read off on integers
+    by ``_basic_solution``, and a degenerate vertex, which solves several
+    bases, is kept once.  A has full row rank exactly when some basis
+    exists, so a rank-deficient system has no vertices.
     """
     ends = edge_ends(zip(*system.a))
     rhs, scale = clear_denominators(list(system.rhs))
     doubled = [2 * b for b in rhs]
-    n0, n1 = system.n0, system.n1
     vertices = set()
+    for basis, _ in _bases(ends, system.n0):
+        vertex = _basic_solution(ends, basis, doubled, system.n1)
+        if vertex is not None:
+            vertices.add(vertex)
+    return [tuple(Fraction(x, 2 * scale) for x in vertex) for vertex in sorted(vertices)]
+
+
+def _bases(ends, n0):
+    """Every basis of the incidence matrix of the multigraph with edges
+    ``ends`` on n0 rows, in lexicographic order, with the number of
+    components of the subgraph it spans.
+
+    N0 columns are a basis exactly when every component of that subgraph
+    has one cycle, and that cycle is odd; a loop is an odd cycle.  Each
+    such component has determinant +-2, so the basis has |det| 2**components.
+    The bases are found by adding columns in increasing order, with each
+    row's component and its parity along a spanning forest: a column that
+    closes an even cycle or a component's second cycle cuts the branch.
+    """
+    n1 = len(ends)
 
     def extend(start, basis, component, parity, cyclic):
         if len(basis) == n0:
-            vertex = _basic_solution(ends, basis, doubled, n1)
-            if vertex is not None:
-                vertices.add(vertex)
+            yield basis, len(set(component))
             return
         for j in range(start, n1 - n0 + len(basis) + 1):
             u, v = ends[j]
@@ -101,11 +108,11 @@ def polytope_vertices(system: ConstraintSystem):
             if cu == cv:
                 # the path u..v has even length exactly when the cycle is odd
                 if cu not in cyclic and parity[u] == parity[v]:
-                    extend(j + 1, basis + [j], component, parity, cyclic | {cu})
+                    yield from extend(j + 1, basis + [j], component, parity, cyclic | {cu})
             elif cu not in cyclic or cv not in cyclic:
                 # v's component joins u's, its parities flipped if u and v agree
                 flip = parity[u] == parity[v]
-                extend(
+                yield from extend(
                     j + 1,
                     basis + [j],
                     [cu if c == cv else c for c in component],
@@ -113,8 +120,7 @@ def polytope_vertices(system: ConstraintSystem):
                     (cyclic | {cu}) if cv in cyclic else cyclic,
                 )
 
-    extend(0, [], list(range(n0)), [0] * n0, frozenset())
-    return [tuple(Fraction(x, 2 * scale) for x in vertex) for vertex in sorted(vertices)]
+    yield from extend(0, [], list(range(n0)), [0] * n0, frozenset())
 
 
 def _basic_solution(ends, basis, doubled, n1):
@@ -166,14 +172,6 @@ def _basic_solution(ends, basis, doubled, n1):
     return tuple(x)
 
 
-def _affine_rank(points) -> int:
-    if not points:
-        return -1
-    base = points[0]
-    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    return matrix_rank(rows) if rows else 0
-
-
 def _triangulate(points, incidence, dim):
     """Simplices decomposing the convex hull of ``points``.
 
@@ -181,7 +179,8 @@ def _triangulate(points, incidence, dim):
     faces of the polytope are the sets of its points tight at some facets,
     so the facets of every level of the recursion are the inclusion-maximal
     proper sets of its points tight at one facet.  ``points`` must be the
-    vertices of a polytope that affinely spans ``dim`` dimensions.
+    vertices of a polytope of at most ``dim`` dimensions; below ``dim``,
+    every simplex is flat.
     """
     points = sorted(points)
     if dim == 0:
@@ -204,11 +203,12 @@ def _triangulate(points, incidence, dim):
 
 
 def lebesgue_volume(points, tight_sets) -> Fraction:
-    """Exact Lebesgue volume of the hull of full-dimensional points.
+    """Exact Lebesgue volume of the hull of points.
 
     ``tight_sets[i]`` holds the facets tight at ``points[i]``.  The
     decomposition runs on integers: the points are scaled to a common
     denominator s, so a simplex determinant is s^dim times the true one.
+    Points of lower dimension get 0, since every simplex among them is flat.
     """
     if not points:
         return Fraction(0)
@@ -217,8 +217,6 @@ def lebesgue_volume(points, tight_sets) -> Fraction:
         return Fraction(1)
     scale = lcm(*(x.denominator for point in points for x in point))
     scaled = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
-    if _affine_rank(scaled) < dim:
-        return Fraction(0)
     total = 0
     for simplex in _triangulate(scaled, dict(zip(scaled, tight_sets)), dim):
         base = simplex[0]
@@ -232,15 +230,15 @@ def lebesgue_volume(points, tight_sets) -> Fraction:
 
 def leray_volume(system: ConstraintSystem, rng: random.Random | None = None) -> LerayVolume:
     """Exact Leray volume of {L >= 0, A L = rhs}: the Lebesgue volume of the
-    vertices projected onto the columns F off the pivot columns C, divided
-    by |det A_C|.
+    vertices projected onto the columns F off the first basis C of A, divided
+    by |det A_C| = 2**components (``_bases``).
 
-    ``rng``, when given, re-randomizes the edge order, the columns C and a
-    unimodular map of the coordinates L_F; the result is invariant under
-    all three choices.
+    ``rng``, when given, re-randomizes the edge order, which also moves C,
+    and a unimodular map of the coordinates L_F; the result is invariant
+    under both choices.
     """
     a = [list(row) for row in system.a]
-    n0, n1 = system.n0, system.n1
+    n1 = system.n1
     if any(sum(col) <= 0 for col in zip(*a)):
         raise UnboundedPolytopeError("a zero column makes the polytope unbounded")
 
@@ -250,9 +248,10 @@ def leray_volume(system: ConstraintSystem, rng: random.Random | None = None) -> 
         a = [[row[j] for j in order] for row in a]
     permuted = ConstraintSystem(tuple(tuple(row) for row in a), tuple(system.rhs))
 
-    complement = kernel_basis_and_particular(permuted)[2]
-    if rng is not None:
-        complement = _random_complement(a, n1, n0, rng)
+    first = next(_bases(edge_ends(zip(*a)), system.n0), None)
+    if first is None:
+        raise RankDeficientError("incidence matrix is rank deficient")
+    complement, components = first
     free = [j for j in range(n1) if j not in complement]
 
     vertices = polytope_vertices(permuted)
@@ -263,8 +262,7 @@ def leray_volume(system: ConstraintSystem, rng: random.Random | None = None) -> 
         coordinates = _unimodular_mix(coordinates, rng)
     points = [tuple(c[i] for c in coordinates) for i in range(len(vertices))]
     tight_sets = [frozenset(j for j, x in enumerate(vertex) if not x) for vertex in vertices]
-    scale = abs(det([[row[c] for c in complement] for row in a]))
-    return LerayVolume(lebesgue_volume(points, tight_sets) / scale, len(free))
+    return LerayVolume(lebesgue_volume(points, tight_sets) / 2**components, len(free))
 
 
 def _unimodular_mix(vectors, rng: random.Random):
@@ -280,13 +278,3 @@ def _unimodular_mix(vectors, rng: random.Random):
         i, j = rng.sample(range(d), 2)
         vectors[i], vectors[j] = vectors[j], vectors[i]
     return vectors
-
-
-def _random_complement(a, n1, n0, rng: random.Random):
-    cols = list(range(n1))
-    for _ in range(200):
-        rng.shuffle(cols)
-        candidate = sorted(cols[:n0])
-        if det([[a[r][c] for c in candidate] for r in range(n0)]) != 0:
-            return candidate
-    raise RankDeficientError("could not find a nonsingular complement")

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import PAIRING_KEYS, kernel_vertices
 from dtregge.catalog import enumerate_ribbon_cells, enumerate_triangulations, feasible_q_vectors
-from dtregge.linalg import det, matrix_rank, rref, solve_square
-from dtregge.measure import ConstraintSystem, incidence_matrix
+from dtregge.linalg import det, kernel_and_particular, matrix_rank, rref, solve_square
+from dtregge.measure import ConstraintSystem, edge_ends, incidence_matrix
 from dtregge.pairing import cell_class, has_interior_point
 from dtregge.volume import (
+    LerayVolume,
     RankDeficientError,
     UnboundedPolytopeError,
+    _bases,
     kernel_basis_and_particular,
     lebesgue_volume,
     leray_volume,
@@ -190,6 +192,28 @@ def test_lebesgue_volume_on_bodies_whose_facets_are_not_simplices(name, dim, ver
     assert lebesgue_volume(points, _tight_sets(points, geq)) == volume
 
 
+@pytest.mark.parametrize("name, dim, vertices, geq", [
+    # x, y in [0, 1], z = 0: four points, one flat simplex
+    ("square-in-3d", 3, [(x, y, 0) for x in (0, 1) for y in (0, 1)],
+     [([1, 0, 0], 0), ([-1, 0, 0], 1), ([0, 1, 0], 0), ([0, -1, 0], 1),
+      ([0, 0, 1], 0), ([0, 0, -1], 0)]),
+    # 0 <= x <= 2 on the line y = x
+    ("collinear", 2, [(0, 0), (1, 1), (2, 2)],
+     [([1, 0], 0), ([-1, 0], 2), ([1, -1], 0), ([-1, 1], 0)]),
+    # the unit cube at x4 = 0: the facet recursion runs down to flat simplices
+    ("cube-in-4d", 4, [p + (0,) for p in product((0, 1), repeat=3)],
+     [([-x for x in row] + [0], b) for row, b in _box_inequalities(3)]
+     + [([0, 0, 0, 1], 0), ([0, 0, 0, -1], 0)]),
+])
+def test_lebesgue_volume_is_zero_below_full_dimension(name, dim, vertices, geq):
+    """Points spanning fewer than ``dim`` dimensions have volume 0: every
+    simplex among them is flat."""
+    points = [tuple(Fraction(x) for x in p) for p in vertices]
+    geq = [([Fraction(x) for x in row], Fraction(b)) for row, b in geq]
+    assert all(len(p) == dim for p in points)
+    assert lebesgue_volume(points, _tight_sets(points, geq)) == 0
+
+
 def test_leray_volumes_match_lasserre_on_dual_polytopes():
     """The Leray volume equals the Lasserre volume of the polytope in kernel
     coordinates L = L0 + K y times the density |det K_F| / |det A_C|, with C
@@ -270,11 +294,20 @@ def multigraph_systems(draw):
 @given(system=multigraph_systems())
 def test_basic_solutions_on_random_multigraphs(system):
     """With full row rank the vertices are the kernel oracle's, with the
-    same tight facets; without it there are none."""
-    if matrix_rank([list(row) for row in system.a]) == system.n0:
+    same tight facets, the first basis is the oracle's pivot columns, and
+    every basis B has |det A_B| = 2**components; without it there are no
+    vertices and no Leray volume."""
+    a = [list(row) for row in system.a]
+    if matrix_rank(a) == system.n0:
         _assert_vertices_match_the_oracle(system)
+        bases = list(_bases(edge_ends(zip(*a)), system.n0))
+        assert bases[0][0] == kernel_and_particular(a, system.rhs)[2]
+        for basis, components in bases:
+            assert abs(det([[row[j] for j in basis] for row in a])) == 2**components
     else:
         assert polytope_vertices(system) == []
+        with pytest.raises(RankDeficientError):
+            leray_volume(system)
 
 
 @pytest.mark.parametrize("column", [(1, 1, 1), (2, -1, 1), (1, 0, 0), (0, 0, 0)])
@@ -297,14 +330,33 @@ def test_reference_leray_volumes(theta_sphere, one_vertex_torus):
     assert (vol.value, vol.dimension) == (Fraction(9, 4), 2)
 
 
+def _shuffled_pivot_det(system, seed):
+    """|det A_C| for the columns C that ``leray_volume(system,
+    Random(seed))`` divides by: the pivot columns of A with its columns in
+    the order the seed first shuffles them into."""
+    order = list(range(system.n1))
+    random.Random(seed).shuffle(order)
+    a = [[row[j] for j in order] for row in system.a]
+    pivots = kernel_and_particular(a, system.rhs)[2]
+    return abs(det([[row[c] for c in pivots] for row in a]))
+
+
 def test_leray_volume_invariant_under_randomized_choices(one_vertex_torus):
     """On the torus every basis of A has |det| 2; one class at (1,2,(5,7))
-    has bases of |det| 2 and 4, so a random C must divide by its own."""
+    has bases of |det| 2 and 4, and the seeds reach both, so C must divide
+    by its own.  A path on six rows with a loop at row 0 and eight more
+    copies of its first edge has few bases among its N0-subsets: every seed
+    finds one."""
     from dtregge.ribbon import dualize
 
-    systems = [incidence_matrix(dualize(one_vertex_torus))]
-    systems += _nonempty_systems([(1, 2, (5, 7))])
-    for system in systems:
+    ends = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 0)] + [(0, 1)] * 8
+    path = ConstraintSystem(
+        tuple(tuple((u == i) + (v == i) for u, v in ends) for i in range(6)), (4, 3, 2, 2, 2, 1)
+    )
+    assert leray_volume(path) == LerayVolume(Fraction(1, 315), 8)
+    mixed = _nonempty_systems([(1, 2, (5, 7))])
+    assert {_shuffled_pivot_det(system, seed) for system in mixed for seed in range(20)} == {2, 4}
+    for system in [incidence_matrix(dualize(one_vertex_torus)), path] + mixed:
         reference = leray_volume(system).value
         for seed in range(20):
             assert leray_volume(system, random.Random(seed)).value == reference
@@ -313,7 +365,8 @@ def test_leray_volume_invariant_under_randomized_choices(one_vertex_torus):
 def test_unbounded_and_rank_deficient_systems():
     with pytest.raises(UnboundedPolytopeError):
         leray_volume(ConstraintSystem(((1, 0),), (Fraction(1),)))
+    doubled_edge = ConstraintSystem(((1, 1), (1, 1)), (Fraction(1), Fraction(1)))
     with pytest.raises(RankDeficientError):
-        kernel_basis_and_particular(
-            ConstraintSystem(((1, 1), (1, 1)), (Fraction(1), Fraction(1)))
-        )
+        kernel_basis_and_particular(doubled_edge)
+    with pytest.raises(RankDeficientError):
+        leray_volume(doubled_edge)
