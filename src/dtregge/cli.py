@@ -4,7 +4,7 @@ Exit codes, from ``EXIT_CODES``: 0 success / all checks pass, 1 check
 failure, 2 input error (a bad key, an ``--in`` file that cannot be read or
 fails catalog verification, or an ``--out`` path that cannot be written),
 3 resource cap exceeded.  Machine output is JSON with exact rationals as
-"p/q" strings.  Only ``check rank`` loads sympy and mpmath.
+"p/q" strings.  Only ``check rank`` loads mpmath.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from .volume import VolumeError
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_CAP = 3
+
+#: The largest ``check rank --q-max``: q up to 16 take about 1 s on 2 CPUs, q = 31 alone 36 s.
+MAX_RANK_Q = 16
 
 
 #: Exit code of each error that a command reports as ``error: <message>``
@@ -197,6 +200,8 @@ def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_
     else:  # rank
         from . import polygon  # loaded here only: it imports mpmath
 
+        if q_max > MAX_RANK_Q:
+            raise ResourceCapError(f"--q-max {q_max} is above the cap of {MAX_RANK_Q}")
         for q in range(3, q_max + 1):
             rank = polygon.equilateral_rank(q)
             entries.append({"q": q, "rank": rank, "expected": q - 1, "pass": rank == q - 1})

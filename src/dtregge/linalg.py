@@ -13,6 +13,7 @@ positive integer, which keeps solution sets, row spaces and signs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm, prod
 
 
@@ -176,3 +177,41 @@ def kernel_and_particular(rows, rhs):
     for r, p in enumerate(pivots):
         particular[p] = Fraction(m[r][n_cols], d)
     return basis, particular, pivots
+
+
+def _poly_divmod(poly, monic) -> tuple[list[int], list[int]]:
+    """Quotient and remainder by a monic divisor; coefficients lowest first."""
+    k, rest, quotient = len(monic) - 1, list(poly), []
+    for i in range(len(rest) - 1, k - 1, -1):
+        quotient.insert(0, c := rest[i])
+        for j, b in enumerate(monic):
+            rest[i - k + j] -= c * b
+    return quotient, rest[:k] + [0] * (k - len(rest))
+
+
+@cache
+def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
+    """Phi_q, lowest degree first: x^q - 1 divided by Phi_d for d | q, d < q."""
+    poly = [-1] + [0] * (q - 1) + [1]
+    for d in (d for d in range(1, q) if q % d == 0):
+        poly = _poly_divmod(poly, cyclotomic_polynomial(d))[0]
+    return tuple(poly)
+
+
+def regular_representation(x, q: int) -> list[list[int]]:
+    """Matrix of multiplication by x = sum_k x[k] zeta^k, zeta = exp(2 pi i / q), on
+    the basis zeta^0..zeta^(phi(q) - 1) of Q(zeta): column j is x zeta^j."""
+    modulus = cyclotomic_polynomial(q)
+    columns = [_poly_divmod([0] * j + list(x), modulus)[1] for j in range(len(modulus) - 1)]
+    return [list(row) for row in zip(*columns)]
+
+
+def cyclotomic_rank(rows, q: int) -> int:
+    """Rank over K = Q(zeta_q) of a matrix of such coefficient lists: the rank
+    over Q of their regular representations, divided by [K:Q]."""
+    degree = len(cyclotomic_polynomial(q)) - 1
+    blocks = [[regular_representation(x, q) for x in row] for row in rows]
+    rational = [[v for b in row for v in b[i]] for row in blocks for i in range(degree)]
+    rank, rest = divmod(matrix_rank(rational), degree)
+    assert rest == 0, (q, rest)
+    return rank

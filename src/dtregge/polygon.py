@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import mpmath
 
+from .linalg import cyclotomic_rank
+
 
 class PolygonError(ValueError):
     pass
@@ -119,19 +121,24 @@ def tangent_map_matrix(chart: PolygonChart):
     return rows
 
 
-def equilateral_rank(q: int) -> int:
-    """Exact rank of the tangent map at the regular q-gon (sympy arithmetic)."""
-    import sympy  # loaded here only: it is slow to import and nothing else needs it
+def _cyclotomic_tangent_map(q: int) -> list[list[list[int]]]:
+    """The tangent map at the regular q-gon, columns 2a and 2a+1 times 2 and 2i:
+    zeta^a + zeta^-a and zeta^a - zeta^-a as coefficient lists in zeta^0..zeta^(q-1)."""
+    rows = [[[0] * q for _ in range(2 * (q - 1))] for _ in range(q - 1)]
+    for a, row in enumerate(rows):
+        for k, sign in ((a, 1), (-a % q, -1)):
+            row[2 * a][k] += 1
+            row[2 * a + 1][k] += sign
+    rows.append([[-sum(c) for c in zip(*column)] for column in zip(*rows)])
+    return rows
 
-    rows = []
-    for a in range(q - 1):
-        angle = 2 * sympy.pi * a / q
-        row = [sympy.Integer(0)] * (2 * (q - 1))
-        row[2 * a] = sympy.cos(angle)
-        row[2 * a + 1] = sympy.sin(angle)
-        rows.append(row)
-    rows.append([-sum(col) for col in zip(*rows)])
-    return sympy.Matrix(rows).rank()
+
+def equilateral_rank(q: int) -> int:
+    """Exact rank of the tangent map at the regular q-gon: scaling columns by
+    2 and 2i keeps it, and over Q(zeta_q) it is the rank over the reals."""
+    if q < 2:
+        raise PolygonError(f"a polygon needs q >= 2 edges, not {q}")
+    return cyclotomic_rank(_cyclotomic_tangent_map(q), q)
 
 
 def _norm_sq_factor(q: int, a=1) -> Fraction:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import dtregge.cache
 from dtregge.catalog import enumerate_triangulations
-from dtregge.cli import main
+from dtregge.cli import MAX_RANK_Q, main
 from dtregge.measure import DimensionError
 from dtregge.pairing import class_volume
 from dtregge.ribbon import dualize
@@ -159,17 +159,19 @@ def test_unparsable_integer_list_names_no_wrong_option(runner, command):
     assert "q-list" not in result.output
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether ``import dtregge.cli`` in a fresh interpreter loads ``module``."""
+def _loaded_by_cli_import(module: str, command: tuple[str, ...] = ()) -> bool:
+    """Whether ``import dtregge.cli`` in a fresh interpreter, followed by
+    ``command`` if one is given, loads ``module``."""
     source = str(Path(dtregge.__file__).parents[1])
+    run = f"dtregge.cli.main({list(command)!r}, standalone_mode=False); " if command else ""
     code = (
         f"import sys; sys.path.insert(0, {source!r}); "
-        f"import dtregge.cli; print({module!r} in sys.modules)"
+        f"import dtregge.cli; {run}print({module!r} in sys.modules)"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    return result.stdout.strip() == "True"
+    return result.stdout.splitlines()[-1] == "True"
 
 
 def test_cli_import_does_not_load_sympy():
@@ -189,6 +191,23 @@ def test_check_rank_reports_q_minus_1(runner):
     assert result.exit_code == 0, result.output
     entries = json.loads(result.output)["results"]["entries"]
     assert [(e["q"], e["rank"]) for e in entries] == [(q, q - 1) for q in range(3, 9)]
+
+
+def test_check_rank_does_not_load_sympy():
+    command = ("check", "rank")
+    assert _loaded_by_cli_import("dtregge.polygon", command)
+    assert not _loaded_by_cli_import("sympy", command)
+
+
+def test_check_rank_above_the_q_cap_is_a_resource_cap(runner, monkeypatch):
+    def no_rank(q):
+        raise AssertionError(f"rank computed at q={q}")
+
+    monkeypatch.setattr("dtregge.polygon.equilateral_rank", no_rank)
+    q_max = MAX_RANK_Q + 1
+    result = runner.invoke(main, ["check", "rank", "--q-max", str(q_max)])
+    assert result.exit_code == 3, result.output
+    assert result.output == f"error: --q-max {q_max} is above the cap of {MAX_RANK_Q}\n"
 
 
 def test_volume_values(runner):

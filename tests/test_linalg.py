@@ -1,14 +1,17 @@
 """The fraction-free integer kernel against plain Gaussian elimination over
 Fraction, on seeded random integer and rational matrices."""
 
+import cmath
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from dtregge.linalg import (
     clear_denominators,
+    cyclotomic_polynomial,
+    cyclotomic_rank,
     det,
     integer_det,
     kernel_and_particular,
@@ -244,3 +247,23 @@ def test_pfaffian_squares_to_the_determinant_up_to_size_20():
         for density in (1.0, 0.3, 0.1):
             m = random_skew(rng, n, density=density)
             assert pfaffian(m) ** 2 == integer_det(m)
+
+
+@pytest.mark.parametrize("q", range(1, 25))
+def test_cyclotomic_polynomial_has_the_primitive_roots(q):
+    phi = cyclotomic_polynomial(q)
+    primitive = [k for k in range(1, q + 1) if gcd(k, q) == 1]
+    assert phi[-1] == 1 and len(phi) - 1 == len(primitive)
+    for k in primitive:
+        root = cmath.exp(2j * cmath.pi * k / q)
+        assert abs(sum(c * root**i for i, c in enumerate(phi))) < 1e-9
+
+
+@pytest.mark.parametrize("q", range(3, 9))
+def test_cyclotomic_rank_of_two_by_two_matrices(q):
+    zeta, one = [0, 1], [1]
+    assert cyclotomic_rank([[zeta, [0, 0, 1]], [one, zeta]], q) == 1
+    # the determinant 1 - zeta^2 vanishes only at q = 1, 2
+    assert cyclotomic_rank([[one, zeta], [zeta, one]], q) == 2
+    # exponents wrap mod q: this is [[1, 1], [zeta, zeta]]
+    assert cyclotomic_rank([[one, [0] * q + [1]], [zeta, [0] * (q + 1) + [1]]], q) == 1

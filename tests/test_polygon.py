@@ -1,9 +1,11 @@
+import cmath
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from dtregge.linalg import regular_representation
 from dtregge.polygon import (
     PolygonChart,
     PolygonError,
@@ -16,6 +18,7 @@ from dtregge.polygon import (
     polygon_two_form,
     tangent_map,
     tangent_map_matrix,
+    _cyclotomic_tangent_map,
 )
 
 
@@ -88,6 +91,52 @@ def _isoperimetric(chart: PolygonChart, xi: TangentVector) -> TangentVector:
 def test_equilateral_rank_is_q_minus_one():
     for q in range(3, 9):
         assert equilateral_rank(q) == q - 1
+
+
+@pytest.mark.parametrize("q", [1, 0, -3])
+def test_equilateral_rank_needs_two_edges(q):
+    with pytest.raises(PolygonError):
+        equilateral_rank(q)
+
+
+def _sympy_equilateral_rank(q: int) -> int:
+    """Oracle: sympy's rank of the tangent map at the regular q-gon, on its
+    symbolic cos and sin entries."""
+    import sympy
+
+    rows = []
+    for a in range(q - 1):
+        angle = 2 * sympy.pi * a / q
+        row = [sympy.Integer(0)] * (2 * (q - 1))
+        row[2 * a] = sympy.cos(angle)
+        row[2 * a + 1] = sympy.sin(angle)
+        rows.append(row)
+    rows.append([-sum(col) for col in zip(*rows)])
+    return sympy.Matrix(rows).rank()
+
+
+def test_equilateral_rank_agrees_with_sympy():
+    for q in range(3, 13):
+        assert equilateral_rank(q) == _sympy_equilateral_rank(q) == q - 1
+
+
+@pytest.mark.parametrize("q", range(2, 13))
+def test_cyclotomic_entries_evaluate_to_the_scaled_tangent_map(q):
+    """At zeta = exp(2 pi i / q), each Z[zeta] entry is the tangent map's
+    entry times 2 (cosine columns) or 2i (sine columns), and column j of its
+    regular representation is that times zeta^j."""
+    zeta = cmath.exp(2j * cmath.pi / q)
+
+    def value(coefficients):
+        return sum(c * zeta**k for k, c in enumerate(coefficients))
+
+    real = tangent_map_matrix(PolygonChart.regular(q))
+    for real_row, row in zip(real, _cyclotomic_tangent_map(q), strict=True):
+        for c, (x, entry) in enumerate(zip(real_row, row, strict=True)):
+            expected = float(x) * (2 if c % 2 == 0 else 2j)
+            assert abs(value(entry) - expected) < 1e-12
+            for j, column in enumerate(zip(*regular_representation(entry, q))):
+                assert abs(value(column) - expected * zeta**j) < 1e-12
 
 
 def test_tangent_map_matches_central_differences():
