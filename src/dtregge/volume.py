@@ -1,16 +1,17 @@
 """Exact Leray volumes of the isoperimetric constraint polytopes.
 
 The Leray measure mu on P = {L >= 0, A L = rhs} is fixed by
-mu ^ d(eta_1) ^ ... ^ d(eta_N0) = dL_1 ^ ... ^ dL_N1 with eta = A L.  The
-volume is computed in the edge lengths L themselves.  Take N0 columns C at
-which A is nonsingular and let F be the other d = N1 - N0 columns: on
-{A L = rhs}, L_C = A_C^-1 (rhs - A_F L_F), so L -> L_F is one to one on P
-and mu = dL_F / |det A_C|.  The vertices of P are its nonnegative basic
-solutions, and a vertex's zero coordinates are its tight facets.  Each
-column of A is an edge of the boundary multigraph, so the bases, their
+mu ^ d(eta_1) ^ ... ^ d(eta_N0) = dL_1 ^ ... ^ dL_N1 with eta = A L.  Each
+column of A is an edge of the boundary multigraph, so the bases of A, their
 determinants and their basic solutions are read off subgraphs, with no
-linear algebra.  The Lebesgue volume of the vertices projected onto F is
-exact, from a facet-recursive simplicial decomposition.
+linear algebra.  The vertices of P are its nonnegative basic solutions.
+The volume is the pyramid recursion over the faces of P, each a set S of
+columns with the others at 0: a basis S has volume 1 / |det A_S|, and
+otherwise vol(S) = sum_j v_j vol(S - j) / (|S| - N0) for a vertex v of S,
+since mu_S = mu_{S - j} ^ dL_j on the facet L_j = 0.  This is
+Dahmen-Micchelli's recurrence for the truncated power (De Concini-Procesi,
+Topics in Hyperplane Arrangements, Polytopes and Box-Splines (2011)), and
+it needs no coordinates, no triangulation and no determinant.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-# perfbench's tracer wraps volume.det and volume.kernel_basis_and_particular
-# and counts volume.solve_square by these names.  The volume path calls none
-# of the three: they stay here only so that the tracer finds them, until the
-# benchmark takes its counts from inside the package, and the tests' kernel
-# coordinates come from kernel_basis_and_particular.
+# perfbench's tracer wraps volume.det, volume.kernel_basis_and_particular,
+# volume.polytope_vertices and volume.lebesgue_volume and counts
+# volume.solve_square by these names.  leray_volume calls none of them: they
+# stay here so that the tracer finds them, until the benchmark takes its
+# counts from inside the package, and the tests' kernel coordinates, vertices
+# and reference volumes come from the last three.
 from .linalg import clear_denominators, det, integer_det, kernel_and_particular, solve_square
 from .measure import ConstraintSystem, edge_ends
 
@@ -66,22 +68,21 @@ def kernel_basis_and_particular(system: ConstraintSystem):
 
 
 def polytope_vertices(system: ConstraintSystem):
-    """Vertices of {L >= 0, A L = rhs}: its nonnegative basic solutions.
+    """Vertices of {L >= 0, A L = rhs}, sorted (``_integer_vertices``); a
+    rank-deficient system has none."""
+    vertices, unit = _integer_vertices(edge_ends(zip(*system.a)), system.rhs, system.n0)
+    return [tuple(Fraction(x, unit) for x in vertex) for vertex in vertices or ()]
 
-    Each basis from ``_bases`` has its basic solution read off on integers
-    by ``_basic_solution``, and a degenerate vertex, which solves several
-    bases, is kept once.  A has full row rank exactly when some basis
-    exists, so a rank-deficient system has no vertices.
+
+def _integer_vertices(ends, rhs, n0):
+    """The vertices of {L >= 0, A L = rhs}, A with the edges ``ends`` on n0
+    rows, sorted and in integer units 1 / unit: the basic solutions of the
+    bases from ``_bases``, each kept once.  A has full row rank exactly when
+    some basis exists; when none does, the vertices are None.
     """
-    ends = edge_ends(zip(*system.a))
-    rhs, scale = clear_denominators(list(system.rhs))
-    doubled = [2 * b for b in rhs]
-    vertices = set()
-    for basis, _ in _bases(ends, system.n0):
-        vertex = _basic_solution(ends, basis, doubled, system.n1)
-        if vertex is not None:
-            vertices.add(vertex)
-    return [tuple(Fraction(x, 2 * scale) for x in vertex) for vertex in sorted(vertices)]
+    rhs, scale = clear_denominators(list(rhs))
+    solutions = {_basic_solution(ends, basis, rhs) for basis, _ in _bases(ends, n0)}
+    return (sorted(solutions - {None}) if solutions else None), 2 * scale
 
 
 def _bases(ends, n0):
@@ -123,9 +124,9 @@ def _bases(ends, n0):
     yield from extend(0, [], list(range(n0)), [0] * n0, frozenset())
 
 
-def _basic_solution(ends, basis, doubled, n1):
+def _basic_solution(ends, basis, rhs):
     """The basic solution of the basis columns, in units 1 / (2 s) where
-    ``doubled`` is 2 s rhs, or None when an entry is negative.
+    ``rhs`` is s times the true rhs, or None when an entry is negative.
 
     Leaves are peeled first: a leaf's one edge takes the leaf's residual
     rhs.  What is left of each component is its odd cycle v_0 e_0 v_1 ...
@@ -133,13 +134,13 @@ def _basic_solution(ends, basis, doubled, n1):
     r_0 - r_1 + ... + r_{k-1} is twice the entry of e_{k-1}; going round
     gives the others (Schrijver, Combinatorial Optimization (2003), ch. 31).
     """
-    residual = list(doubled)
+    residual = [2 * b for b in rhs]
     at = [[] for _ in residual]
     for j in basis:
         u, v = ends[j]
         at[u].append(j)
         at[v].append(j)
-    x = [0] * n1
+    x = [0] * len(ends)
     leaves = [v for v, edges in enumerate(at) if len(edges) == 1]
     while leaves:
         v = leaves.pop()
@@ -229,52 +230,46 @@ def lebesgue_volume(points, tight_sets) -> Fraction:
 
 
 def leray_volume(system: ConstraintSystem, rng: random.Random | None = None) -> LerayVolume:
-    """Exact Leray volume of {L >= 0, A L = rhs}: the Lebesgue volume of the
-    vertices projected onto the columns F off the first basis C of A, divided
-    by |det A_C| = 2**components (``_bases``).
+    """Exact Leray volume of {L >= 0, A L = rhs}, by the pyramid recursion
+    over faces S, each a tuple of columns with the vertices supported in S.
 
-    ``rng``, when given, re-randomizes the edge order, which also moves C,
-    and a unimodular map of the coordinates L_F; the result is invariant
-    under both choices.
+    The apex v of S is its first vertex.  The sum runs over the j with
+    v_j > 0 whose facet L_j = 0 has vertices, one j per vertex set, as a
+    facet on two coordinate hyperplanes counts once; every S - j reached
+    then has full row rank.  Volumes are memoized by S and stay in the
+    vertices' unit until the end.  ``rng``, when given, re-randomizes the
+    edge order and each face's apex; the result is invariant under both.
     """
-    a = [list(row) for row in system.a]
-    n1 = system.n1
-    if any(sum(col) <= 0 for col in zip(*a)):
+    if any(sum(col) <= 0 for col in zip(*system.a)):
         raise UnboundedPolytopeError("a zero column makes the polytope unbounded")
-
+    ends = edge_ends(zip(*system.a))
     if rng is not None:
-        order = list(range(n1))
-        rng.shuffle(order)
-        a = [[row[j] for j in order] for row in a]
-    permuted = ConstraintSystem(tuple(tuple(row) for row in a), tuple(system.rhs))
-
-    first = next(_bases(edge_ends(zip(*a)), system.n0), None)
-    if first is None:
+        rng.shuffle(ends)
+    n0, dimension = system.n0, len(ends) - system.n0
+    vertices, unit = _integer_vertices(ends, system.rhs, n0)
+    if vertices is None:
         raise RankDeficientError("incidence matrix is rank deficient")
-    complement, components = first
-    free = [j for j in range(n1) if j not in complement]
-
-    vertices = polytope_vertices(permuted)
     if not vertices:
-        return LerayVolume(Fraction(0), len(free))
-    coordinates = [[vertex[f] for vertex in vertices] for f in free]
-    if rng is not None:
-        coordinates = _unimodular_mix(coordinates, rng)
-    points = [tuple(c[i] for c in coordinates) for i in range(len(vertices))]
-    tight_sets = [frozenset(j for j, x in enumerate(vertex) if not x) for vertex in vertices]
-    return LerayVolume(lebesgue_volume(points, tight_sets) / 2**components, len(free))
+        return LerayVolume(Fraction(0), dimension)
+    volumes = {}
 
+    def volume(face, vertices):
+        if len(face) == n0:
+            return Fraction(1, 2 ** next(_bases([ends[j] for j in face], n0))[1])
+        if face not in volumes:
+            if rng is not None:
+                vertices = rng.sample(vertices, len(vertices))
+            apex = vertices[0]
+            facets = {
+                tuple(w for w in vertices if not w[j]): i for i, j in enumerate(face) if apex[j]
+            }
+            facets.pop((), None)
+            volumes[face] = Fraction(
+                sum(apex[face[i]] * volume(face[:i] + face[i + 1:], facet)
+                    for facet, i in facets.items()),
+                len(face) - n0,
+            )
+        return volumes[face]
 
-def _unimodular_mix(vectors, rng: random.Random):
-    vectors = [list(v) for v in vectors]
-    d = len(vectors)
-    for _ in range(3 * d):
-        i, j = rng.randrange(d), rng.randrange(d)
-        if i == j:
-            continue
-        coeff = rng.choice((-2, -1, 1, 2))
-        vectors[i] = [x + coeff * y for x, y in zip(vectors[i], vectors[j])]
-    if rng.random() < 0.5 and d > 1:
-        i, j = rng.sample(range(d), 2)
-        vectors[i], vectors[j] = vectors[j], vectors[i]
-    return vectors
+    value = volume(tuple(range(len(ends))), vertices)
+    return LerayVolume(Fraction(value, unit**dimension), dimension)

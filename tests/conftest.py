@@ -6,7 +6,9 @@ import pytest
 
 from dtregge import catalog
 from dtregge.linalg import clear_denominators, solve_square
+from dtregge.measure import edge_ends
 from dtregge.triangulation import build_triangulation
+from dtregge.volume import _bases, lebesgue_volume, polytope_vertices
 
 #: The keys of the benchmark's pairing workload: every labelled q at (0,4)
 #: and (1,2), the anchors, and (1,3,(6,6,6)).
@@ -239,3 +241,20 @@ def kernel_vertices(basis, l0):
         if all(sum(k * x for k, x in zip(row, solution)) + row[d] >= 0 for row in rows):
             vertices.add(tuple(solution))
     return sorted(vertices)
+
+
+def triangulated_leray_volume(system) -> Fraction:
+    """The Leray volume of a full-rank system by a triangulation: an oracle
+    for ``volume.leray_volume``, which sums over faces instead.
+
+    With C the first basis of A and F the other columns, L -> L_F is one to
+    one on {A L = rhs} and the Leray measure is dL_F / |det A_C|, with
+    |det A_C| = 2**components.  The vertices projected onto F, each with its
+    zero coordinates as its tight facets, go to ``lebesgue_volume``.
+    """
+    basis, components = next(_bases(edge_ends(zip(*system.a)), system.n0))
+    free = [j for j in range(system.n1) if j not in basis]
+    vertices = polytope_vertices(system)
+    points = [tuple(vertex[j] for j in free) for vertex in vertices]
+    tight_sets = [frozenset(j for j, x in enumerate(vertex) if not x) for vertex in vertices]
+    return lebesgue_volume(points, tight_sets) / 2**components

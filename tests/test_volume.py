@@ -3,10 +3,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PAIRING_KEYS, kernel_vertices
+from conftest import PAIRING_KEYS, kernel_vertices, triangulated_leray_volume
 from dtregge.catalog import enumerate_ribbon_cells, enumerate_triangulations, feasible_q_vectors
 from dtregge.linalg import det, kernel_and_particular, matrix_rank, rref, solve_square
 from dtregge.measure import ConstraintSystem, edge_ends, incidence_matrix
@@ -310,6 +310,24 @@ def test_basic_solutions_on_random_multigraphs(system):
             leray_volume(system)
 
 
+# an edge and a loop at each end, rhs (1, 1): the loops force equal
+# lengths, so the facet where the edge has length 0 lies on both loops'
+# hyperplanes and must count once, for a volume of 1/4
+@example(ConstraintSystem(((1, 2, 0), (1, 0, 2)), (1, 1)))
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(system=multigraph_systems())
+def test_leray_volume_equals_the_triangulated_volume(system):
+    """On full-rank random multigraphs, degenerate ones included, the face
+    recursion gives the volume of a triangulation of the vertices projected
+    off a basis, with the edge order and the apexes as they come and as
+    three seeds re-choose them."""
+    assume(matrix_rank([list(row) for row in system.a]) == system.n0)
+    expected = triangulated_leray_volume(system)
+    assert leray_volume(system).value == expected
+    for seed in range(3):
+        assert leray_volume(system, random.Random(seed)).value == expected
+
+
 @pytest.mark.parametrize("column", [(1, 1, 1), (2, -1, 1), (1, 0, 0), (0, 0, 0)])
 def test_vertices_need_columns_of_a_multigraph(column):
     """A column that does not sum to 2 over nonnegative entries is no edge."""
@@ -331,9 +349,9 @@ def test_reference_leray_volumes(theta_sphere, one_vertex_torus):
 
 
 def _shuffled_pivot_det(system, seed):
-    """|det A_C| for the columns C that ``leray_volume(system,
-    Random(seed))`` divides by: the pivot columns of A with its columns in
-    the order the seed first shuffles them into."""
+    """|det A_C| for the pivot columns C of A with its columns in the order
+    the seed first shuffles them into, as ``leray_volume(system,
+    Random(seed))`` shuffles its edges."""
     order = list(range(system.n1))
     random.Random(seed).shuffle(order)
     a = [[row[j] for j in order] for row in system.a]
@@ -342,11 +360,13 @@ def _shuffled_pivot_det(system, seed):
 
 
 def test_leray_volume_invariant_under_randomized_choices(one_vertex_torus):
-    """On the torus every basis of A has |det| 2; one class at (1,2,(5,7))
-    has bases of |det| 2 and 4, and the seeds reach both, so C must divide
-    by its own.  A path on six rows with a loop at row 0 and eight more
-    copies of its first edge has few bases among its N0-subsets: every seed
-    finds one."""
+    """The 20 seeds re-choose the edge order and each face's apex.  On the
+    torus every basis of A has |det| 2.  One class at (1,2,(5,7)) has bases
+    of |det| 2 and 4, and ``linalg`` finds that the seeds' edge orders put
+    one of each first; the face recursion divides by no first basis, so
+    that reach no longer sees the volume path.  A path on six rows with a
+    loop at row 0 and eight more copies of its first edge has few bases
+    among its N0-subsets: every seed finds one."""
     from dtregge.ribbon import dualize
 
     ends = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 0)] + [(0, 1)] * 8
