@@ -10,8 +10,9 @@ slot gluing is the edge involution alpha of the dual, and the vertices are
 the orbits of sigma o alpha.  One cached gluing search per (g, N0),
 ``enumerate_gluings``, finds every connected matching with N0 orbits,
 loops included, sizes its orbits while it glues and groups the matchings
-by their sorted orbit sizes; it stops past ``MAX_MATCHINGS`` stored
-matchings or ``MAX_NODES`` visited nodes.  A catalog key (g, N0, q)
+by their sorted orbit sizes.  It cuts the branches that close too many
+orbits or build more than g handles, and stops past ``MAX_MATCHINGS``
+stored matchings or ``MAX_NODES`` visited nodes.  A catalog key (g, N0, q)
 labels the orbits of the group sorted(q), which holds no loop since
 q >= 2, and the ribbon cells of (g, N0) label the boundaries of every
 group.  One unlabelled canonical pass per matching, from its
@@ -44,7 +45,7 @@ MAX_FACES = 10
 MAX_MATCHINGS = 500_000
 
 #: Most nodes one gluing search visits before it raises ResourceCapError:
-#: about twice the 2.25 M of (0,7), the largest search at N2 <= 10.
+#: about 3.6 times the 1.24 M of (2,3), the largest search at N2 <= 10.
 MAX_NODES = 4_500_000
 
 
@@ -171,12 +172,19 @@ def enumerate_gluings(genus: int, n0: int) -> MappingProxyType:
     open paths: gluing s and t adds s -> sigma[t] and t -> sigma[s], each
     joining two paths or closing one into an orbit, undone on backtrack.
     At fixed N2 the orbit count fixes the genus, so a branch stops once N0
-    orbits have closed while darts are still unmatched.  Branches are cut,
-    never reordered.  Residual duplicates (isomorphic matchings the pruning
-    does not catch) are removed by ``_classes`` downstream.  Storing more
-    than ``MAX_MATCHINGS`` matchings or visiting more than ``MAX_NODES``
-    nodes raises ResourceCapError, and nothing is cached; the result is
-    cached, so it is returned read-only.
+    orbits have closed while darts are still unmatched.  The faces [0, k),
+    glued ``glued`` times, form a surface with boundary of Euler
+    characteristic chi = closed + k - glued = 2 - 2 handles - cycles; its
+    boundary runs from an unmatched d to last[sigma[d]].  Gluing s to
+    another boundary cycle adds a handle; along its own cycle or to a new
+    face, none.  A complete matching has g handles, so once a branch has g,
+    s is glued only along its own cycle.  Cycles are counted only where one
+    cycle would mean g handles, and a subtree inherits the count of g.
+    Branches are cut, never reordered.  Residual duplicates (isomorphic
+    matchings the pruning does not catch) are removed by ``_classes``
+    downstream.  Storing more than ``MAX_MATCHINGS`` matchings or visiting
+    more than ``MAX_NODES`` nodes raises ResourceCapError, and nothing is
+    cached; the result is cached, so it is returned read-only.
     """
     n2 = face_count(genus, n0)
     n = 3 * n2
@@ -187,9 +195,10 @@ def enumerate_gluings(genus: int, n0: int) -> MappingProxyType:
     length = [1] * n  # length[b]: darts on the path starting at b
     closed: list[int] = []  # sizes of the closed orbits
     found: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    mark = [0] * n  # mark[d] == visited: boundary dart d counted at this node
     stored = visited = 0
 
-    def rec(s: int, k: int):
+    def rec(s: int, k: int, glued: int, spent: bool):
         nonlocal stored, visited
         visited += 1
         if visited > MAX_NODES:
@@ -209,7 +218,21 @@ def enumerate_gluings(genus: int, n0: int) -> MappingProxyType:
             return
         if s >= 3 * k:
             return  # the faces before s//3 closed up: disconnected
-        candidates = [t for t in range(s + 1, 3 * k) if partner[t] == -1]
+        spare = 2 + glued - len(closed) - k - 2 * genus  # 2 - chi - 2g: cycles at g handles
+        if not spent and spare >= 1:
+            for d in range(s, 3 * k):
+                if partner[d] == -1 and mark[d] != visited:
+                    spare -= 1
+                    while mark[d] != visited:
+                        mark[d], d = visited, last[sigma[d]]
+            spent = spare == 0
+        if spent:  # a handle more would pass g: glue s along its own boundary cycle
+            candidates = [last[sigma[s]]]
+            while candidates[-1] != s:
+                candidates.append(last[sigma[candidates[-1]]])
+            candidates = sorted(candidates[:-1])
+        else:
+            candidates = [t for t in range(s + 1, 3 * k) if partner[t] == -1]
         if k < n2:
             candidates.append(3 * k)
         for t in candidates:
@@ -230,7 +253,7 @@ def enumerate_gluings(genus: int, n0: int) -> MappingProxyType:
             while after < n and partner[after] != -1:
                 after += 1
             if len(closed) < n0 or after == n:  # unmatched darts close one more
-                rec(after, k + (t == 3 * k))
+                rec(after, k + (t == 3 * k), glued + 1, spent)
             if b2 == v2:
                 closed.pop()
             else:
@@ -241,7 +264,7 @@ def enumerate_gluings(genus: int, n0: int) -> MappingProxyType:
                 last[b], first[e], length[b] = s, v, length[b] - length[v]
             partner[s] = partner[t] = -1
 
-    rec(0, 1)
+    rec(0, 1, 0, genus == 0)
     return MappingProxyType({sizes: tuple(alphas) for sizes, alphas in found.items()})
 
 
@@ -309,18 +332,14 @@ def _labelled_cells(alpha, group, labellings):
 
 
 def _label_assignments(classes, q):
-    """All label tuples for ``classes`` (label of the i-th class) that are
-    bijections onto 1..N0 compatible with the class sizes."""
+    """All label tuples for ``classes`` (label of the i-th class) that give
+    each class a label of its size; the sizes must be those of q."""
     by_size: dict[int, list] = {}
     for idx, cls in enumerate(classes):
         by_size.setdefault(len(cls), []).append(idx)
     labels_by_size: dict[int, list] = {}
     for label, qk in enumerate(q, start=1):
         labels_by_size.setdefault(qk, []).append(label)
-    if {k: len(v) for k, v in by_size.items()} != {
-        k: len(v) for k, v in labels_by_size.items()
-    }:
-        return
     sizes = sorted(by_size)
     for chosen in product(*(permutations(labels_by_size[s]) for s in sizes)):
         labels = [0] * len(classes)

@@ -110,15 +110,6 @@ def build_triangulation(vertex_count, face_corner_labels, slot_gluing) -> Triang
     pairs.sort()
     gluing = tuple(pairs)
 
-    # matched slots must carry the same unordered vertex pair, reversed
-    for s, t in gluing:
-        a = (faces[s[0]][s[1]], faces[s[0]][(s[1] + 1) % 3])
-        b = (faces[t[0]][t[1]], faces[t[0]][(t[1] + 1) % 3])
-        if a != (b[1], b[0]):
-            raise TriangulationError(
-                f"vertex-pair mismatch across gluing {s} ~ {t}: {a} vs {b}"
-            )
-
     # connectivity through shared edges
     adj: dict[int, set[int]] = {f: set() for f in range(n2)}
     for s, t in gluing:
@@ -134,7 +125,7 @@ def build_triangulation(vertex_count, face_corner_labels, slot_gluing) -> Triang
     if len(reached) != n2:
         raise TriangulationError("disconnected complex")
 
-    # corner classes induced by the gluing must coincide with the labels
+    # corner classes must coincide with the labels, so glued slots carry reversed pairs
     classes = corner_classes(faces, gluing)
     if len(classes) != vertex_count:
         raise TriangulationError(
@@ -148,13 +139,8 @@ def build_triangulation(vertex_count, face_corner_labels, slot_gluing) -> Triang
     if labels_used != set(range(1, vertex_count + 1)):
         raise TriangulationError("every vertex label in 1..N0 must occur in a corner")
 
-    n1 = 3 * n2 // 2
-    chi = vertex_count - n1 + n2
-    if chi % 2 != 0 or (2 - chi) % 2 != 0 or (2 - chi) // 2 < 0:
-        raise TriangulationError(f"non-integer or negative genus (chi = {chi})")
-    genus = (2 - chi) // 2
-
-    return Triangulation(vertex_count, faces, gluing, genus)
+    # a closed connected oriented surface: chi = N0 - N1 + N2 = 2 - 2g, g >= 0
+    return Triangulation(vertex_count, faces, gluing, (2 - vertex_count + n2 // 2) // 2)
 
 
 @lru_cache(maxsize=None)

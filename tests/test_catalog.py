@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 from itertools import permutations
@@ -180,15 +181,34 @@ def test_gluing_budget(monkeypatch, fresh_gluing_caches):
 
 
 def test_gluing_node_cap(monkeypatch, fresh_gluing_caches):
-    monkeypatch.setattr(catalog, "MAX_NODES", 1000)  # (1, 4) visits 64871
+    monkeypatch.setattr(catalog, "MAX_NODES", 1000)  # (1, 4) visits 52149
     with pytest.raises(ResourceCapError, match="more than 1000 nodes"):
         enumerate_ribbon_cells(1, 4)
     with pytest.raises(ResourceCapError, match="more than 1000 nodes"):
         enumerate_triangulations(1, 4, (6, 6, 6, 6))
     assert catalog.enumerate_gluings.cache_info().currsize == 0
     assert catalog._cells.cache_info().currsize == 0
-    monkeypatch.setattr(catalog, "MAX_NODES", 64871)
+    monkeypatch.setattr(catalog, "MAX_NODES", 52149)
     assert sum(map(len, catalog.enumerate_gluings(1, 4).values())) == 14912
+
+
+def test_gluing_search_glues_only_along_the_boundary_once_the_handles_are_spent(
+    monkeypatch, fresh_gluing_caches
+):
+    """(0, 6) visits 18351 nodes; a search cut only on closed orbits visits 74875."""
+    monkeypatch.setattr(catalog, "MAX_NODES", 20000)
+    assert sum(map(len, catalog.enumerate_gluings(0, 6).values())) == 4096
+
+
+def test_gluing_search_at_genus_zero_with_seven_vertices(fresh_gluing_caches):
+    """The groups of (0, 7), matchings in order, as the search without the
+    handle cut found them; the oracle scan of every matching at N2 = 10
+    (828250 of them) is too slow to run here."""
+    search = catalog.enumerate_gluings(0, 7)
+    assert sum(map(len, search.values())) == 54912
+    assert hashlib.sha256(repr(dict(search)).encode()).hexdigest() == (
+        "432a2f93e17636f03509802a05d52ad1bd74e00d9333fda90bab9ce14f4434f7"
+    )
 
 
 def test_json_round_trip_is_bit_identical():

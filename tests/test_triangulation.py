@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dtregge.catalog import enumerate_triangulations
 from dtregge.triangulation import (
     Triangulation,
     TriangulationError,
@@ -90,6 +91,22 @@ def test_rejects_label_mismatch_across_gluing():
             [(1, 2, 3), (1, 2, 3)],
             [((0, 0), (1, 0)), ((0, 1), (1, 2)), ((0, 2), (1, 1))],
         )
+
+
+def test_rejects_a_face_with_two_labels_swapped():
+    """Swapping two corner labels of a face breaks the reversed vertex pair
+    across its gluings; the corner-class label check rejects every case."""
+    cases = 0
+    for q in [(3, 3, 3, 3), (2, 3, 3, 4), (2, 2, 4, 4)]:
+        for entry in enumerate_triangulations(0, 4, q).entries:
+            t = entry.triangulation
+            for f, (a, b, c) in enumerate(t.faces):
+                assert a != b
+                faces = [*t.faces[:f], (b, a, c), *t.faces[f + 1:]]
+                with pytest.raises(TriangulationError, match="carry different labels"):
+                    build_triangulation(t.vertex_count, faces, t.gluing)
+                cases += 1
+    assert cases == 12
 
 
 def test_rejects_disconnected_complex(theta_sphere):
