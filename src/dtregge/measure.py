@@ -92,11 +92,7 @@ def constraint_system(graph: RibbonGraph, perimeters) -> ConstraintSystem:
 def incidence_matrix(graph: RibbonGraph) -> ConstraintSystem:
     """A[k][j] = number of sides of boundary k lying on edge j; the
     perimeter of boundary k is its side count q(k)."""
-    side_counts = {
-        graph.boundary_labels[i]: len(cycle)
-        for i, cycle in enumerate(graph.boundary_cycles)
-    }
-    return constraint_system(graph, side_counts)
+    return constraint_system(graph, dict(zip(sorted(graph.boundary_labels), graph.sides)))
 
 
 def boundary_edge_words(graph: RibbonGraph) -> list[tuple[int, ...]]:

@@ -15,6 +15,7 @@ classical anchor assignments.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +24,7 @@ from itertools import permutations, product
 from .catalog import MAX_FACES, check_feasible, enumerate_ribbon_cells
 from .intersection import generating_F
 from .measure import ConstraintSystem, constraint_system, edge_ends
-from .ribbon import RibbonGraph, aut_boundary, canonical_code
+from .ribbon import RibbonGraph, canonical_code
 from .volume import leray_volume
 
 
@@ -163,11 +164,12 @@ def cell_class(graph: RibbonGraph, q: tuple) -> tuple:
     key fixes their rows up to the simultaneous row permutation that the
     labels make, which ``system_class`` ignores.  The rows are built only on
     a miss, and nothing of them is kept for the cell."""
-    key = (graph.sigma, graph.alpha, tuple(q[label - 1] for label in graph.boundary_labels))
-    if key not in _cell_classes:
+    key = (graph.sigma, graph.alpha, tuple([q[label - 1] for label in graph.boundary_labels]))
+    found = _cell_classes.get(key)
+    if found is None:
         rows = constraint_system(graph, dict.fromkeys(graph.boundary_labels, 0)).a
-        _cell_classes[key] = system_class(ConstraintSystem(rows, q))
-    return _cell_classes[key]
+        found = _cell_classes[key] = system_class(ConstraintSystem(rows, q))
+    return found
 
 
 def duality_pairing(
@@ -179,17 +181,19 @@ def duality_pairing(
 ) -> PairingReport:
     """Both sides of the pairing at (genus, N0, q), with a cell breakdown.
 
-    The key and the face cap are checked before the cells are read.  The
-    catalog part is read off the cells: a cell is the dual of a catalog
-    triangulation exactly when its boundary labelled k has q_k sides, and
-    the catalog cardinality is the number of such cells.  Each cell's
-    ``system_class`` is found once per cell class and perimeter pattern, by
-    ``cell_class``.  Each volume is computed once per ``system_class`` and
-    process, by ``class_volume``, and shared by every cell of that class at
-    this and every later key; the keys of one (g, N0) share most classes.
-    Most classes are empty (no L > 0), and ``class_volume`` decides that
-    without a volume.  Code and aut order are cached on the cells, which
-    ``enumerate_ribbon_cells`` keeps per (g, N0).
+    The key and the face cap are checked before the cells are read.  A cell
+    is the dual of a catalog triangulation exactly when its boundary
+    labelled k has q_k sides, and the catalog part and cardinality are read
+    off those cells.  ``cell_class`` finds each cell's ``system_class`` once
+    per cell class and perimeter pattern.  ``class_volume`` computes each
+    volume once per ``system_class`` and process, shared by every cell of
+    that class at this and every later key; the keys of one (g, N0) share
+    most classes.  Most classes are empty (no L > 0), and ``class_volume``
+    decides that without a volume.  A cell visit is then one class and
+    volume lookup and one ``CellContribution``: side counts, code and aut
+    order ignore q and are cached on the cells, which
+    ``enumerate_ribbon_cells`` keeps per (g, N0).  The sums skip the cells
+    of volume 0 and take one exact product per distinct (volume, aut order).
     """
     q = tuple(q)
     check_feasible(genus, n0, q, max_faces)
@@ -197,37 +201,28 @@ def duality_pairing(
     const = pairing_constant(genus, n0)
 
     contributions = []
-    total = Fraction(0)
-    catalog_total = Fraction(0)
+    weights, catalog_weights = Counter(), Counter()  # cells of volume > 0 per (volume, aut)
     for graph in enumerate_ribbon_cells(genus, n0, max_faces):
         # the labels are 1..N0, and int perimeters are exact
         volume = class_volume(cell_class(graph, q))
-        aut = aut_boundary(graph)[0]
-        # side counts in label order: each dart of a boundary cycle is one side
-        counts = [0] * n0
-        for label, cycle in zip(graph.boundary_labels, graph.boundary_cycles):
-            counts[label - 1] = len(cycle)
-        sides = tuple(counts)
+        sides, aut = graph.sides, graph.aut_order
         from_catalog = sides == q
         # a loop bounds a one-sided boundary, and nothing else does
         contributions.append(
             CellContribution(canonical_code(graph), sides, volume, aut, 1 in sides, from_catalog)
         )
-        total += volume / aut
-        if from_catalog:
-            catalog_total += volume / aut
+        if volume:
+            weights[volume, aut] += 1
+            if from_catalog:
+                catalog_weights[volume, aut] += 1
 
-    lhs = const * total
+    lhs, catalog_lhs = (
+        const * sum((count * volume / aut for (volume, aut), count in w.items()), Fraction(0))
+        for w in (weights, catalog_weights)
+    )
+    cardinality = sum(c.from_catalog for c in contributions)
     return PairingReport(
-        genus,
-        n0,
-        q,
-        lhs,
-        const * catalog_total,
-        rhs,
-        lhs == rhs,
-        sum(c.from_catalog for c in contributions),
-        tuple(contributions),
+        genus, n0, q, lhs, catalog_lhs, rhs, lhs == rhs, cardinality, tuple(contributions)
     )
 
 

@@ -18,7 +18,7 @@ whose orbits on the boundary labellings the catalogs label once each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .triangulation import Triangulation, TriangulationError, boundary_cycles, corner_rotation, orbits
@@ -33,6 +33,8 @@ class RibbonGraph:
     sigma: tuple[int, ...]
     alpha: tuple[int, ...]
     boundary_labels: tuple[int, ...]  # label of the i-th boundary cycle
+    # side count of each boundary in label order, set once by __post_init__
+    sides: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_darts(self.sigma, self.alpha)
@@ -40,6 +42,8 @@ class RibbonGraph:
             raise RibbonGraphError("one label per boundary cycle is required")
         if len(set(self.boundary_labels)) != len(self.boundary_labels):
             raise RibbonGraphError("boundary labels must be distinct")
+        labelled = sorted(zip(self.boundary_labels, self.boundary_cycles))
+        object.__setattr__(self, "sides", tuple(len(cycle) for _, cycle in labelled))
 
     @property
     def dart_count(self) -> int:
@@ -85,6 +89,11 @@ class RibbonGraph:
         """The least labelled breadth-first encoding and the
         boundary-label-preserving automorphism group (``canonical_form``)."""
         return canonical_form(self.sigma, self.alpha, self.dart_labels())
+
+    @property
+    def aut_order(self) -> int:
+        """Order of the group of ``aut_boundary``, without copying it."""
+        return len(self._canonical_form[1])
 
     def genus(self) -> int:
         chi = self.vertex_count - self.edge_count + len(self.boundary_cycles)
@@ -254,8 +263,7 @@ def dualize(t: Triangulation) -> RibbonGraph:
 def aut_boundary(graph: RibbonGraph) -> tuple[int, list[tuple[int, ...]]]:
     """Order and elements of the boundary-label-preserving automorphism group,
     as ascending dart permutations read off the ``canonical_code`` pass."""
-    elements = graph._canonical_form[1]
-    return len(elements), list(elements)
+    return graph.aut_order, list(graph._canonical_form[1])
 
 
 def canonical_code(graph: RibbonGraph) -> bytes:

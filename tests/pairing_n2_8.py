@@ -4,13 +4,16 @@
 
 runs ``duality_pairing`` at (1, 4, (5, 5, 7, 7)) and (0, 6, (3, 3, 4, 4,
 5, 5)) and prints, per key, both sides, the seconds (cells and their
-gluing search included), the distinct system classes and the nonempty
-ones, which alone need a volume, the seconds ``leray_volume`` takes over
-the nonempty classes, each computed afresh, and the seconds of
-``polytope_vertices`` alone over the same classes.  It exits 1 when the
-two sides differ.  (1, 4, (5, 5, 7, 7)) is also in the test suite; (0, 6,
-(3, 3, 4, 4, 5, 5)) is too slow for it.  pytest does not collect this file,
-as its name does not start with ``test_``.
+gluing search included), the seconds of a second call to the same key
+(cells, classes and volumes cached: the per-key pass over the cells
+alone), the distinct system classes and the nonempty ones, which alone
+need a volume, the seconds ``leray_volume`` takes over the nonempty
+classes, each computed afresh, and the seconds of ``polytope_vertices``
+alone over the same classes.  It exits 1 when the two sides differ or
+the second call's report differs from the first.  (1, 4, (5, 5, 7, 7))
+is also in the test suite; (0, 6, (3, 3, 4, 4, 5, 5)) is too slow for it.
+pytest does not collect this file, as its name does not start with
+``test_``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ def main() -> int:
         start = time.perf_counter()
         report = duality_pairing(genus, n0, q)
         seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        again = duality_pairing(genus, n0, q)
+        warm_seconds = time.perf_counter() - start
         classes = {cell_class(graph, q) for graph in enumerate_ribbon_cells(genus, n0)}
         nonempty = [key for key in classes if has_interior_point(*key)]
         systems = [ConstraintSystem(tuple(zip(*columns)), rhs) for rhs, columns in nonempty]
@@ -43,10 +49,11 @@ def main() -> int:
         for system in systems:
             polytope_vertices(system)
         vertex_seconds = time.perf_counter() - start
-        failed |= not report.equal
+        failed |= not report.equal or again != report
         print(
             f"g={genus} N0={n0} q={q}: lhs={report.lhs} rhs={report.rhs} "
-            f"in {seconds:.1f} s, {len(classes)} classes, {len(nonempty)} nonempty, "
+            f"in {seconds:.1f} s, again in {warm_seconds:.2f} s, "
+            f"{len(classes)} classes, {len(nonempty)} nonempty, "
             f"volumes in {volume_seconds:.1f} s, of which vertices in {vertex_seconds:.1f} s"
         )
     return 1 if failed else 0

@@ -11,7 +11,8 @@ from dtregge.catalog import (
     enumerate_triangulations,
     feasible_q_vectors,
 )
-from dtregge import pairing
+import dtregge.catalog
+from dtregge import pairing, ribbon
 from dtregge.intersection import GenusError, tau
 from dtregge.measure import ConstraintSystem, constraint_system
 from dtregge.pairing import (
@@ -298,6 +299,44 @@ def test_pairing_builds_rows_only_on_a_cell_class_miss():
     duality_pairing(1, 4, (6, 6, 6, 6))
     with_rows = sum("dart_edge" in vars(graph) for graph in enumerate_ribbon_cells(1, 4))
     assert 0 < with_rows <= len(pairing._cell_classes)
+
+
+def test_a_second_key_recomputes_no_cell_field(monkeypatch):
+    """Side counts, code and aut order ignore q: they are computed once per
+    cell and kept on it, so a second key of the same (g, N0) reads the
+    first key's objects back and runs no canonical pass or cycle search."""
+    first = duality_pairing(0, 4, (2, 3, 3, 4))
+    calls = []
+
+    def counting(name):
+        function = getattr(ribbon, name)
+        return lambda *args: calls.append(name) or function(*args)
+
+    for name in ("canonical_form", "boundary_cycles"):
+        monkeypatch.setattr(ribbon, name, counting(name))
+    second = duality_pairing(0, 4, (4, 3, 3, 2))
+    assert calls == []
+    assert len(second.contributions) == 64
+    for before, after in zip(first.contributions, second.contributions, strict=True):
+        assert after.sides is before.sides
+        assert after.code is before.code
+
+
+def test_reports_do_not_depend_on_the_order_of_the_keys(monkeypatch, fresh_gluing_caches):
+    """Memos filled by earlier keys change no later report: the 35 labelled
+    (0,4) keys paired in descending order, from empty memos, give the
+    reports of ascending order."""
+    monkeypatch.setattr(pairing, "_cell_classes", {})
+    keys = [(0, 4, q) for q in feasible_q_vectors(0, 4)]
+    assert len(keys) == 35 and keys == sorted(keys)
+    reports = []
+    for order in (keys, keys[::-1]):
+        for name in ("enumerate_gluings", "_classes", "_cells"):
+            getattr(dtregge.catalog, name).cache_clear()
+        class_volume.cache_clear()
+        pairing._cell_classes.clear()
+        reports.append({key: duality_pairing(*key).to_dict() for key in order})
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("keys, classes, nonempty", [
