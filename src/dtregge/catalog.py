@@ -15,10 +15,9 @@ orbits or build more than g handles, and stops past ``MAX_MATCHINGS``
 stored matchings or ``MAX_NODES`` visited nodes.  A catalog key (g, N0, q)
 labels the orbits of the group sorted(q), which holds no loop since
 q >= 2, and the ribbon cells of (g, N0) label the boundaries of every
-group.  One unlabelled canonical pass per matching, from its
-invariant-pruned bases, keeps the first of each isomorphism class in a
-group, ``_classes``, and one loop, ``_labelled_cells``, labels it once per
-orbit of its automorphism group.
+group.  ``_classes`` keeps the least rooting of each isomorphism class
+and its automorphism group, and one loop, ``_labelled_cells``, labels it
+once per orbit of that group.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from functools import lru_cache
 from itertools import chain, permutations, product
 from types import MappingProxyType
 
-from .ribbon import RibbonGraph, aut_boundary, canonical_code, canonical_form
+from .ribbon import RibbonGraph, aut_boundary, canonical_code
 from .triangulation import Triangulation, boundary_cycles, build_triangulation, corner_rotation
 
 #: Bump when a normative counting/orientation convention changes, or when the
@@ -180,11 +179,11 @@ def enumerate_gluings(genus: int, n0: int) -> MappingProxyType:
     face, none.  A complete matching has g handles, so once a branch has g,
     s is glued only along its own cycle.  Cycles are counted only where one
     cycle would mean g handles, and a subtree inherits the count of g.
-    Branches are cut, never reordered.  Residual duplicates (isomorphic
-    matchings the pruning does not catch) are removed by ``_classes``
-    downstream.  Storing more than ``MAX_MATCHINGS`` matchings or visiting
-    more than ``MAX_NODES`` nodes raises ResourceCapError, and nothing is
-    cached; the result is cached, so it is returned read-only.
+    Branches are cut, never reordered, so every rooting of a class (a root
+    dart as slot 0) is stored, in increasing order; ``_classes`` keeps the
+    least.  Storing more than ``MAX_MATCHINGS`` matchings or visiting more
+    than ``MAX_NODES`` nodes raises ResourceCapError, and nothing is cached;
+    the result is cached, so it is returned read-only.
     """
     n2 = face_count(genus, n0)
     n = 3 * n2
@@ -270,16 +269,33 @@ def enumerate_gluings(genus: int, n0: int) -> MappingProxyType:
 
 @lru_cache(maxsize=None)
 def _classes(genus: int, sizes: tuple[int, ...]) -> tuple:
-    """The first matching of each unlabelled class among the gluings of
-    genus ``genus`` with these sorted orbit sizes, with its orientation-
-    preserving automorphism group, both read off one unlabelled
-    ``canonical_form`` pass per matching."""
-    sigma = corner_rotation(3 * face_count(genus, len(sizes)))
-    classes: dict[bytes, tuple] = {}
-    for alpha in enumerate_gluings(genus, len(sizes)).get(sizes, ()):
-        code, group = canonical_form(sigma, alpha)
-        classes.setdefault(code, (alpha, group))
-    return tuple(classes.values())
+    """Each unlabelled class of gluings of genus ``genus`` with these sorted
+    orbit sizes as its least rooting, in search order, with its automorphisms:
+    the roots that renumber it into itself as the search numbers faces."""
+    alphas = enumerate_gluings(genus, len(sizes)).get(sizes, ())
+    sigma = corner_rotation(len(alphas[0]) if alphas else 0)  # no turns for no matchings
+    turn = [(d, sigma[d], sigma[sigma[d]]) for d in range(len(sigma))]  # the face from d
+    classes = []
+    for alpha in alphas:
+        group = []
+        for root in range(len(sigma)):
+            order, new = list(turn[root]), [-1] * len(sigma)  # new slot -> old dart, and back
+            new[order[0]], new[order[1]], new[order[2]] = 0, 1, 2
+            for s, d in enumerate(order):
+                t = new[alpha[d]]
+                if t < 0:  # the next face starts at the partner of s
+                    t = len(order)
+                    order += turn[alpha[d]]
+                    new[order[t]], new[order[t + 1]], new[order[t + 2]] = t, t + 1, t + 2
+                if t != alpha[s]:
+                    break
+            if t == alpha[s]:  # every slot agrees: an automorphism
+                group.append(tuple(order))
+            elif t < alpha[s]:
+                break  # a smaller rooting of this class comes first
+        else:
+            classes.append((alpha, tuple(sorted(group))))
+    return tuple(classes)
 
 
 def enumerate_ribbon_cells(
@@ -306,8 +322,7 @@ def _cells(genus: int, n0: int) -> tuple[RibbonGraph, ...]:
     cells = []
     for sizes in enumerate_gluings(genus, n0):
         for alpha, group in _classes(genus, sizes):
-            labellings = permutations(range(1, n0 + 1))
-            cells.extend(_labelled_cells(alpha, group, labellings))
+            cells.extend(_labelled_cells(alpha, group, permutations(range(1, n0 + 1))))
     return tuple(sorted(cells, key=canonical_code))
 
 

@@ -10,10 +10,9 @@ truth for all side orderings downstream.
 One breadth-first pass over base darts, ``canonical_form``, gives both a
 canonical code and an automorphism group: the bases whose encodings tie at
 the least code are exactly the images of the first such base under the
-group.  Run with the boundary labels and cached on the graph, it gives
-``canonical_code`` and ``aut_boundary``; run without them, it gives the
-unlabelled class of a matching and its full orientation-preserving group,
-whose orbits on the boundary labellings the catalogs label once each.
+group.  Cached on the graph, it gives ``canonical_code`` and
+``aut_boundary``; unlabelled classes and their groups come from the root
+test of ``catalog._classes`` instead.
 """
 
 from __future__ import annotations
@@ -145,28 +144,21 @@ class RibbonGraph:
         return cls(tuple(sigma), tuple(alpha), labels)
 
 
-def canonical_form(sigma, alpha, labels=None) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
-    """The least breadth-first encoding of (sigma, alpha), with per-dart
-    ``labels`` or unlabelled, and the automorphisms that keep the labels.
+def canonical_form(sigma, alpha, labels) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
+    """The least breadth-first encoding of (sigma, alpha) with per-dart
+    ``labels``, and the automorphisms that keep the labels.
 
     From a base dart, each dart in breadth-first order contributes the new
     numbers of its sigma and alpha images and its label.  Only bases with
-    the least (loop flag, label) are tried; unlabelled, only bases with the
-    rarest (loop flag, lengths of the boundaries through d and alpha[d]),
-    the least if equally rare.  Isomorphisms keep both, so the tried bases
-    correspond and are a union of group orbits.  Two bases tie exactly when
-    the automorphism mapping the i-th dart of one order to the i-th of the
-    other exists, and an automorphism is fixed by the image of one dart, so
-    the ties, read against the first, are the group (ascending dart maps).
+    the least (loop flag, label) are tried; isomorphisms keep both, so the
+    tried bases are a union of group orbits.  Two bases tie exactly when the
+    automorphism mapping the i-th dart of one order to the i-th of the other
+    exists, and an automorphism is fixed by the image of one dart, so the
+    ties, read against the first, are the group (ascending dart maps).
     """
     n = len(sigma)
-    if labels:
-        opening = [(alpha[d] != sigma[d], labels[d]) for d in range(n)]
-        least = min(opening)
-    else:
-        side = {d: len(cycle) for cycle in boundary_cycles(sigma, alpha) for d in cycle}
-        opening = [(alpha[d] != sigma[d], side[d], side[alpha[d]]) for d in range(n)]
-        least = min(set(opening), key=lambda value: (opening.count(value), value))
+    opening = [(alpha[d] != sigma[d], labels[d]) for d in range(n)]
+    least = min(opening)
     best, tied = None, []
     for base in range(n):
         if opening[base] != least:
@@ -179,12 +171,7 @@ def canonical_form(sigma, alpha, labels=None) -> tuple[bytes, tuple[tuple[int, .
                 if new[e] == -1:
                     new[e] = len(order)
                     order.append(e)
-        if labels:
-            candidate = bytes(
-                [x for d in order for x in (new[sigma[d]], new[alpha[d]], labels[d])]
-            )
-        else:
-            candidate = bytes([x for d in order for x in (new[sigma[d]], new[alpha[d]])])
+        candidate = bytes([x for d in order for x in (new[sigma[d]], new[alpha[d]], labels[d])])
         if best is None or candidate < best:
             best, first, tied = candidate, new, [order]
         elif candidate == best:

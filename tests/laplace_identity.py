@@ -4,14 +4,11 @@
 
 checks, at two seeded rational lambda, the identity that
 ``test_pairing.test_kontsevich_laplace_identity_on_the_cells`` checks at
-N2 <= 6, with the same helper: the cell sum over
+N2 <= 6 and at (3, 1), with the same helper: the cell sum over
 ``enumerate_ribbon_cells(G, N0)`` against the intersection numbers of
 genus G.  It prints one line per seed and exits 1 when the two sides
-differ.  On one core (1, 4) takes about 5 s, (0, 6) about 20 s and
-(3, 1) about 26 s.  At (3, 1) the gluing index at N2 = 10 takes about
-5 s; most of the rest is the unlabelled class pass over its 50050
-genus-3 matchings, whose one boundary leaves every base dart with the
-same invariant.  (3, 1) ties the 1726 genus-3 cells to
+differ.  On one core (1, 4) takes about 3 s, (0, 6) about 20 s and
+(3, 1) about 1.5 s.  (3, 1) ties the 1726 genus-3 cells to
 <tau_7>_3 = 1/82944.  pytest does not collect this file, as its name
 does not start with ``test_``.
 """

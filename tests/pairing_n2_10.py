@@ -6,8 +6,9 @@ runs ``duality_pairing(2, 3, q, enable_higher_genus=True)`` at q = (10,
 10, 10) and (8, 10, 12) and prints, per key, the seconds and both sides.
 The first key builds the labelled cells of (2, 3), which the second
 reuses.  It exits 1 when the two sides differ at either key.  It takes
-about a minute and half a GiB, too much for the test suite; pytest does
-not collect this file, as its name does not start with ``test_``.
+about 25 s on one core and half a GiB, too much for the test suite;
+pytest does not collect this file, as its name does not start with
+``test_``.
 """
 
 from __future__ import annotations

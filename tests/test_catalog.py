@@ -471,3 +471,16 @@ def test_orbit_stabilizer_automorphisms_equal_the_coding_pass():
                 assert entry.aut_order == aut_boundary(entry.dual)[0]
                 entries += 1
     assert moved > 0 and entries > 0
+
+
+@pytest.mark.parametrize("genus, n0", [*CELL_KEYS, (0, 6), (1, 4), (3, 1)])
+def test_the_search_stores_each_class_once_per_root_up_to_automorphism(genus, n0):
+    """Every (g, N0) with N2 <= 8, and (3,1).  The search stores one matching
+    per root dart of a class, and two roots give the same matching exactly
+    when an automorphism maps one to the other, so a class whose group has
+    order |G| is stored 3 N2 / |G| times (orbit-stabilizer on the darts)."""
+    darts = 3 * face_count(genus, n0)
+    for sizes, alphas in enumerate_gluings(genus, n0).items():
+        classes = _classes(genus, sizes)
+        assert all(darts % len(group) == 0 for _, group in classes)
+        assert sum(darts // len(group) for _, group in classes) == len(alphas)

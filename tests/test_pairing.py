@@ -292,6 +292,13 @@ def test_pairing_at_eight_faces(genus, n0, q, value):
     assert report.lhs == report.rhs == value
 
 
+def test_pairing_at_genus_3():
+    """(3,1,(30)): the 1726 genus-3 cells of one boundary against <tau_7>_3."""
+    report = duality_pairing(3, 1, (30,), enable_higher_genus=True)
+    assert report.equal
+    assert report.lhs == report.rhs == Fraction(8009033203125, 7)
+
+
 def test_pairing_builds_rows_only_on_a_cell_class_miss():
     """The pairing keeps nothing per cell beyond what the enumerator caches:
     a cell gets its ``dart_edge`` only when it builds the rows of a new
@@ -442,7 +449,7 @@ def _kontsevich_sides(genus: int, n0: int, lam: dict) -> tuple[Fraction, Fractio
 
 
 @pytest.mark.parametrize(
-    "genus, n0", [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+    "genus, n0", [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
 )
 def test_kontsevich_laplace_identity_on_the_cells(genus, n0):
     for seed in (1, 2):
