@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .catalog import (CONVENTION_VERSION, MAX_FACES, Catalog, check_feasible,
                       enumerate_triangulations)
-from .ribbon import aut_boundary, canonical_code, dualize
+from .ribbon import canonical_code, dualize
 from .triangulation import curvature_assignments, gauss_bonnet_check
 
 CACHE_ENV = "DTREGGE_CACHE_DIR"
@@ -126,7 +126,7 @@ def verify_catalog(catalog: Catalog) -> list[str]:
             problems.append(f"entry {i}: stored dual is not the dual of its triangulation")
         if canonical_code(dual) != entry.code:
             problems.append(f"entry {i}: stored canonical code is stale")
-        if aut_boundary(dual)[0] != entry.aut_order:
+        if dual.aut_order != entry.aut_order:
             problems.append(f"entry {i}: stored automorphism order is stale")
         if entry.code in codes:
             problems.append(f"entry {i}: duplicate canonical code")

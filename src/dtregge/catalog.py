@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import chain, permutations, product
 from types import MappingProxyType
 
-from .ribbon import RibbonGraph, aut_boundary, canonical_code
+from .ribbon import RibbonGraph, canonical_code
 from .triangulation import Triangulation, boundary_cycles, build_triangulation, corner_rotation
 
 #: Bump when a normative counting/orientation convention changes, or when the
@@ -378,7 +378,7 @@ def _entries_for_gluing(args) -> list[CatalogEntry]:
         labels = graph.dart_labels()
         faces = [labels[d:d + 3] for d in range(0, len(alpha), 3)]
         t = build_triangulation(len(q), faces, gluing)
-        entries.append(CatalogEntry(t, graph, aut_boundary(graph)[0], canonical_code(graph)))
+        entries.append(CatalogEntry(t, graph, graph.aut_order, canonical_code(graph)))
     return entries
 
 

@@ -1,10 +1,10 @@
 """Intersection numbers <tau_{d_1} ... tau_{d_n}>_g and their generating
 function F_g(q), all as exact rationals.
 
-Nonzero only on shell, i.e. when sum d_i = n + 3g - 3.  Genus 0 uses the
-closed form (n-3)!/prod d_i!; genus 1 reduces by the string and dilaton
-equations to <tau_1>_1 = 1/24.  Genus >= 2 is available behind an opt-in
-flag via the KdV-type recursion on the first insertion.
+Nonzero only on shell, i.e. when sum d_i = n + 3g - 3.  Every genus uses
+one recursion, the Virasoro (DVV) step on the smallest insertion, which is
+the string equation at tau_0 and the dilaton equation at tau_1 and ends at
+<tau_0^3>_0 = 1 and <tau_1>_1 = 1/24.  Genus >= 2 is behind an opt-in flag.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 
 class GenusError(ValueError):
@@ -42,15 +42,13 @@ class TauQuery:
 
 def intersection_number(query: TauQuery, enable_higher_genus: bool = False) -> Fraction:
     """<tau_{d_1} ... tau_{d_n}>_g, zero off shell."""
-    g, ds = query.genus, query.exponents
-    n = len(ds)
-    if sum(ds) != n + 3 * g - 3:
+    if not query.on_shell:
         return Fraction(0)
-    if g >= 2 and not enable_higher_genus:
+    if query.genus >= 2 and not enable_higher_genus:
         raise GenusError(
             "genus >= 2 requires the higher-genus recursion flag (--enable-dvv)"
         )
-    return _tau(g, tuple(sorted(ds)))
+    return _tau(query.genus, tuple(sorted(query.exponents)))
 
 
 def tau(genus: int, exponents, enable_higher_genus: bool = False) -> Fraction:
@@ -59,89 +57,53 @@ def tau(genus: int, exponents, enable_higher_genus: bool = False) -> Fraction:
     )
 
 
-@lru_cache(maxsize=None)
-def _tau(g: int, ds: tuple[int, ...]) -> Fraction:
-    """On-shell evaluation; ds sorted ascending, sum ds = n + 3g - 3."""
-    n = len(ds)
-    if g == 0:
-        # moduli space is empty below 3 marked points
-        if n < 3:
-            return Fraction(0)
-        result = Fraction(factorial(n - 3))
-        for d in ds:
-            result /= factorial(d)
-        return result
-    if g == 1:
-        if n == 0:
-            return Fraction(0)
-        if ds == (1,):
-            return Fraction(1, 24)
-        if ds[0] == 0:
-            # string equation: lower each remaining index in turn
-            rest = ds[1:]
-            total = Fraction(0)
-            for j in range(len(rest)):
-                if rest[j] >= 1:
-                    lowered = tuple(sorted(rest[:j] + (rest[j] - 1,) + rest[j + 1:]))
-                    total += _tau(1, lowered)
-            return total
-        # on shell with all d_i >= 1 and sum = n forces all ones; dilaton
-        return _tau(1, ds[:-1]) * (2 * 1 - 2 + (n - 1))
-    return _higher_genus(g, ds)
-
-
 def _dfact(k: int) -> int:
     """(2k+1)!! for k >= -1."""
-    result = 1
-    for m in range(1, 2 * k + 2, 2):
-        result *= m
-    return result
+    return prod(range(1, 2 * k + 2, 2))
 
 
-def _higher_genus(g: int, ds: tuple[int, ...]) -> Fraction:
-    """Recursion on the largest insertion, reducing n at fixed g or g itself.
+@lru_cache(maxsize=None)
+def _tau(g: int, ds: tuple[int, ...]) -> Fraction:
+    """<tau_{d_1} ... tau_{d_n}>_g for ds sorted ascending; zero off shell,
+    at negative genus and when 2g - 2 + n <= 0.
+
+    Past <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24, the DVV step on the
+    smallest insertion k:
 
     (2k+1)!! <tau_k prod tau_{d_i}>_g
       = sum_j (2k+2d_j-1)!!/(2d_j-1)!! <tau_{k+d_j-1} prod_{i!=j}>_g
       + 1/2 sum_{a+b=k-2} (2a+1)!!(2b+1)!! [ <tau_a tau_b prod>_{g-1}
       + sum over splittings <tau_a ...>_{g'} <tau_b ...>_{g-g'} ]
+
+    At k = 0 it is the string equation and at k = 1 the dilaton equation,
+    so genus 0 and genus 1 never reach the splitting sum.
     """
-    k, rest = ds[-1], ds[:-1]
-    n = len(rest)
+    n = len(ds)
+    if g < 0 or sum(ds) != n + 3 * g - 3 or 2 * g - 2 + n <= 0:
+        return Fraction(0)
+    if g == 0 and n == 3:  # on shell, ds is (0, 0, 0)
+        return Fraction(1)
+    if g == 1 and n == 1:  # on shell, ds is (1,)
+        return Fraction(1, 24)
+    k, rest = ds[0], ds[1:]
     total = Fraction(0)
-    for j in range(n):
-        lowered = tuple(sorted(rest[:j] + (k + rest[j] - 1,) + rest[j + 1:]))
-        total += Fraction(_dfact(k + rest[j] - 1), _dfact(rest[j] - 1)) * _tau_any(
-            g, lowered
-        )
+    for j, d in enumerate(rest):
+        if k + d:  # a tau_{-1} term is zero
+            lowered = tuple(sorted(rest[:j] + (k + d - 1,) + rest[j + 1:]))
+            total += Fraction(_dfact(k + d - 1), _dfact(d - 1)) * _tau(g, lowered)
     for a in range(k - 1):
         b = k - 2 - a
         weight = Fraction(_dfact(a) * _dfact(b), 2)
-        total += weight * _tau_any(g - 1, tuple(sorted(rest + (a, b))))
+        total += weight * _tau(g - 1, tuple(sorted(rest + (a, b))))
         for g1 in range(g + 1):
-            g2 = g - g1
-            for size in range(n + 1):
-                for subset in combinations(range(n), size):
+            for size in range(n):
+                for subset in combinations(range(n - 1), size):
                     left = tuple(sorted((a,) + tuple(rest[i] for i in subset)))
-                    right = tuple(
-                        sorted((b,) + tuple(rest[i] for i in range(n) if i not in subset))
-                    )
-                    total += weight * _tau_any(g1, left) * _tau_any(g2, right)
+                    right = tuple(sorted(
+                        (b,) + tuple(rest[i] for i in range(n - 1) if i not in subset)
+                    ))
+                    total += weight * _tau(g1, left) * _tau(g - g1, right)
     return total / _dfact(k)
-
-
-def _tau_any(g: int, ds: tuple[int, ...]) -> Fraction:
-    """On-shell filter plus stability filter, then the main evaluation."""
-    if g < 0:
-        return Fraction(0)
-    n = len(ds)
-    if sum(ds) != n + 3 * g - 3:
-        return Fraction(0)
-    if g == 0 and n < 3:
-        return Fraction(0)
-    if g == 1 and n < 1:
-        return Fraction(0)
-    return _tau(g, tuple(sorted(ds)))
 
 
 def _compositions(total: int, parts: int):

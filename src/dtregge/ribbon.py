@@ -95,12 +95,8 @@ class RibbonGraph:
         return len(self._canonical_form[1])
 
     def genus(self) -> int:
+        # connected and trivalent (__post_init__): chi = 2 - 2g with g >= 0
         chi = self.vertex_count - self.edge_count + len(self.boundary_cycles)
-        if chi % 2 != 0 or (2 - chi) < 0:
-            raise RibbonGraphError(
-                f"non-integer genus: V={self.vertex_count} E={self.edge_count} "
-                f"boundaries={len(self.boundary_cycles)}"
-            )
         return (2 - chi) // 2
 
     def mirror(self) -> "RibbonGraph":

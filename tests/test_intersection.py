@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -50,9 +51,11 @@ def _on_shell_sets(genus, n):
 
 
 def test_genus0_matches_string_reduction_oracle():
-    for n in range(3, 8):
+    for n in range(3, 9):
         for ds in _on_shell_sets(0, n):
             assert tau(0, ds) == _string_reduction_genus0(list(ds))
+            # closed form, independent of any descent
+            assert tau(0, ds) == Fraction(factorial(n - 3), prod(map(factorial, ds)))
 
 
 def test_base_values():
@@ -99,12 +102,26 @@ def test_string_equation_identity():
             if ds[j] >= 1
         )
         assert lhs == rhs
+    for g in (2, 3):
+        for n in range(2, 5):
+            for ds in _on_shell_sets(g, n):
+                if ds[0] == 0:
+                    rhs = sum(
+                        tau(g, ds[1:j] + (ds[j] - 1,) + ds[j + 1:], True)
+                        for j in range(1, n)
+                        if ds[j] >= 1
+                    )
+                    assert tau(g, ds, True) == rhs
 
 
 def test_dilaton_equation_identity():
     for g, ds in [(0, (0, 0, 0)), (0, (1, 0, 0, 0)), (1, (1,)), (1, (0, 2))]:
         n = len(ds)
         assert tau(g, (1,) + ds) == (2 * g - 2 + n) * tau(g, ds)
+    for g, top in ((2, 3), (3, 2)):
+        for n in range(1, top + 1):
+            for ds in _on_shell_sets(g, n):
+                assert tau(g, (1,) + ds, True) == (2 * g - 2 + n) * tau(g, ds, True)
 
 
 def test_higher_genus_gated_behind_flag():
@@ -113,6 +130,11 @@ def test_higher_genus_gated_behind_flag():
     assert tau(2, (4,), enable_higher_genus=True) == Fraction(1, 1152)
     assert tau(2, (2, 3), enable_higher_genus=True) == Fraction(29, 5760)
     assert tau(3, (7,), enable_higher_genus=True) == Fraction(1, 82944)
+    # one-point formula <tau_{3g-2}>_g = 1/(24^g g!)
+    for g in range(1, 9):
+        assert tau(g, (3 * g - 2,), enable_higher_genus=True) == Fraction(
+            1, 24**g * factorial(g)
+        )
 
 
 def test_negative_inputs_rejected():
