@@ -22,7 +22,7 @@ from .catalog import MAX_FACES, Catalog, InfeasibleKeyError, ResourceCapError
 from .geometry import half_edge_lengths, median_identity_check, random_fan
 from .intersection import ExponentError, GenusError, tau
 from .measure import DimensionError, kontsevich_check
-from .pairing import cell_class, class_volume, duality_pairing
+from .pairing import cell_volume, duality_pairing
 from .report import RunReport, rational
 from .ribbon import dualize
 from .triangulation import Triangulation, gauss_bonnet_check
@@ -191,6 +191,8 @@ def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_
                         "pass": ok,
                     }
                 )
+    elif (in_path, genus, vertices, qlist) != (None,) * 4:
+        raise click.UsageError(f"check {kind} takes no --in, --genus, --vertices or --q")
     elif kind == "median":
         rng = random.Random(seed)
         for _ in range(trials):
@@ -218,13 +220,13 @@ def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_
 @with_key
 @max_faces_option
 def cmd_volume(genus, vertices, qlist, max_faces):
-    """Exact Leray volumes at a key, one per ``system_class`` as in the pairing."""
+    """Exact Leray volumes at a key, read through the pairing's ``cell_volume``."""
     q = _parse_q(qlist)
     catalog = cache_mod.cached_catalog(genus, vertices, q, max_faces=max_faces)[0]
     entries = [
         {
             "code": entry.code.hex(),
-            "volume": rational(class_volume(cell_class(entry.dual, q))),
+            "volume": rational(cell_volume(entry.dual, q)),
             "dim": entry.dual.edge_count - vertices,
             "aut_boundary": entry.aut_order,
         }

@@ -10,7 +10,9 @@ is the intersection-number generating function F_g(q).  Both sides are
 exact rationals computed through fully independent code paths, and they
 agree for every admissible q; the catalog cells alone carry the whole sum
 exactly when the loop cells have empty polytopes, which happens at the
-classical anchor assignments.
+classical anchor assignments.  One memo, ``cell_volume``, takes a cell to
+its volume: emptiness first, then one ``class_volume`` per ``system_class``
+for every key of the process.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import permutations, product
 
 from .catalog import MAX_FACES, check_feasible, enumerate_ribbon_cells
 from .intersection import generating_F
-from .measure import ConstraintSystem, constraint_system, edge_ends
+from .measure import ConstraintSystem, edge_ends
 from .ribbon import RibbonGraph, canonical_code
 from .volume import leray_volume
 
@@ -144,32 +146,34 @@ def has_interior_point(rhs, columns) -> bool:
 @lru_cache(maxsize=None)
 def class_volume(key: tuple) -> Fraction:
     """Leray volume of the constraint systems of one ``system_class``,
-    computed once per process from the class's own representative.  A
-    class with no L > 0 (``has_interior_point``) gets 0 without a call to
-    ``leray_volume``: the equations of a cell's system fix no edge length at
-    0, so its polytope then lies in a face of lower dimension."""
+    computed once per process from the class's own representative."""
     rhs, columns = key
-    if not has_interior_point(rhs, columns):
-        return Fraction(0)
     return leray_volume(ConstraintSystem(tuple(zip(*columns)), rhs)).value
 
 
-_cell_classes: dict[tuple, tuple] = {}
+_cell_volumes: dict[tuple, Fraction] = {}
 
 
-def cell_class(graph: RibbonGraph, q: tuple) -> tuple:
-    """``system_class`` of a cell's system at perimeters q, memoized for the
-    process per (sigma, alpha, perimeter of each boundary cycle in cycle
-    order).  The labelled cells of one class share sigma and alpha, so that
-    key fixes their rows up to the simultaneous row permutation that the
-    labels make, which ``system_class`` ignores.  The rows are built only on
-    a miss, and nothing of them is kept for the cell."""
-    key = (graph.sigma, graph.alpha, tuple([q[label - 1] for label in graph.boundary_labels]))
-    found = _cell_classes.get(key)
-    if found is None:
-        rows = constraint_system(graph, dict.fromkeys(graph.boundary_labels, 0)).a
-        found = _cell_classes[key] = system_class(ConstraintSystem(rows, q))
-    return found
+def cell_volume(graph: RibbonGraph, q: tuple) -> Fraction:
+    """Leray volume of a cell's system at any positive perimeters q, memoized
+    for the process per (sigma, alpha, perimeter of each boundary cycle in
+    cycle order), which the labelled cells of one class share up to a row
+    permutation.  A pattern with no L > 0 (``has_interior_point``) gets 0 and
+    no class search: its polytope lies in a coordinate face of lower dimension."""
+    rhs = tuple([q[label - 1] for label in graph.boundary_labels])
+    key = (graph.sigma, graph.alpha, rhs)
+    volume = _cell_volumes.get(key)
+    if volume is None:
+        cycle_of = {d: i for i, cycle in enumerate(graph.boundary_cycles) for d in cycle}
+        columns = [  # one per edge (d, alpha d), holding 2 at the cycle of a loop
+            tuple((cycle_of[d] == i) + (cycle_of[e] == i) for i in range(len(rhs)))
+            for d, e in enumerate(graph.alpha) if d < e
+        ]
+        volume = _cell_volumes[key] = (
+            class_volume(system_class(ConstraintSystem(tuple(zip(*columns)), rhs)))
+            if has_interior_point(rhs, columns) else Fraction(0)
+        )
+    return volume
 
 
 def duality_pairing(
@@ -184,16 +188,11 @@ def duality_pairing(
     The key and the face cap are checked before the cells are read.  A cell
     is the dual of a catalog triangulation exactly when its boundary
     labelled k has q_k sides, and the catalog part and cardinality are read
-    off those cells.  ``cell_class`` finds each cell's ``system_class`` once
-    per cell class and perimeter pattern.  ``class_volume`` computes each
-    volume once per ``system_class`` and process, shared by every cell of
-    that class at this and every later key; the keys of one (g, N0) share
-    most classes.  Most classes are empty (no L > 0), and ``class_volume``
-    decides that without a volume.  A cell visit is then one class and
-    volume lookup and one ``CellContribution``: side counts, code and aut
-    order ignore q and are cached on the cells, which
-    ``enumerate_ribbon_cells`` keeps per (g, N0).  The sums skip the cells
-    of volume 0 and take one exact product per distinct (volume, aut order).
+    off those cells.  A cell visit is one ``cell_volume`` lookup and one
+    ``CellContribution``: side counts, code and aut order ignore q and are
+    cached on the cells, which ``enumerate_ribbon_cells`` keeps per (g, N0).
+    The sums skip the cells of volume 0 and take one exact product per
+    distinct (volume, aut order).
     """
     q = tuple(q)
     check_feasible(genus, n0, q, max_faces)
@@ -203,8 +202,7 @@ def duality_pairing(
     contributions = []
     weights, catalog_weights = Counter(), Counter()  # cells of volume > 0 per (volume, aut)
     for graph in enumerate_ribbon_cells(genus, n0, max_faces):
-        # the labels are 1..N0, and int perimeters are exact
-        volume = class_volume(cell_class(graph, q))
+        volume = cell_volume(graph, q)
         sides, aut = graph.sides, graph.aut_order
         from_catalog = sides == q
         # a loop bounds a one-sided boundary, and nothing else does

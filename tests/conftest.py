@@ -6,7 +6,8 @@ import pytest
 
 from dtregge import catalog
 from dtregge.linalg import clear_denominators, solve_square
-from dtregge.measure import edge_ends
+from dtregge.measure import constraint_system, edge_ends
+from dtregge.pairing import system_class
 from dtregge.triangulation import build_triangulation
 from dtregge.volume import _bases, lebesgue_volume, polytope_vertices
 
@@ -19,6 +20,16 @@ PAIRING_KEYS = [
     (1, 1, (6,)),
     (1, 3, (6, 6, 6)),
 ]
+
+
+def system_classes(keys) -> set:
+    """``system_class`` of the constraint system of every cell at each key,
+    its rows built by ``measure.constraint_system``."""
+    return {
+        system_class(constraint_system(graph, dict(enumerate(map(Fraction, q), start=1))))
+        for genus, n0, q in keys
+        for graph in catalog.enumerate_ribbon_cells(genus, n0)
+    }
 
 
 @pytest.fixture(autouse=True)

@@ -22,8 +22,8 @@ import sys
 import time
 
 from dtregge.catalog import enumerate_ribbon_cells
-from dtregge.measure import ConstraintSystem
-from dtregge.pairing import cell_class, duality_pairing, has_interior_point
+from dtregge.measure import ConstraintSystem, constraint_system
+from dtregge.pairing import duality_pairing, has_interior_point, system_class
 from dtregge.volume import leray_volume, polytope_vertices
 
 KEYS = [(1, 4, (5, 5, 7, 7)), (0, 6, (3, 3, 4, 4, 5, 5))]
@@ -38,7 +38,11 @@ def main() -> int:
         start = time.perf_counter()
         again = duality_pairing(genus, n0, q)
         warm_seconds = time.perf_counter() - start
-        classes = {cell_class(graph, q) for graph in enumerate_ribbon_cells(genus, n0)}
+        perimeters = dict(enumerate(q, start=1))
+        classes = {
+            system_class(constraint_system(graph, perimeters))
+            for graph in enumerate_ribbon_cells(genus, n0)
+        }
         nonempty = [key for key in classes if has_interior_point(*key)]
         systems = [ConstraintSystem(tuple(zip(*columns)), rhs) for rhs, columns in nonempty]
         start = time.perf_counter()

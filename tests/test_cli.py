@@ -140,6 +140,21 @@ def test_check_that_would_check_nothing_is_a_usage_error(runner, command):
     assert '"pass"' not in result.output
 
 
+@pytest.mark.parametrize("kind", ["median", "rank"])
+@pytest.mark.parametrize("extra", [
+    ["--in", "/nonexistent.json"],
+    ["-g", "5"],
+    ["-n", "4"],
+    ["--q", "2,2,2"],
+], ids=["in", "genus", "vertices", "q"])
+def test_check_that_reads_no_key_rejects_a_key_option(runner, kind, extra):
+    """``median`` and ``rank`` read no catalog, so an --in file or a key
+    they would ignore is a usage error, not an echoed input."""
+    result = runner.invoke(main, ["check", kind, "--q-max", "3", "--trials", "1"] + extra)
+    assert result.exit_code == 2, result.output
+    assert '"pass"' not in result.output
+
+
 @pytest.mark.parametrize("workers", ["-3", "0"])
 def test_enumerate_without_a_worker_is_a_usage_error(runner, workers):
     command = ["enumerate", "-g", "0", "-n", "3", "--q", "2,2,2", "--workers", workers]
@@ -361,6 +376,7 @@ def test_volume_error_exits_2(runner, monkeypatch):
         raise UnboundedPolytopeError("a zero column makes the polytope unbounded")
 
     class_volume.cache_clear()  # else a volume an earlier test found skips the fake
+    monkeypatch.setattr("dtregge.pairing._cell_volumes", {})
     monkeypatch.setattr("dtregge.pairing.leray_volume", fail)
     result = runner.invoke(main, ["volume", "-g", "1", "-n", "1", "--q", "6"])
     assert result.exit_code == 2, result.output

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 
-from conftest import PAIRING_KEYS, has_positive_solution, lp_maximum
+from conftest import PAIRING_KEYS, has_positive_solution, lp_maximum, system_classes
 from dtregge.catalog import (
     ResourceCapError,
     enumerate_ribbon_cells,
@@ -12,12 +13,12 @@ from dtregge.catalog import (
     feasible_q_vectors,
 )
 import dtregge.catalog
-from dtregge import pairing, ribbon
-from dtregge.intersection import GenusError, tau
+from dtregge import measure, pairing, ribbon
+from dtregge.intersection import GenusError, generating_F, tau
 from dtregge.measure import ConstraintSystem, constraint_system
 from dtregge.pairing import (
     cardinality_and_average,
-    cell_class,
+    cell_volume,
     class_volume,
     duality_pairing,
     has_interior_point,
@@ -153,9 +154,18 @@ def test_catalog_cells_are_the_catalog_duals():
 
 
 @pytest.mark.parametrize("key", [(1, 3, (6, 6, 6)), (0, 4, (2, 3, 3, 4))])
-def test_memoized_volumes_equal_direct_volumes(key):
+def test_memoized_volumes_equal_direct_volumes(monkeypatch, key):
+    """Each cell's volume is its system's Leray volume, and ``cell_volume``,
+    from an empty memo, puts the columns it reads off the boundary cycles
+    in the ``system_class`` of the cell's rows, and only when that class has
+    an L > 0."""
     genus, n0, q = key
     report = duality_pairing(genus, n0, q)
+    found = []
+    monkeypatch.setattr(pairing, "_cell_volumes", {})
+    monkeypatch.setattr(
+        pairing, "system_class", lambda system: found.append(system_class(system)) or found[-1]
+    )
     perimeters = {k: Fraction(qk) for k, qk in enumerate(q, start=1)}
     cells = enumerate_ribbon_cells(genus, n0)
     assert len(report.contributions) == len(cells)
@@ -168,7 +178,11 @@ def test_memoized_volumes_equal_direct_volumes(key):
             d // 3 == graph.alpha[d] // 3 for d in range(graph.dart_count)
         )
         assert contribution.volume == leray_volume(constraint_system(graph, perimeters)).value
-        assert cell_class(graph, q) == system_class(constraint_system(graph, perimeters))
+        expected = system_class(constraint_system(graph, perimeters))
+        found.clear()
+        pairing._cell_volumes.clear()
+        assert cell_volume(graph, q) == contribution.volume
+        assert found == ([expected] if has_interior_point(*expected) else [])
 
 
 def test_pairing_computes_one_volume_per_system_class(monkeypatch):
@@ -179,12 +193,13 @@ def test_pairing_computes_one_volume_per_system_class(monkeypatch):
         return leray_volume(system)
 
     class_volume.cache_clear()
+    monkeypatch.setattr(pairing, "_cell_volumes", {})
     monkeypatch.setattr("dtregge.pairing.leray_volume", counting)
     report = duality_pairing(1, 3, (6, 6, 6))
     assert report.equal
     assert len(report.contributions) == 236
-    assert class_volume.cache_info().currsize == 31
-    assert len(calls) == 15  # the nonempty classes
+    assert class_volume.cache_info().currsize == 15  # only the nonempty classes reach it
+    assert len(calls) == 15
 
 
 def _brute_force_class(system):
@@ -249,6 +264,8 @@ def test_system_class_ignores_every_boundary_relabelling():
     "genus, n0, classes, volumes", [(0, 4, 106, 16), (1, 2, 41, 21)], ids=["0-4-106", "1-2-41"]
 )
 def test_labelled_keys_share_one_volume_per_class(monkeypatch, genus, n0, classes, volumes):
+    """The cells of every labelled key of (g, N0) fall in ``classes`` system
+    classes, and only the ``volumes`` nonempty ones reach ``class_volume``."""
     calls = []
 
     def counting(system):
@@ -256,11 +273,15 @@ def test_labelled_keys_share_one_volume_per_class(monkeypatch, genus, n0, classe
         return leray_volume(system)
 
     class_volume.cache_clear()
+    monkeypatch.setattr(pairing, "_cell_volumes", {})
     monkeypatch.setattr("dtregge.pairing.leray_volume", counting)
-    for q in feasible_q_vectors(genus, n0):
-        assert duality_pairing(genus, n0, q).equal
-    assert class_volume.cache_info().currsize == classes
-    assert len(calls) == volumes  # the nonempty classes
+    keys = [(genus, n0, q) for q in feasible_q_vectors(genus, n0)]
+    for key in keys:
+        assert duality_pairing(*key).equal
+    found = system_classes(keys)
+    assert len(found) == classes
+    assert sum(has_interior_point(*key) for key in found) == volumes
+    assert class_volume.cache_info().currsize == len(calls) == volumes
 
 
 @pytest.mark.parametrize("key", [(0, 4, (4, 3, 3, 2)), (1, 2, (7, 5))])
@@ -272,6 +293,26 @@ def test_volumes_shared_across_keys_equal_direct_volumes(key):
     cells = enumerate_ribbon_cells(genus, n0)
     for graph, contribution in zip(cells, report.contributions, strict=True):
         assert contribution.volume == leray_volume(constraint_system(graph, perimeters)).value
+
+
+@pytest.mark.parametrize("genus, q, value", [
+    (0, (1, 2, 3, 7), 63),
+    (0, (Fraction(1, 3), 2, 3, Fraction(7, 2)), Fraction(913, 36)),
+    (1, (3, 4), Fraction(625, 48)),
+    (1, (1, Fraction(1, 2)), Fraction(25, 768)),
+    (1, (Fraction(5, 7),), Fraction(25, 1176)),
+    (1, (1, 2, 4), Fraction(4787, 48)),
+    (0, (1, 2, 3, 4, 5), Fraction(5071, 2)),
+    (0, (1, 1, 1, 1, 9), Fraction(7885, 2)),
+])
+def test_cell_sum_is_kontsevichs_polynomial_at_perimeters_of_no_triangulation(genus, q, value):
+    """Kontsevich's theorem holds at any positive perimeters, not only at
+    triangulation keys: 2^(2 N0 + 5g - 5) sum vol / |Aut| over the trivalent
+    cells is F_g(q), here at q with sum(q) != 3 N2, entries 1 or fractions."""
+    n0 = len(q)
+    cells = enumerate_ribbon_cells(genus, n0)
+    total = sum((cell_volume(graph, q) / graph.aut_order for graph in cells), Fraction(0))
+    assert pairing_constant(genus, n0) * total == generating_F(genus, q) == value
 
 
 def test_pairing_at_0_5_with_perimeters_3_3_4_4_4():
@@ -299,13 +340,37 @@ def test_pairing_at_genus_3():
     assert report.lhs == report.rhs == Fraction(8009033203125, 7)
 
 
-def test_pairing_builds_rows_only_on_a_cell_class_miss():
+def test_pairing_builds_no_rows_on_the_cells(monkeypatch, fresh_gluing_caches):
     """The pairing keeps nothing per cell beyond what the enumerator caches:
-    a cell gets its ``dart_edge`` only when it builds the rows of a new
-    ``cell_class`` entry."""
+    fresh cells paired from an empty memo gain no ``edges`` or
+    ``dart_edge``, as ``cell_volume`` reads its columns off the boundary
+    cycles."""
+    monkeypatch.setattr(pairing, "_cell_volumes", {})
     duality_pairing(1, 4, (6, 6, 6, 6))
-    with_rows = sum("dart_edge" in vars(graph) for graph in enumerate_ribbon_cells(1, 4))
-    assert 0 < with_rows <= len(pairing._cell_classes)
+    assert pairing._cell_volumes
+    for graph in enumerate_ribbon_cells(1, 4):
+        assert not {"edges", "dart_edge"} & set(vars(graph))
+
+
+def test_pairing_keys_run_one_class_search_per_nonempty_memo_key(monkeypatch):
+    """From empty memos, the 47 pairing keys run ``system_class`` once per
+    memo key with an L > 0 (95 of them), ``leray_volume`` once per nonempty
+    class (54), and build no constraint rows."""
+    calls = Counter()
+
+    def counting(name, function):
+        return lambda *args: calls.update([name]) or function(*args)
+
+    class_volume.cache_clear()
+    monkeypatch.setattr(pairing, "_cell_volumes", {})
+    for name in ("system_class", "leray_volume"):
+        monkeypatch.setattr(pairing, name, counting(name, getattr(pairing, name)))
+    monkeypatch.setattr(measure, "constraint_system", counting("constraint_system", constraint_system))
+    for key in PAIRING_KEYS:
+        assert duality_pairing(*key).equal
+    assert len(PAIRING_KEYS) == 47
+    assert calls == {"system_class": 95, "leray_volume": 54}
+    assert sum(volume > 0 for volume in pairing._cell_volumes.values()) == 95
 
 
 def test_a_second_key_recomputes_no_cell_field(monkeypatch):
@@ -333,7 +398,7 @@ def test_reports_do_not_depend_on_the_order_of_the_keys(monkeypatch, fresh_gluin
     """Memos filled by earlier keys change no later report: the 35 labelled
     (0,4) keys paired in descending order, from empty memos, give the
     reports of ascending order."""
-    monkeypatch.setattr(pairing, "_cell_classes", {})
+    monkeypatch.setattr(pairing, "_cell_volumes", {})
     keys = [(0, 4, q) for q in feasible_q_vectors(0, 4)]
     assert len(keys) == 35 and keys == sorted(keys)
     reports = []
@@ -341,7 +406,7 @@ def test_reports_do_not_depend_on_the_order_of_the_keys(monkeypatch, fresh_gluin
         for name in ("enumerate_gluings", "_classes", "_cells"):
             getattr(dtregge.catalog, name).cache_clear()
         class_volume.cache_clear()
-        pairing._cell_classes.clear()
+        pairing._cell_volumes.clear()
         reports.append({key: duality_pairing(*key).to_dict() for key in order})
     assert reports[0] == reports[1]
 
@@ -354,9 +419,7 @@ def test_reports_do_not_depend_on_the_order_of_the_keys(monkeypatch, fresh_gluin
 def test_interior_point_test_agrees_with_the_lp_and_the_volumes(keys, classes, nonempty):
     """On every class of the keys, ``has_interior_point`` agrees with the LP
     oracle, and the Leray volume is zero exactly where it finds no L > 0."""
-    found = {
-        cell_class(graph, q) for genus, n0, q in keys for graph in enumerate_ribbon_cells(genus, n0)
-    }
+    found = system_classes(keys)
     assert len(found) == classes
     count = 0
     for rhs, columns in found:

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PAIRING_KEYS, kernel_vertices, triangulated_leray_volume
-from dtregge.catalog import enumerate_ribbon_cells, enumerate_triangulations, feasible_q_vectors
+from conftest import PAIRING_KEYS, kernel_vertices, system_classes, triangulated_leray_volume
+from dtregge.catalog import enumerate_triangulations, feasible_q_vectors
 from dtregge.linalg import det, kernel_and_particular, matrix_rank, rref, solve_square
 from dtregge.measure import ConstraintSystem, edge_ends, incidence_matrix
-from dtregge.pairing import cell_class, has_interior_point
+from dtregge.pairing import has_interior_point
 from dtregge.volume import (
     LerayVolume,
     RankDeficientError,
@@ -92,12 +92,9 @@ def _tight_sets(points, geq):
 def _nonempty_systems(keys):
     """The constraint system of every class with some L > 0 among the cells
     of the keys."""
-    found = {
-        cell_class(graph, q) for genus, n0, q in keys for graph in enumerate_ribbon_cells(genus, n0)
-    }
     return [
         ConstraintSystem(tuple(zip(*columns)), rhs)
-        for rhs, columns in sorted(found)
+        for rhs, columns in sorted(system_classes(keys))
         if has_interior_point(rhs, columns)
     ]
 
