@@ -4,6 +4,8 @@ Files are written atomically (temp file in the same directory, then
 rename) and carry the normative-convention version stamp; files written
 under an older convention are ignored.  The cache directory is taken from
 the DTREGGE_CACHE_DIR environment variable, with a per-user default.
+``cached_catalog`` returns a key's catalog from its file, or enumerates it
+and writes the file back.
 ``read_json`` and ``atomic_write_json`` read and write every file dtregge
 uses, and raise ``InputError`` for one they cannot.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import suppress
 from pathlib import Path
 
 from .catalog import (CONVENTION_VERSION, MAX_FACES, Catalog, check_feasible,
@@ -135,43 +138,27 @@ def verify_catalog(catalog: Catalog) -> list[str]:
 
 
 def cached_catalog(
-    genus: int,
-    n0: int,
-    q,
-    max_faces: int = MAX_FACES,
-    workers: int = 1,
-    path: Path | None = None,
-    read: bool = True,
-    write: bool = True,
-) -> tuple[Catalog, Path]:
-    """The catalog of a key, from the cache file when it holds a verified
-    catalog of that key, else enumerated (and written when ``write``).
+    genus: int, n0: int, q, max_faces: int = MAX_FACES, workers: int = 1
+) -> Catalog:
+    """The catalog of a key, from the key's cache file when it holds a
+    verified catalog of that key, else enumerated and written back.
 
     The key and the face cap are checked before any file is read.  A file
-    that ``load_catalog`` refuses, or of another key, is a miss: the key is
-    enumerated and the file rewritten.  ``path`` defaults to the key's file
-    in the cache directory; writing there is best effort (an unwritable
-    cache directory only costs the next call an enumeration), while an
-    explicit ``path`` must be written.
+    that ``load_catalog`` refuses, or of another key, is a miss.  Writing
+    is best effort: an unwritable cache directory only costs the next call
+    an enumeration.
     """
     q = tuple(q)
     check_feasible(genus, n0, q, max_faces)
-    explicit = path is not None
-    path = Path(path) if explicit else catalog_path(genus, n0, q)
-    try:
-        candidate = load_catalog(path) if read else None
-    except InputError:
-        candidate = None
-    if candidate and (candidate.genus, candidate.vertex_count, candidate.q) == (genus, n0, q):
-        return candidate, path
+    path = catalog_path(genus, n0, q)
+    with suppress(InputError):
+        cached = load_catalog(path)
+        if (cached.genus, cached.vertex_count, cached.q) == (genus, n0, q):
+            return cached
     catalog = enumerate_triangulations(genus, n0, q, max_faces=max_faces, workers=workers)
-    if write:
-        try:
-            atomic_write_json(path, catalog.to_dict())
-        except InputError:
-            if explicit:
-                raise
-    return catalog, path
+    with suppress(InputError):
+        atomic_write_json(path, catalog.to_dict())
+    return catalog
 
 
 def list_cache(directory: Path | None = None) -> list[Path]:

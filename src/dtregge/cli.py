@@ -4,7 +4,10 @@ Exit codes, from ``EXIT_CODES``: 0 success / all checks pass, 1 check
 failure, 2 input error (a bad key, an ``--in`` file that cannot be read or
 fails catalog verification, or an ``--out`` path that cannot be written),
 3 resource cap exceeded.  Machine output is JSON with exact rationals as
-"p/q" strings.  Only ``check rank`` loads mpmath.
+"p/q" strings.  Only ``check rank`` loads mpmath.  Each command, each of
+the four ``check`` commands included, takes only the options it reads, and
+a report's ``inputs`` echo what it read.  ``enumerate --out`` writes a copy
+that nothing reads back; ``--no-cache`` neither reads nor writes the cache.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from pathlib import Path
 import click
 
 from . import cache as cache_mod
-from .catalog import MAX_FACES, Catalog, InfeasibleKeyError, ResourceCapError
+from .catalog import (MAX_FACES, InfeasibleKeyError, ResourceCapError,
+                      enumerate_triangulations)
 from .geometry import half_edge_lengths, median_identity_check, random_fan
 from .intersection import ExponentError, GenusError, tau
 from .measure import DimensionError, kontsevich_check
@@ -82,23 +86,17 @@ def main():
     """Exact tools for triangulations, dual ribbon graphs and moduli volumes."""
 
 
-key_options = [
-    click.option("--genus", "-g", type=int, required=True),
-    click.option("--vertices", "-n", "vertices", type=int, required=True),
-    click.option("--q", "qlist", type=str, required=True, help="comma-separated q(k)"),
-]
-
-
 #: Every key needs at least 2 faces, so a lower cap is a usage error.
 max_faces_option = click.option(
     "--max-faces", type=click.IntRange(min=2), default=MAX_FACES, show_default=True
 )
 
 
-def with_key(func):
-    for option in reversed(key_options):
-        func = option(func)
-    return func
+def with_key(func, required: bool = True):
+    """``func`` with the options -g, -n and --q of a key."""
+    func = click.option("--q", "qlist", required=required, help="comma-separated q(k)")(func)
+    func = click.option("--vertices", "-n", type=int, required=required)(func)
+    return click.option("--genus", "-g", type=int, required=required)(func)
 
 
 @main.command("enumerate")
@@ -106,20 +104,18 @@ def with_key(func):
 @click.option("--out", type=click.Path(path_type=Path), default=None)
 @max_faces_option
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--no-cache", is_flag=True, help="do not read or write the catalog cache")
+@click.option("--no-cache", is_flag=True, help="enumerate; neither read nor write the cache")
 def cmd_enumerate(genus, vertices, qlist, out, max_faces, workers, no_cache):
     """Enumerate all labelled triangulations realizing a curvature key."""
     q = _parse_q(qlist)
-    catalog, path = cache_mod.cached_catalog(
-        genus,
-        vertices,
-        q,
-        max_faces=max_faces,
-        workers=workers,
-        path=out,
-        read=not no_cache,
-        write=not no_cache or out is not None,
-    )
+    if no_cache:
+        catalog, path = enumerate_triangulations(genus, vertices, q, max_faces, workers), None
+    else:
+        catalog = cache_mod.cached_catalog(genus, vertices, q, max_faces, workers)
+        path = cache_mod.catalog_path(genus, vertices, q)
+    if out is not None:
+        cache_mod.atomic_write_json(out, catalog.to_dict())
+        path = out
     _report(
         "enumerate",
         {"genus": genus, "vertices": vertices, "q": list(q)},
@@ -127,7 +123,7 @@ def cmd_enumerate(genus, vertices, qlist, out, max_faces, workers, no_cache):
             "cardinality": catalog.cardinality,
             "codes": [entry.code.hex() for entry in catalog.entries],
             "aut_orders": [entry.aut_order for entry in catalog.entries],
-            "path": str(path),
+            "path": str(path) if path else None,
         },
     )
 
@@ -145,75 +141,82 @@ def cmd_dual(in_path, out):
         click.echo(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _load_catalog_or_key(in_path, genus, vertices, qlist, max_faces) -> Catalog:
-    if in_path is not None:
-        return cache_mod.load_catalog(in_path)
-    if genus is None or vertices is None or qlist is None:
-        raise click.UsageError("provide either --in or the key (--genus/--vertices/--q)")
-    return cache_mod.cached_catalog(genus, vertices, _parse_q(qlist), max_faces=max_faces)[0]
+@main.group("check")
+def cmd_check():
+    """Run an exact identity check and report per-entry results."""
 
 
-@main.command("check")
-@click.argument("kind", type=click.Choice(["gauss-bonnet", "kontsevich", "median", "rank"]))
-@click.option("--in", "in_path", type=click.Path(path_type=Path), default=None)
-@click.option("--genus", "-g", type=int, default=None)
-@click.option("--vertices", "-n", type=int, default=None)
-@click.option("--q", "qlist", type=str, default=None)
-@max_faces_option
+def _check_report(kind: str, inputs: dict, entries: list[dict]) -> None:
+    passed = all(entry["pass"] for entry in entries)
+    _report(f"check {kind}", inputs, {"entries": entries, "pass": passed}, passed=passed)
+
+
+def catalog_check(kind: str):
+    """Register ``check <kind>``, which runs the decorated function on each
+    entry of one catalog, read from ``--in`` or by its key, and echoes the
+    key it read."""
+
+    def register(check_entry):
+        @click.option("--in", "in_path", type=click.Path(path_type=Path), default=None)
+        @click.option("--max-faces", type=click.IntRange(min=2), default=None,
+                      help=f"face cap of the key's enumeration  [default: {MAX_FACES}]")
+        def command(in_path, genus, vertices, qlist, max_faces):
+            key = (genus, vertices, qlist)
+            if in_path is not None and (*key, max_faces) == (None,) * 4:
+                catalog = cache_mod.load_catalog(in_path)
+            elif in_path is None and None not in key:
+                q = _parse_q(qlist)
+                catalog = cache_mod.cached_catalog(genus, vertices, q, max_faces or MAX_FACES)
+            else:
+                raise click.UsageError("give either --in or the key: -g, -n, --q, --max-faces")
+            inputs = {"in": str(in_path) if in_path else None, "genus": catalog.genus,
+                      "vertices": catalog.vertex_count, "q": list(catalog.q)}
+            entries = [{"code": e.code.hex(), **check_entry(e)} for e in catalog.entries]
+            _check_report(kind, inputs, entries)
+
+        return cmd_check.command(kind, help=check_entry.__doc__)(with_key(command, False))
+
+    return register
+
+
+@catalog_check("gauss-bonnet")
+def check_gauss_bonnet(entry) -> dict:
+    """Gauss-Bonnet: each triangulation's total curvature is 2 pi chi."""
+    total, ok = gauss_bonnet_check(entry.triangulation)
+    expected = 2 * (2 - 2 * entry.triangulation.genus)
+    return {"total_curvature_over_pi": rational(total), "expected_over_pi": rational(expected),
+            "pass": ok}
+
+
+@catalog_check("kontsevich")
+def check_kontsevich(entry) -> dict:
+    """Kontsevich's wedge identity on each entry's dual ribbon graph."""
+    ok, coeff, expected = kontsevich_check(entry.dual)
+    return {"coefficient": int(coeff), "expected": int(expected), "pass": ok}
+
+
+@cmd_check.command("median")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option("--q-max", type=click.IntRange(min=3), default=8, show_default=True)
-def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_max):
-    """Run an exact identity check and report per-entry results."""
-    entries = []
-    if kind in ("gauss-bonnet", "kontsevich"):
-        catalog = _load_catalog_or_key(in_path, genus, vertices, qlist, max_faces)
-        for entry in catalog.entries:
-            if kind == "gauss-bonnet":
-                total, ok = gauss_bonnet_check(entry.triangulation)
-                entries.append(
-                    {
-                        "code": entry.code.hex(),
-                        "total_curvature_over_pi": rational(total),
-                        "expected_over_pi": rational(
-                            2 * (2 - 2 * entry.triangulation.genus)
-                        ),
-                        "pass": ok,
-                    }
-                )
-            else:
-                ok, coeff, expected = kontsevich_check(entry.dual)
-                entries.append(
-                    {
-                        "code": entry.code.hex(),
-                        "coefficient": int(coeff),
-                        "expected": int(expected),
-                        "pass": ok,
-                    }
-                )
-    elif (in_path, genus, vertices, qlist) != (None,) * 4:
-        raise click.UsageError(f"check {kind} takes no --in, --genus, --vertices or --q")
-    elif kind == "median":
-        rng = random.Random(seed)
-        for _ in range(trials):
-            fan = random_fan(rng)
-            ok = median_identity_check(half_edge_lengths(fan))
-            entries.append({"q": fan.q, "pass": ok})
-    else:  # rank
-        from . import polygon  # loaded here only: it imports mpmath
+def check_median(seed, trials):
+    """The exact median identity on random fans."""
+    rng = random.Random(seed)
+    fans = [random_fan(rng) for _ in range(trials)]
+    entries = [{"q": fan.q, "pass": median_identity_check(half_edge_lengths(fan))} for fan in fans]
+    _check_report("median", {"seed": seed, "trials": trials}, entries)
 
-        if q_max > MAX_RANK_Q:
-            raise ResourceCapError(f"--q-max {q_max} is above the cap of {MAX_RANK_Q}")
-        for q in range(3, q_max + 1):
-            rank = polygon.equilateral_rank(q)
-            entries.append({"q": q, "rank": rank, "expected": q - 1, "pass": rank == q - 1})
-    passed = all(entry["pass"] for entry in entries)
-    _report(
-        f"check {kind}",
-        {"in": str(in_path) if in_path else None, "seed": seed},
-        {"entries": entries, "pass": passed},
-        passed=passed,
-    )
+
+@cmd_check.command("rank")
+@click.option("--q-max", type=click.IntRange(min=3), default=8, show_default=True)
+def check_rank(q_max):
+    """The rank q-1 of the tangent map at the regular q-gons, q = 3..q_max."""
+    from . import polygon  # loaded here only: it imports mpmath
+
+    if q_max > MAX_RANK_Q:
+        raise ResourceCapError(f"--q-max {q_max} is above the cap of {MAX_RANK_Q}")
+    ranks = ((q, polygon.equilateral_rank(q)) for q in range(3, q_max + 1))
+    entries = [{"q": q, "rank": r, "expected": q - 1, "pass": r == q - 1} for q, r in ranks]
+    _check_report("rank", {"q_max": q_max}, entries)
 
 
 @main.command("volume")
@@ -222,7 +225,7 @@ def cmd_check(kind, in_path, genus, vertices, qlist, max_faces, seed, trials, q_
 def cmd_volume(genus, vertices, qlist, max_faces):
     """Exact Leray volumes at a key, read through the pairing's ``cell_volume``."""
     q = _parse_q(qlist)
-    catalog = cache_mod.cached_catalog(genus, vertices, q, max_faces=max_faces)[0]
+    catalog = cache_mod.cached_catalog(genus, vertices, q, max_faces)
     entries = [
         {
             "code": entry.code.hex(),

@@ -45,17 +45,18 @@ def test_stale_version_rejected(tmp_path, catalog):
         cache.load_catalog(path)
 
 
-def test_cardinality_mismatch_rejected(tmp_path):
+def test_cardinality_mismatch_rejected():
     full = enumerate_triangulations(0, 4, (3, 3, 3, 3))
     assert full.cardinality == 2
-    path = cache.save_catalog(full, tmp_path)
+    path = cache.save_catalog(full)  # the key's file under DTREGGE_CACHE_DIR
     data = json.loads(path.read_text())
     data["entries"] = data["entries"][:1]
     path.write_text(json.dumps(data))
     with pytest.raises(cache.CacheError, match="cardinality"):
         cache.load_catalog(path)
-    again, _ = cache.cached_catalog(0, 4, (3, 3, 3, 3), path=path)
+    again = cache.cached_catalog(0, 4, (3, 3, 3, 3))
     assert again.to_dict() == full.to_dict()
+    assert cache.load_catalog(path).to_dict() == full.to_dict()
 
 
 def test_verify_catalog_clean(catalog):

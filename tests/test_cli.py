@@ -140,19 +140,107 @@ def test_check_that_would_check_nothing_is_a_usage_error(runner, command):
     assert '"pass"' not in result.output
 
 
-@pytest.mark.parametrize("kind", ["median", "rank"])
-@pytest.mark.parametrize("extra", [
-    ["--in", "/nonexistent.json"],
-    ["-g", "5"],
-    ["-n", "4"],
-    ["--q", "2,2,2"],
-], ids=["in", "genus", "vertices", "q"])
-def test_check_that_reads_no_key_rejects_a_key_option(runner, kind, extra):
-    """``median`` and ``rank`` read no catalog, so an --in file or a key
-    they would ignore is a usage error, not an echoed input."""
-    result = runner.invoke(main, ["check", kind, "--q-max", "3", "--trials", "1"] + extra)
+#: The options each ``check`` reads, set to valid values.
+CHECK_OPTIONS = {
+    "gauss-bonnet": ["-g", "0", "-n", "3", "--q", "2,2,2"],
+    "kontsevich": ["-g", "0", "-n", "3", "--q", "2,2,2"],
+    "median": ["--seed", "1", "--trials", "1"],
+    "rank": ["--q-max", "3"],
+}
+STRAY_OPTIONS = [
+    *((kind, name, extra) for kind in ("median", "rank") for name, extra in [
+        ("in", ["--in", "{catalog}"]),
+        ("genus", ["-g", "5"]),
+        ("vertices", ["-n", "4"]),
+        ("q", ["--q", "2,2,2"]),
+        ("max-faces", ["--max-faces", "8"]),
+    ]),
+    ("median", "q-max", ["--q-max", "4"]),
+    ("rank", "seed", ["--seed", "9"]),
+    ("rank", "trials", ["--trials", "5"]),
+    *((kind, name, extra) for kind in ("gauss-bonnet", "kontsevich") for name, extra in [
+        ("seed", ["--seed", "9"]),
+        ("trials", ["--trials", "5"]),
+        ("q-max", ["--q-max", "4"]),
+        ("in", ["--in", "{catalog}"]),
+    ]),
+]
+
+
+@pytest.mark.parametrize("kind, extra", [(kind, extra) for kind, _, extra in STRAY_OPTIONS],
+                         ids=[f"{name}-{kind}" for kind, name, _ in STRAY_OPTIONS])
+def test_check_that_reads_no_key_rejects_a_key_option(runner, tmp_path, kind, extra):
+    """Each ``check`` accepts only the options it reads: an option it would
+    ignore, or ``--in`` together with a key, is a usage error, not an
+    echoed input.  ``--in`` names a valid catalog file."""
+    catalog = tmp_path / "cat.json"
+    _write(catalog, CATALOG)
+    extra = [arg.format(catalog=catalog) for arg in extra]
+    assert runner.invoke(main, ["check", kind, *CHECK_OPTIONS[kind]]).exit_code == 0
+    result = runner.invoke(main, ["check", kind, *CHECK_OPTIONS[kind], *extra])
     assert result.exit_code == 2, result.output
     assert '"pass"' not in result.output
+
+
+@pytest.mark.parametrize("kind", ["gauss-bonnet", "kontsevich"])
+def test_catalog_check_echoes_the_key_it_read(runner, tmp_path, kind):
+    path = tmp_path / "cat.json"
+    _write(path, FOUR)
+    key = {"genus": 0, "vertices": 4, "q": [3, 3, 3, 3]}
+    for source, echoed in ((["-g", "0", "-n", "4", "--q", "3,3,3,3"], None),
+                           (["--in", str(path)], str(path))):
+        result = runner.invoke(main, ["check", kind, *source])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["inputs"] == {"in": echoed, **key}
+
+
+@pytest.mark.parametrize("kind", ["gauss-bonnet", "kontsevich"])
+def test_catalog_check_of_a_file_rejects_a_face_cap(runner, tmp_path, kind):
+    """``--max-faces`` caps the enumeration of a key, which ``--in`` never runs."""
+    path = tmp_path / "cat.json"
+    _write(path, CATALOG)
+    result = runner.invoke(main, ["check", kind, "--in", str(path), "--max-faces", "8"])
+    assert result.exit_code == 2, result.output
+    assert '"pass"' not in result.output
+
+
+@pytest.mark.parametrize("command, inputs", [
+    (["median", "--seed", "3", "--trials", "2"], {"seed": 3, "trials": 2}),
+    (["median"], {"seed": 0, "trials": 100}),
+    (["rank", "--q-max", "4"], {"q_max": 4}),
+], ids=["median", "median-defaults", "rank"])
+def test_check_echoes_the_options_it_read(runner, command, inputs):
+    result = runner.invoke(main, ["check", *command])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["inputs"] == inputs
+
+
+def test_enumerate_reports_the_file_it_wrote_or_read(runner, tmp_path):
+    key = ["-g", "0", "-n", "3", "--q", "2,2,2"]
+    paths = {}
+    for name, options in (("cache", []), ("no-cache", ["--no-cache"]),
+                          ("out", ["--out", str(tmp_path / "cat.json")]),
+                          ("out-no-cache", ["--no-cache", "--out", str(tmp_path / "c.json")])):
+        result = runner.invoke(main, ["enumerate", *key, *options])
+        assert result.exit_code == 0, result.output
+        paths[name] = json.loads(result.output)["results"]["path"]
+    assert paths == {
+        "cache": str(dtregge.cache.catalog_path(0, 3, (2, 2, 2))),
+        "no-cache": None,
+        "out": str(tmp_path / "cat.json"),
+        "out-no-cache": str(tmp_path / "c.json"),
+    }
+    assert json.loads((tmp_path / "c.json").read_text()) == CATALOG
+
+
+def test_no_cache_neither_reads_nor_writes_the_cache(runner, monkeypatch):
+    def no_cache(*args, **kwargs):
+        raise AssertionError("the cache was used")
+
+    monkeypatch.setattr("dtregge.cache.cached_catalog", no_cache)
+    result = runner.invoke(main, ["enumerate", "-g", "0", "-n", "3", "--q", "2,2,2", "--no-cache"])
+    assert result.exit_code == 0, result.output
+    assert dtregge.cache.list_cache() == []
 
 
 @pytest.mark.parametrize("workers", ["-3", "0"])
@@ -314,15 +402,16 @@ def test_face_cap_holds_on_a_warm_cache(runner):
         assert result.exit_code == 3, (command, result.output)
 
 
-def test_cache_file_of_another_key_is_not_used(runner, tmp_path):
-    path = tmp_path / "cat.json"
-    for qlist, cardinality in (("3,3,3,3", 2), ("2,2,4,4", 1)):
-        result = runner.invoke(
-            main, ["enumerate", "-g", "0", "-n", "4", "--q", qlist, "--out", str(path)]
-        )
-        assert result.exit_code == 0, result.output
-        assert json.loads(result.output)["results"]["cardinality"] == cardinality
-    assert json.loads(path.read_text())["key"]["q"] == [2, 2, 4, 4]
+def test_cache_file_of_another_key_is_not_used(runner):
+    """A (0,4,(2,2,4,4)) catalog at the (0,4,(3,3,3,3)) cache path is a miss:
+    the key is enumerated and its file rewritten."""
+    path = dtregge.cache.catalog_path(0, 4, (3, 3, 3, 3))
+    path.parent.mkdir(parents=True)
+    _write(path, enumerate_triangulations(0, 4, (2, 2, 4, 4)).to_dict())
+    result = runner.invoke(main, ["enumerate", "-g", "0", "-n", "4", "--q", "3,3,3,3"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["results"]["cardinality"] == 2
+    assert json.loads(path.read_text()) == FOUR
 
 
 @pytest.mark.parametrize("command", [

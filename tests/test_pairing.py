@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial, prod
 
 import pytest
 
@@ -15,6 +16,7 @@ from dtregge.catalog import (
 import dtregge.catalog
 from dtregge import measure, pairing, ribbon
 from dtregge.intersection import GenusError, generating_F, tau
+from dtregge.linalg import solve_square
 from dtregge.measure import ConstraintSystem, constraint_system
 from dtregge.pairing import (
     cardinality_and_average,
@@ -313,6 +315,31 @@ def test_cell_sum_is_kontsevichs_polynomial_at_perimeters_of_no_triangulation(ge
     cells = enumerate_ribbon_cells(genus, n0)
     total = sum((cell_volume(graph, q) / graph.aut_order for graph in cells), Fraction(0))
     assert pairing_constant(genus, n0) * total == generating_F(genus, q) == value
+
+
+@pytest.mark.parametrize("genus, n0", [(0, 4), (1, 2), (1, 3), (2, 2), (0, 5)])
+def test_cell_sum_coefficients_are_the_intersection_numbers(genus, n0):
+    """Kontsevich's volume polynomial, coefficient by coefficient: the cell
+    sum at as many seeded rational q as there are exponents delta with
+    sum delta = 3g - 3 + N0 determines the coefficient of each
+    prod q_i^(2 delta_i), which times prod delta_i! is <tau_delta>_g."""
+    degree = 3 * genus - 3 + n0
+    deltas = [d for d in product(range(degree + 1), repeat=n0) if sum(d) == degree]
+    rng = random.Random(10 * genus + n0)
+    points = [tuple(Fraction(rng.randint(1, 40), rng.randint(1, 9)) for _ in range(n0))
+              for _ in deltas]
+    cells = enumerate_ribbon_cells(genus, n0)
+    values = [
+        pairing_constant(genus, n0)
+        * sum((cell_volume(graph, q) / graph.aut_order for graph in cells), Fraction(0))
+        for q in points
+    ]
+    rows = [[prod(x ** (2 * d) for x, d in zip(q, delta)) for delta in deltas] for q in points]
+    coefficients = solve_square(rows, values)
+    assert coefficients is not None, "the points do not determine the polynomial"
+    for delta, coefficient in zip(deltas, coefficients):
+        expected = tau(genus, delta, enable_higher_genus=True)
+        assert coefficient * prod(map(factorial, delta)) == expected, delta
 
 
 def test_pairing_at_0_5_with_perimeters_3_3_4_4_4():

@@ -27,3 +27,23 @@ def test_traced_round_ends_correct(tmp_path, workload, traced):
     round_ = json.loads(result.stdout)
     assert round_["problems"] == [] and round_["failed"] == []
     assert round_["trace"]["functions"][traced]["calls"] > 0
+
+
+@pytest.mark.parametrize("command, traced", [
+    (["check", "gauss-bonnet", "-g", "0", "-n", "4", "--q", "3,3,3,3"],
+     "catalog.enumerate_triangulations"),
+    (["check", "median", "--trials", "3"], None),
+], ids=["gauss-bonnet", "median"])
+def test_traced_cli_command_exits_0(tmp_path, command, traced):
+    """A ``cli`` session command under the tracer, on an empty cache."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           "DTREGGE_CACHE_DIR": str(tmp_path / "cache")}
+    out = tmp_path / "trace.json"
+    worker = [sys.executable, "perfbench/worker.py", "cli-command", "--out", str(out), "--trace"]
+    result = subprocess.run([*worker, "--", *command], cwd=ROOT, env=env, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["results"]["pass"] is True
+    trace = json.loads(out.read_text())["trace"]
+    if traced is not None:
+        assert trace["functions"][traced]["calls"] > 0
