@@ -241,7 +241,7 @@ def cmd_volume(genus, vertices, qlist, max_faces):
 @main.command("tau")
 @click.option("--genus", "-g", type=int, required=True)
 @click.option("--d", "dlist", type=str, required=True, help="comma-separated exponents")
-@click.option("--enable-dvv", is_flag=True, help="allow genus >= 2 via the KdV recursion")
+@click.option("--enable-dvv", is_flag=True, help="allow genus >= 2 via the DVV recursion")
 def cmd_tau(genus, dlist, enable_dvv):
     """One intersection number <tau_{d_1} ... tau_{d_n}>_g."""
     ds = _parse_q(dlist)
@@ -252,7 +252,7 @@ def cmd_tau(genus, dlist, enable_dvv):
 @main.command("pairing")
 @with_key
 @max_faces_option
-@click.option("--enable-dvv", is_flag=True, help="allow genus >= 2 via the KdV recursion")
+@click.option("--enable-dvv", is_flag=True, help="allow genus >= 2 via the DVV recursion")
 def cmd_pairing(genus, vertices, qlist, max_faces, enable_dvv):
     """Verify the duality pairing at a key; exit status reflects equality."""
     q = _parse_q(qlist)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 
 class GenusError(ValueError):
@@ -44,11 +44,13 @@ def intersection_number(query: TauQuery, enable_higher_genus: bool = False) -> F
     """<tau_{d_1} ... tau_{d_n}>_g, zero off shell."""
     if not query.on_shell:
         return Fraction(0)
-    if query.genus >= 2 and not enable_higher_genus:
-        raise GenusError(
-            "genus >= 2 requires the higher-genus recursion flag (--enable-dvv)"
-        )
+    _check_flag(query.genus, enable_higher_genus)
     return _tau(query.genus, tuple(sorted(query.exponents)))
+
+
+def _check_flag(genus: int, enable_higher_genus: bool) -> None:
+    if genus >= 2 and not enable_higher_genus:
+        raise GenusError("genus >= 2 requires the higher-genus recursion flag (--enable-dvv)")
 
 
 def tau(genus: int, exponents, enable_higher_genus: bool = False) -> Fraction:
@@ -118,19 +120,30 @@ def _compositions(total: int, parts: int):
 
 def generating_F(genus: int, q, enable_higher_genus: bool = False) -> Fraction:
     """F_g(q) = sum over delta with sum delta_i = N0 + 3g - 3 of
-    prod q_i^(2 delta_i) / delta_i! * <tau_delta>_g."""
+    prod q_i^(2 delta_i) / delta_i! * <tau_delta>_g, for any rational q.
+
+    ValueError when there is no stable moduli space and GenusError at a
+    negative genus or at genus >= 2 without the flag, before any term.  A q
+    then costs one integer sum over the terms of ``_F_terms`` and one Fraction.
+    """
     q = tuple(q)
-    n0 = len(q)
-    dim = n0 + 3 * genus - 3
-    if dim < 0:
-        raise ValueError(f"no stable moduli space for g={genus}, N0={n0}")
-    total = Fraction(0)
-    for delta in _compositions(dim, n0):
-        value = intersection_number(TauQuery(genus, delta), enable_higher_genus)
-        if value == 0:
-            continue
-        weight = Fraction(1)
-        for qi, di in zip(q, delta):
-            weight *= Fraction(qi ** (2 * di), factorial(di))
-        total += weight * value
-    return total
+    if len(q) + 3 * genus - 3 < 0:
+        raise ValueError(f"no stable moduli space for g={genus}, N0={len(q)}")
+    TauQuery(genus, ())  # GenusError at a negative genus
+    _check_flag(genus, enable_higher_genus)
+    denominator, terms = _F_terms(genus, len(q))
+    squares = [x * x for x in q]
+    return Fraction(sum(c * prod(map(pow, squares, delta)) for delta, c in terms), denominator)
+
+
+@lru_cache(maxsize=None)
+def _F_terms(genus: int, n0: int) -> tuple[int, tuple]:
+    """The nonzero terms of F_g at N0 boundaries over one denominator D: D and
+    the pairs (delta, D <tau_delta>_g / prod delta_i!), all integers, each
+    <tau_delta>_g read once per process through ``intersection_number``."""
+    weights = [
+        (delta, intersection_number(TauQuery(genus, delta), True) / prod(map(factorial, delta)))
+        for delta in _compositions(n0 + 3 * genus - 3, n0)
+    ]
+    denominator = lcm(*(weight.denominator for _, weight in weights))
+    return denominator, tuple((delta, int(w * denominator)) for delta, w in weights if w)

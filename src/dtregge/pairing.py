@@ -10,9 +10,10 @@ is the intersection-number generating function F_g(q).  Both sides are
 exact rationals computed through fully independent code paths, and they
 agree for every admissible q; the catalog cells alone carry the whole sum
 exactly when the loop cells have empty polytopes, which happens at the
-classical anchor assignments.  One memo, ``cell_volume``, takes a cell to
-its volume: emptiness first, then one ``class_volume`` per ``system_class``
-for every key of the process.
+classical anchor assignments.  Everything that ignores q is computed once
+per process: the cells and their codes, the columns of each cell's system,
+one ``class_volume`` per ``system_class`` and F_g's coefficients.  One
+memo, ``cell_volume``, takes a cell and q to its volume, emptiness first.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from math import lcm
+from typing import NamedTuple
 
 from .catalog import MAX_FACES, check_feasible, enumerate_ribbon_cells
 from .intersection import generating_F
@@ -30,8 +33,7 @@ from .ribbon import RibbonGraph, canonical_code
 from .volume import leray_volume
 
 
-@dataclass(frozen=True)
-class CellContribution:
+class CellContribution(NamedTuple):
     code: bytes
     sides: tuple[int, ...]       # side counts in boundary-label order
     volume: Fraction
@@ -152,6 +154,8 @@ def class_volume(key: tuple) -> Fraction:
 
 
 _cell_volumes: dict[tuple, Fraction] = {}
+_cell_columns: dict[tuple, tuple] = {}  # (sigma, alpha) -> one column per edge
+_columns: dict[tuple, tuple] = {}  # one tuple per distinct column, shared by the cells
 
 
 def cell_volume(graph: RibbonGraph, q: tuple) -> Fraction:
@@ -159,21 +163,33 @@ def cell_volume(graph: RibbonGraph, q: tuple) -> Fraction:
     for the process per (sigma, alpha, perimeter of each boundary cycle in
     cycle order), which the labelled cells of one class share up to a row
     permutation.  A pattern with no L > 0 (``has_interior_point``) gets 0 and
-    no class search: its polytope lies in a coordinate face of lower dimension."""
+    no class search: its polytope lies in a coordinate face of lower dimension.
+    The columns are read off the boundary cycles once per (sigma, alpha)."""
     rhs = tuple([q[label - 1] for label in graph.boundary_labels])
     key = (graph.sigma, graph.alpha, rhs)
     volume = _cell_volumes.get(key)
     if volume is None:
-        cycle_of = {d: i for i, cycle in enumerate(graph.boundary_cycles) for d in cycle}
-        columns = [  # one per edge (d, alpha d), holding 2 at the cycle of a loop
-            tuple((cycle_of[d] == i) + (cycle_of[e] == i) for i in range(len(rhs)))
-            for d, e in enumerate(graph.alpha) if d < e
-        ]
+        columns = _cell_columns.get(key[:2])
+        if columns is None:  # one per edge (d, alpha d), holding 2 at the cycle of a loop
+            cycle_of = {d: i for i, cycle in enumerate(graph.boundary_cycles) for d in cycle}
+            columns = _cell_columns[key[:2]] = tuple(
+                _columns.setdefault(column, column) for column in (
+                    tuple((cycle_of[d] == i) + (cycle_of[e] == i) for i in range(len(rhs)))
+                    for d, e in enumerate(graph.alpha) if d < e
+                )
+            )
         volume = _cell_volumes[key] = (
             class_volume(system_class(ConstraintSystem(tuple(zip(*columns)), rhs)))
             if has_interior_point(rhs, columns) else Fraction(0)
         )
     return volume
+
+
+def _weighted_sum(const: int, weights: Counter) -> Fraction:
+    """const * sum of count * n / (d * aut) over weights[n, d, aut] = count,
+    as one integer sum over the lcm of the d * aut."""
+    lcd = lcm(*(d * aut for _, d, aut in weights))
+    return Fraction(const * sum(c * n * (lcd // (d * a)) for (n, d, a), c in weights.items()), lcd)
 
 
 def duality_pairing(
@@ -185,40 +201,40 @@ def duality_pairing(
 ) -> PairingReport:
     """Both sides of the pairing at (genus, N0, q), with a cell breakdown.
 
-    The key and the face cap are checked before the cells are read.  A cell
-    is the dual of a catalog triangulation exactly when its boundary
-    labelled k has q_k sides, and the catalog part and cardinality are read
-    off those cells.  A cell visit is one ``cell_volume`` lookup and one
-    ``CellContribution``: side counts, code and aut order ignore q and are
-    cached on the cells, which ``enumerate_ribbon_cells`` keeps per (g, N0).
-    The sums skip the cells of volume 0 and take one exact product per
-    distinct (volume, aut order).
+    The key, the face cap and the genus are checked before the cells are
+    read.  A cell is the dual of a catalog triangulation exactly when its
+    boundary labelled k has q_k sides, and the catalog part and cardinality
+    are read off those cells.  A cell visit is one lookup in the
+    ``cell_volume`` memo and one ``CellContribution`` tuple: side counts,
+    code and aut order ignore q and are cached on the cells, which
+    ``enumerate_ribbon_cells`` keeps per (g, N0).  Each side is one integer
+    sum over the distinct (volume, aut order) of the cells of volume > 0.
     """
     q = tuple(q)
     check_feasible(genus, n0, q, max_faces)
     rhs = generating_F(genus, q, enable_higher_genus)  # before any volume work
     const = pairing_constant(genus, n0)
 
-    contributions = []
-    weights, catalog_weights = Counter(), Counter()  # cells of volume > 0 per (volume, aut)
+    memo, contributions, cardinality = _cell_volumes, [], 0
+    weights, catalog_weights = Counter(), Counter()  # cells of volume n/d > 0 per (n, d, aut)
     for graph in enumerate_ribbon_cells(genus, n0, max_faces):
-        volume = cell_volume(graph, q)
+        perimeters = tuple([q[label - 1] for label in graph.boundary_labels])
+        volume = memo.get((graph.sigma, graph.alpha, perimeters))
+        if volume is None:
+            volume = cell_volume(graph, q)
         sides, aut = graph.sides, graph.aut_order
         from_catalog = sides == q
+        cardinality += from_catalog
         # a loop bounds a one-sided boundary, and nothing else does
         contributions.append(
             CellContribution(canonical_code(graph), sides, volume, aut, 1 in sides, from_catalog)
         )
         if volume:
-            weights[volume, aut] += 1
+            weights[volume.numerator, volume.denominator, aut] += 1
             if from_catalog:
-                catalog_weights[volume, aut] += 1
+                catalog_weights[volume.numerator, volume.denominator, aut] += 1
 
-    lhs, catalog_lhs = (
-        const * sum((count * volume / aut for (volume, aut), count in w.items()), Fraction(0))
-        for w in (weights, catalog_weights)
-    )
-    cardinality = sum(c.from_catalog for c in contributions)
+    lhs, catalog_lhs = _weighted_sum(const, weights), _weighted_sum(const, catalog_weights)
     return PairingReport(
         genus, n0, q, lhs, catalog_lhs, rhs, lhs == rhs, cardinality, tuple(contributions)
     )

@@ -8,7 +8,9 @@ linear algebra.  The vertices of P are its nonnegative basic solutions.
 The volume is the pyramid recursion over the faces of P, each a set S of
 columns with the others at 0: a basis S has volume 1 / |det A_S|, and
 otherwise vol(S) = sum_j v_j vol(S - j) / (|S| - N0) for a vertex v of S,
-since mu_S = mu_{S - j} ^ dL_j on the facet L_j = 0.  This is
+since mu_S = mu_{S - j} ^ dL_j on the facet L_j = 0.  It runs on the
+integers W(S) = (|S| - N0)! 2^N0 vol(S), with W(S) = sum_j v_j W(S - j)
+and 2^(N0 - components) at a basis, and divides once at the end.  This is
 Dahmen-Micchelli's recurrence for the truncated power (De Concini-Procesi,
 Topics in Hyperplane Arrangements, Polytopes and Box-Splines (2011)), and
 it needs no coordinates, no triangulation and no determinant.
@@ -236,9 +238,10 @@ def leray_volume(system: ConstraintSystem, rng: random.Random | None = None) -> 
     The apex v of S is its first vertex.  The sum runs over the j with
     v_j > 0 whose facet L_j = 0 has vertices, one j per vertex set, as a
     facet on two coordinate hyperplanes counts once; every S - j reached
-    then has full row rank.  Volumes are memoized by S and stay in the
-    vertices' unit until the end.  ``rng``, when given, re-randomizes the
-    edge order and each face's apex; the result is invariant under both.
+    then has full row rank.  The integers W(S) are memoized by S, in the
+    vertices' unit, and one Fraction is built at the end.  ``rng``, when
+    given, re-randomizes the edge order and each face's apex; the result is
+    invariant under both.
     """
     if any(sum(col) <= 0 for col in zip(*system.a)):
         raise UnboundedPolytopeError("a zero column makes the polytope unbounded")
@@ -251,12 +254,12 @@ def leray_volume(system: ConstraintSystem, rng: random.Random | None = None) -> 
         raise RankDeficientError("incidence matrix is rank deficient")
     if not vertices:
         return LerayVolume(Fraction(0), dimension)
-    volumes = {}
+    weights = {}
 
-    def volume(face, vertices):
+    def weight(face, vertices):
         if len(face) == n0:
-            return Fraction(1, 2 ** next(_bases([ends[j] for j in face], n0))[1])
-        if face not in volumes:
+            return 1 << n0 - next(_bases([ends[j] for j in face], n0))[1]
+        if face not in weights:
             if rng is not None:
                 vertices = rng.sample(vertices, len(vertices))
             apex = vertices[0]
@@ -264,12 +267,11 @@ def leray_volume(system: ConstraintSystem, rng: random.Random | None = None) -> 
                 tuple(w for w in vertices if not w[j]): i for i, j in enumerate(face) if apex[j]
             }
             facets.pop((), None)
-            volumes[face] = Fraction(
-                sum(apex[face[i]] * volume(face[:i] + face[i + 1:], facet)
-                    for facet, i in facets.items()),
-                len(face) - n0,
+            weights[face] = sum(
+                apex[face[i]] * weight(face[:i] + face[i + 1:], facet)
+                for facet, i in facets.items()
             )
-        return volumes[face]
+        return weights[face]
 
-    value = volume(tuple(range(len(ends))), vertices)
-    return LerayVolume(Fraction(value, unit**dimension), dimension)
+    value = weight(tuple(range(len(ends))), vertices)
+    return LerayVolume(Fraction(value, factorial(dimension) * 2**n0 * unit**dimension), dimension)

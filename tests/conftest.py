@@ -1,10 +1,12 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
 import pytest
 
 from dtregge import catalog
+from dtregge.intersection import TauQuery, intersection_number
 from dtregge.linalg import clear_denominators, solve_square
 from dtregge.measure import constraint_system, edge_ends
 from dtregge.pairing import system_class
@@ -30,6 +32,34 @@ def system_classes(keys) -> set:
         for genus, n0, q in keys
         for graph in catalog.enumerate_ribbon_cells(genus, n0)
     }
+
+
+def compositions(total: int, parts: int):
+    """The tuples of ``parts`` nonnegative integers summing to ``total``, by
+    stars and bars: the bars sit at ``parts - 1`` of ``total + parts - 1`` places."""
+    for bars in combinations(range(total + parts - 1), parts - 1):
+        cuts = (-1, *bars, total + parts - 1)
+        yield tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))
+
+
+def term_by_term_F(genus: int, q, enable_higher_genus: bool = False) -> Fraction:
+    """F_g(q) as a sum of Fractions, term by term, with one
+    ``intersection_number`` per on-shell delta: an oracle for
+    ``intersection.generating_F``, which sums integer coefficients cached per
+    (g, N0) instead.  It raises what ``intersection_number`` raises."""
+    q = tuple(q)
+    n0 = len(q)
+    dim = n0 + 3 * genus - 3
+    if dim < 0:
+        raise ValueError(f"no stable moduli space for g={genus}, N0={n0}")
+    total = Fraction(0)
+    for delta in compositions(dim, n0):
+        value = intersection_number(TauQuery(genus, delta), enable_higher_genus)
+        weight = Fraction(1)
+        for qi, di in zip(q, delta):
+            weight *= Fraction(qi ** (2 * di), factorial(di))
+        total += weight * value
+    return total
 
 
 @pytest.fixture(autouse=True)

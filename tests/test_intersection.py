@@ -1,9 +1,15 @@
 import random
+import re
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import factorial, prod
 
 import pytest
+from conftest import compositions, term_by_term_F
 
+from dtregge import intersection
 from dtregge.intersection import (
     GenusError,
     TauQuery,
@@ -155,3 +161,57 @@ def test_generating_function_values():
 def test_generating_function_rejects_unstable_keys():
     with pytest.raises(ValueError):
         generating_F(0, (2, 2))
+
+
+#: Every (g, N0) with N0 >= 1 and 0 <= N0 + 3g - 3 <= 6.
+SMALL_KEYS = [(g, n0) for g in range(3) for n0 in range(1, 10) if 0 <= n0 + 3 * g - 3 <= 6]
+
+
+@pytest.mark.parametrize("genus, n0", SMALL_KEYS)
+def test_generating_function_equals_the_term_by_term_sum(genus, n0):
+    rng = random.Random(100 * genus + n0)
+    flag = genus >= 2
+    for _ in range(3):
+        integers = [rng.randint(1, 12) for _ in range(n0)]
+        rationals = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(n0)]
+        for q in (integers, rationals):
+            assert generating_F(genus, q, flag) == term_by_term_F(genus, q, flag)
+
+
+@pytest.mark.parametrize("genus, q, flag, error, message", [
+    (0, (2, 2), False, ValueError, "no stable moduli space for g=0, N0=2"),
+    (-1, (2, 2, 2), True, ValueError, "no stable moduli space for g=-1, N0=3"),
+    (-1, (2,) * 6, True, GenusError, "genus must be nonnegative"),
+    (2, (4,), False, GenusError,
+     "genus >= 2 requires the higher-genus recursion flag (--enable-dvv)"),
+])
+def test_generating_function_raises_what_the_term_by_term_sum_raises(
+    genus, q, flag, error, message
+):
+    for evaluate in (generating_F, term_by_term_F):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+            evaluate(genus, q, flag)
+        assert type(caught.value) is error
+
+
+def test_generating_function_reads_each_intersection_number_once(monkeypatch):
+    """However many q it is evaluated at, F_g calls ``intersection_number``
+    once per on-shell delta per (g, N0) in a process."""
+    monkeypatch.setattr(
+        intersection, "_F_terms", lru_cache(maxsize=None)(intersection._F_terms.__wrapped__)
+    )
+    calls, read = Counter(), intersection.intersection_number
+
+    def counting(query, enable_higher_genus=False):
+        calls[query.genus, query.exponents] += 1
+        return read(query, enable_higher_genus)
+
+    monkeypatch.setattr(intersection, "intersection_number", counting)
+    keys = [(0, 4), (0, 5), (1, 2), (1, 3), (2, 2)]
+    for genus, n0 in keys:
+        for q in product((1, 2, Fraction(3, 2)), repeat=n0):
+            generating_F(genus, q, enable_higher_genus=genus >= 2)
+    assert set(calls.values()) == {1}
+    assert set(calls) == {
+        (genus, delta) for genus, n0 in keys for delta in compositions(n0 + 3 * genus - 3, n0)
+    }

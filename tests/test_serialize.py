@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from conftest import bipyramid
+from conftest import PAIRING_KEYS, bipyramid
 
 from dtregge.catalog import CatalogEntry, enumerate_triangulations, feasible_q_vectors
 from dtregge.pairing import duality_pairing
@@ -111,4 +111,12 @@ def test_pairing_reports_are_bit_identical():
     assert len(keys) == 47
     assert _digest(duality_pairing(*key) for key in keys) == (
         "45f70303a38b77b3473d2d08aa4c52f5c4152b4320c16fabd346fb80fc7a2afc"
+    )
+
+
+def test_pairing_reports_in_workload_order_are_bit_identical():
+    """The same 47 reports in the order of ``PAIRING_KEYS``, which is the
+    order of the benchmark's ``pairing_keys()``."""
+    assert _digest(duality_pairing(*key) for key in PAIRING_KEYS) == (
+        "cad311d5753f49fb98ef03d9e2409a9fe58a395b8f04e39af5200bf4ba9548cb"
     )
