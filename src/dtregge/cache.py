@@ -79,12 +79,6 @@ def atomic_write_json(path: Path, data) -> None:
             os.unlink(tmp)
 
 
-def save_catalog(catalog: Catalog, directory: Path | None = None) -> Path:
-    path = catalog_path(catalog.genus, catalog.vertex_count, catalog.q, directory)
-    atomic_write_json(path, catalog.to_dict())
-    return path
-
-
 def load_catalog(path: Path) -> Catalog:
     """The catalog in ``path``, verified, for the cache and ``--in`` alike:
     CacheError naming every problem for another convention version, a wrong

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .geometry import dual_edge_row
 from .ribbon import RibbonGraph
 
 
@@ -183,30 +182,3 @@ def kontsevich_check(graph: RibbonGraph) -> tuple[bool, int, int]:
     coeff = kontsevich_coefficient(graph)
     expected = expected_kontsevich_constant(graph.genus(), len(graph.boundary_cycles))
     return abs(coeff) == expected, abs(coeff), expected
-
-
-def pullback_to_triangulation(matrix, q: int) -> list[list[Fraction]]:
-    """Pull a skew form in the dL_a coordinates of one q-gon back to the
-    2q triangulation edge differentials around the dual vertex.
-
-    Uses the per-corner linearization dL_a = (1/(3 sqrt 3)) sum c_j dl_j;
-    the squared prefactor 1/27 is rational, so the result is exact.
-    """
-    n = len(matrix)
-    if n > q:
-        raise DimensionError("form has more side coordinates than the polygon")
-    jac = [dual_edge_row(q, a) for a in range(n)]
-    out = [[Fraction(0)] * (2 * q) for _ in range(2 * q)]
-    scale = Fraction(1, 27)
-    for i in range(n):
-        for j in range(n):
-            cij = matrix[i][j]
-            if not cij:
-                continue
-            for u in range(2 * q):
-                if not jac[i][u]:
-                    continue
-                for v in range(2 * q):
-                    if jac[j][v]:
-                        out[u][v] += scale * cij * jac[i][u] * jac[j][v]
-    return out

@@ -118,31 +118,45 @@ def has_interior_point(rhs, columns) -> bool:
     """Whether some L > 0 solves A L = rhs, where A has the given columns.
 
     The columns are the edges of a multigraph on the rows (``edge_ends``,
-    which raises ValueError on a column that is not one).  On it
-    such an L exists exactly when, for every independent set I of rows with
-    neighbour set N(I), rhs(I) <= rhs(N(I)), and where the two are equal no
-    edge joins N(I) to a row outside I (a loop at N(I) included).  Summing
-    the rows of I and of N(I) shows that both are needed; the fractional
-    perfect b-matching theorem with its tight sets (Schrijver, 2003, ch. 31)
-    that they suffice.  It costs at most 2^N0 - 1 sets and no LP.
+    which raises ValueError on a column that is not one, at every call).  On
+    it such an L exists exactly when, for every independent set I of rows
+    with neighbour set N(I), rhs(I) <= rhs(N(I)), and where the two are equal
+    no edge joins N(I) to a row outside I (a loop at N(I) included).
+    Summing the rows of I and of N(I) shows that both are needed; the
+    fractional perfect b-matching theorem with its tight sets (Schrijver,
+    2003, ch. 31) that they suffice.  The sets and the edges leaving them
+    ignore rhs and are found once per column tuple (``_independent_sets``);
+    a call sums rhs over the 2^N0 row sets and scans them, with no LP.
     """
-    adjacent = [0] * len(rhs)
+    weight = [0] * (1 << len(rhs))
+    for rows in range(1, len(weight)):  # each set's sum from the set less its lowest row
+        low = rows & -rows
+        weight[rows] = weight[rows ^ low] + rhs[low.bit_length() - 1]
+    return not any(
+        weight[rows] > weight[near] or weight[rows] == weight[near] and leaves
+        for rows, near, leaves in _independent_sets(len(rhs), columns)
+    )
+
+
+@lru_cache(maxsize=None)
+def _independent_sets(n0: int, columns: tuple) -> tuple:
+    """(I, N(I), whether an edge joins N(I) to a row outside I) for every
+    nonempty independent set I of the n0 rows, as bitmasks, in the
+    multigraph of ``columns``: the part of ``has_interior_point`` that
+    ignores rhs, built once per process for each column tuple, which
+    ``_cell_columns`` shares among the cells."""
+    adjacent = [0] * n0
     for u, v in edge_ends(columns):
         adjacent[u] |= 1 << v
         adjacent[v] |= 1 << u
-    # neighbour set and rhs sum of every row set, each from the set less its lowest row
-    neighbours, weight = [0] * (1 << len(rhs)), [0] * (1 << len(rhs))
-    for rows in range(1, 1 << len(rhs)):
-        low = (rows & -rows).bit_length() - 1
-        neighbours[rows] = neighbours[rows & (rows - 1)] | adjacent[low]
-        weight[rows] = weight[rows & (rows - 1)] + rhs[low]
-    for rows, near in enumerate(neighbours):
-        if rows and not near & rows and (
-            weight[rows] > weight[near]
-            or weight[rows] == weight[near] and neighbours[near] & ~rows
-        ):
-            return False
-    return True
+    neighbours = [0] * (1 << n0)
+    for rows in range(1, len(neighbours)):
+        low = rows & -rows
+        neighbours[rows] = neighbours[rows ^ low] | adjacent[low.bit_length() - 1]
+    return tuple(
+        (rows, near, bool(neighbours[near] & ~rows))
+        for rows, near in enumerate(neighbours) if rows and not near & rows
+    )
 
 
 @lru_cache(maxsize=None)

@@ -211,30 +211,6 @@ def deficit_angles(t: Triangulation) -> tuple[Fraction, ...]:
     return tuple(2 - Fraction(q, 3) for q in curvature_assignments(t))
 
 
-@dataclass(frozen=True)
-class CurvatureData:
-    q: tuple[int, ...]
-    deficits: tuple[Fraction, ...]          # coefficients of pi
-    divisor_coeffs: tuple[Fraction, ...]
-    degree: Fraction
-    euler_number: Fraction
-
-
-def divisor(t: Triangulation) -> CurvatureData:
-    """Curvature data of the equilateral triangulation: q(k)/6 - 1 weights."""
-    q = curvature_assignments(t)
-    coeffs = tuple(Fraction(qk, 6) - 1 for qk in q)
-    degree = sum(coeffs, Fraction(0))
-    chi = 2 - 2 * t.genus
-    return CurvatureData(
-        q=q,
-        deficits=deficit_angles(t),
-        divisor_coeffs=coeffs,
-        degree=degree,
-        euler_number=chi + degree,
-    )
-
-
 def gauss_bonnet_check(t: Triangulation) -> tuple[Fraction, bool]:
     """Total curvature (as a coefficient of pi) and whether it equals 2*chi."""
     total = sum(deficit_angles(t), Fraction(0))

@@ -4,7 +4,9 @@ The Leray measure mu on P = {L >= 0, A L = rhs} is fixed by
 mu ^ d(eta_1) ^ ... ^ d(eta_N0) = dL_1 ^ ... ^ dL_N1 with eta = A L.  Each
 column of A is an edge of the boundary multigraph, so the bases of A, their
 determinants and their basic solutions are read off subgraphs, with no
-linear algebra.  The vertices of P are its nonnegative basic solutions.
+linear algebra: one walk over the bases, which keeps its levels on a
+stack, and each basis solved in place by peeling leaves off its subgraph.
+The vertices of P are its nonnegative basic solutions.
 The volume is the pyramid recursion over the faces of P, each a set S of
 columns with the others at 0: a basis S has volume 1 / |det A_S|, and
 otherwise vol(S) = sum_j v_j vol(S - j) / (|S| - N0) for a vertex v of S,
@@ -78,12 +80,14 @@ def polytope_vertices(system: ConstraintSystem):
 
 def _integer_vertices(ends, rhs, n0):
     """The vertices of {L >= 0, A L = rhs}, A with the edges ``ends`` on n0
-    rows, sorted and in integer units 1 / unit: the basic solutions of the
-    bases from ``_bases``, each kept once.  A has full row rank exactly when
-    some basis exists; when none does, the vertices are None.
+    rows, sorted and in integer units 1 / unit: the nonnegative basic
+    solutions (``_basic_solution``) of the bases from ``_bases``, each kept
+    once.  A has full row rank exactly when some basis exists; when none
+    does, the vertices are None.
     """
     rhs, scale = clear_denominators(list(rhs))
-    solutions = {_basic_solution(ends, basis, rhs) for basis, _ in _bases(ends, n0)}
+    doubled = [2 * b for b in rhs]
+    solutions = {_basic_solution(ends, basis, doubled) for basis, _ in _bases(ends, n0)}
     return (sorted(solutions - {None}) if solutions else None), 2 * scale
 
 
@@ -96,82 +100,102 @@ def _bases(ends, n0):
     has one cycle, and that cycle is odd; a loop is an odd cycle.  Each
     such component has determinant +-2, so the basis has |det| 2**components.
     The bases are found by adding columns in increasing order, with each
-    row's component and its parity along a spanning forest: a column that
-    closes an even cycle or a component's second cycle cuts the branch.
+    row's component and its parity along a spanning forest, and the
+    components that hold a cycle as a bitmask: a column that closes an even
+    cycle or a component's second cycle cuts the branch.  The walk keeps its
+    levels on a stack, with no generator per level, and a level shares the
+    parities of the level above unless a merge flips them.
     """
     n1 = len(ends)
+    if not n0:  # no rows: the empty basis, which the walk below never reaches
+        yield [], 0
+        return
+    basis = [0] * n0
+    # per level: the next column to try, and the components, parities and
+    # cyclic components the level starts from
+    frames = [[0, list(range(n0)), [0] * n0, 0]]
+    while frames:
+        frame = frames[-1]
+        depth, j = len(frames) - 1, frame[0]
+        if j > n1 - n0 + depth:
+            frames.pop()
+            continue
+        frame[0] = j + 1
+        _, component, parity, cyclic = frame
+        u, v = ends[j]
+        cu, cv = component[u], component[v]
+        if cu == cv:
+            # the path u..v has even length exactly when the cycle is odd
+            if cyclic >> cu & 1 or parity[u] != parity[v]:
+                continue
+            cyclic |= 1 << cu
+        elif cyclic >> cu & cyclic >> cv & 1:
+            continue
+        elif cyclic >> cv & 1:
+            cyclic ^= 1 << cv | 1 << cu
+        basis[depth] = j
+        if depth + 1 == n0:  # every component holds its one cycle
+            yield basis[:], cyclic.bit_count()
+            continue
+        if cu != cv:
+            # v's component joins u's, its parities flipped if u and v agree
+            if parity[u] == parity[v]:
+                parity = [p ^ (c == cv) for c, p in zip(component, parity)]
+            component = [cu if c == cv else c for c in component]
+        frames.append([j + 1, component, parity, cyclic])
 
-    def extend(start, basis, component, parity, cyclic):
-        if len(basis) == n0:
-            yield basis, len(set(component))
-            return
-        for j in range(start, n1 - n0 + len(basis) + 1):
-            u, v = ends[j]
-            cu, cv = component[u], component[v]
-            if cu == cv:
-                # the path u..v has even length exactly when the cycle is odd
-                if cu not in cyclic and parity[u] == parity[v]:
-                    yield from extend(j + 1, basis + [j], component, parity, cyclic | {cu})
-            elif cu not in cyclic or cv not in cyclic:
-                # v's component joins u's, its parities flipped if u and v agree
-                flip = parity[u] == parity[v]
-                yield from extend(
-                    j + 1,
-                    basis + [j],
-                    [cu if c == cv else c for c in component],
-                    [p ^ flip if c == cv else p for c, p in zip(component, parity)],
-                    (cyclic | {cu}) if cv in cyclic else cyclic,
-                )
 
-    yield from extend(0, [], list(range(n0)), [0] * n0, frozenset())
+def _basic_solution(ends, basis, doubled):
+    """The basic solution of the basis columns, solved in place, in units
+    1 / (2 s) where ``doubled`` is 2 s times the true rhs, or None at its
+    first negative entry.
 
-
-def _basic_solution(ends, basis, rhs):
-    """The basic solution of the basis columns, in units 1 / (2 s) where
-    ``rhs`` is s times the true rhs, or None when an entry is negative.
-
-    Leaves are peeled first: a leaf's one edge takes the leaf's residual
-    rhs.  What is left of each component is its odd cycle v_0 e_0 v_1 ...
-    v_{k-1} e_{k-1} v_0, on which the alternating sum of the residuals
-    r_0 - r_1 + ... + r_{k-1} is twice the entry of e_{k-1}; going round
-    gives the others (Schrijver, Combinatorial Optimization (2003), ch. 31).
+    Leaves are peeled first: a row of degree 1 in the basis is a leaf, the
+    xor of the edges at it is its one edge, and that edge takes the leaf's
+    residual rhs.  What is left of each component is its odd cycle v_0 e_0
+    v_1 ... v_{k-1} e_{k-1} v_0, on which the alternating sum of the
+    residuals r_0 - r_1 + ... + r_{k-1} is twice the entry of e_{k-1};
+    going round gives the others (Schrijver, Combinatorial Optimization
+    (2003), ch. 31).
     """
-    residual = [2 * b for b in rhs]
-    at = [[] for _ in residual]
+    n0 = len(doubled)
+    residual, degree, link, x = doubled[:], [0] * n0, [0] * n0, [0] * len(ends)
     for j in basis:
         u, v = ends[j]
-        at[u].append(j)
-        at[v].append(j)
-    x = [0] * len(ends)
-    leaves = [v for v, edges in enumerate(at) if len(edges) == 1]
-    while leaves:
-        v = leaves.pop()
-        (j,) = at[v]
-        at[v] = []
-        u = sum(ends[j]) - v
-        x[j] = residual[v]
-        if x[j] < 0:
+        degree[u] += 1
+        degree[v] += 1
+        if u != v:  # a loop is its component's cycle, never a leaf's edge
+            link[u] ^= j
+            link[v] ^= j
+    leaves = [v for v in range(n0) if degree[v] == 1]
+    for v in leaves:
+        j = link[v]
+        x[j] = entry = residual[v]
+        if entry < 0:
             return None
-        residual[u] -= x[j]
-        at[u].remove(j)
-        if len(at[u]) == 1:
+        u = ends[j][0] + ends[j][1] - v
+        degree[v] = 0
+        degree[u] -= 1
+        residual[u] -= entry
+        link[u] ^= j
+        if degree[u] == 1:
             leaves.append(u)
-    for start, edges in enumerate(at):
-        if not edges:
+    for j in basis:  # an edge whose ends both keep degree 2 is on an unsolved cycle
+        start, v = ends[j]
+        if degree[start] != 2 or degree[v] != 2:
             continue
-        cycle, v, j = [], start, edges[0]
-        while True:
+        cycle, alternating = [(start, j)], residual[start]
+        while v != start:
+            j = link[v] ^ j
             cycle.append((v, j))
-            at[v] = []
-            v = sum(ends[j]) - v
-            if v == start:
-                break
-            j = next(e for e in at[v] if e != j)
-        entry = sum(residual[w] * (-1) ** i for i, (w, _) in enumerate(cycle)) // 2
-        for w, j in cycle:
-            entry = x[j] = residual[w] - entry
+            alternating = residual[v] - alternating
+            v = ends[j][0] + ends[j][1] - v
+        entry = alternating // 2
+        for v, j in cycle:
+            x[j] = entry = residual[v] - entry
             if entry < 0:
                 return None
+            degree[v] = 0
     return tuple(x)
 
 

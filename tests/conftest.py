@@ -1,16 +1,26 @@
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
 from dtregge import catalog
+from dtregge.catalog import Catalog
+from dtregge.cache import atomic_write_json, catalog_path
+from dtregge.geometry import dual_edge_row
 from dtregge.intersection import TauQuery, intersection_number
 from dtregge.linalg import clear_denominators, solve_square
-from dtregge.measure import constraint_system, edge_ends
+from dtregge.measure import DimensionError, constraint_system, edge_ends
 from dtregge.pairing import system_class
-from dtregge.triangulation import build_triangulation
+from dtregge.triangulation import (
+    Triangulation,
+    build_triangulation,
+    curvature_assignments,
+    deficit_angles,
+)
 from dtregge.volume import _bases, lebesgue_volume, polytope_vertices
 
 #: The keys of the benchmark's pairing workload: every labelled q at (0,4)
@@ -284,6 +294,88 @@ def kernel_vertices(basis, l0):
     return sorted(vertices)
 
 
+def all_bases_vertices(ends, rhs, n0):
+    """The vertices of {L >= 0, A L = rhs} and their unit, as
+    ``volume._integer_vertices`` gives them, or None for the vertices of a
+    rank-deficient system: an oracle that solves every basis from ``_bases``
+    by lists of the basis edges at each row (``listed_basic_solution``),
+    where ``_integer_vertices`` peels by degree counts and xors of edges."""
+    rhs, scale = clear_denominators(list(rhs))
+    solutions = {listed_basic_solution(ends, basis, rhs) for basis, _ in _bases(ends, n0)}
+    return (sorted(solutions - {None}) if solutions else None), 2 * scale
+
+
+def listed_basic_solution(ends, basis, rhs):
+    """The basic solution of the basis columns, in units 1 / (2 s) where
+    ``rhs`` is s times the true rhs, or None when an entry is negative.
+
+    Leaves are peeled first: a leaf's one edge takes the leaf's residual
+    rhs.  What is left of each component is its odd cycle v_0 e_0 v_1 ...
+    v_{k-1} e_{k-1} v_0, on which the alternating sum of the residuals
+    r_0 - r_1 + ... + r_{k-1} is twice the entry of e_{k-1}; going round
+    gives the others.
+    """
+    residual = [2 * b for b in rhs]
+    at = [[] for _ in residual]
+    for j in basis:
+        u, v = ends[j]
+        at[u].append(j)
+        at[v].append(j)
+    x = [0] * len(ends)
+    leaves = [v for v, edges in enumerate(at) if len(edges) == 1]
+    while leaves:
+        v = leaves.pop()
+        (j,) = at[v]
+        at[v] = []
+        u = sum(ends[j]) - v
+        x[j] = residual[v]
+        if x[j] < 0:
+            return None
+        residual[u] -= x[j]
+        at[u].remove(j)
+        if len(at[u]) == 1:
+            leaves.append(u)
+    for start, edges in enumerate(at):
+        if not edges:
+            continue
+        cycle, v, j = [], start, edges[0]
+        while True:
+            cycle.append((v, j))
+            at[v] = []
+            v = sum(ends[j]) - v
+            if v == start:
+                break
+            j = next(e for e in at[v] if e != j)
+        entry = sum(residual[w] * (-1) ** i for i, (w, _) in enumerate(cycle)) // 2
+        for w, j in cycle:
+            entry = x[j] = residual[w] - entry
+            if entry < 0:
+                return None
+    return tuple(x)
+
+
+def per_call_has_interior_point(rhs, columns) -> bool:
+    """``pairing.has_interior_point`` with every row set's neighbours found
+    afresh at each call: an oracle for the function, which finds the
+    independent sets once per column tuple."""
+    adjacent = [0] * len(rhs)
+    for u, v in edge_ends(columns):
+        adjacent[u] |= 1 << v
+        adjacent[v] |= 1 << u
+    neighbours, weight = [0] * (1 << len(rhs)), [0] * (1 << len(rhs))
+    for rows in range(1, 1 << len(rhs)):
+        low = (rows & -rows).bit_length() - 1
+        neighbours[rows] = neighbours[rows & (rows - 1)] | adjacent[low]
+        weight[rows] = weight[rows & (rows - 1)] + rhs[low]
+    for rows, near in enumerate(neighbours):
+        if rows and not near & rows and (
+            weight[rows] > weight[near]
+            or weight[rows] == weight[near] and neighbours[near] & ~rows
+        ):
+            return False
+    return True
+
+
 def triangulated_leray_volume(system) -> Fraction:
     """The Leray volume of a full-rank system by a triangulation: an oracle
     for ``volume.leray_volume``, which sums over faces instead.
@@ -299,3 +391,65 @@ def triangulated_leray_volume(system) -> Fraction:
     points = [tuple(vertex[j] for j in free) for vertex in vertices]
     tight_sets = [frozenset(j for j, x in enumerate(vertex) if not x) for vertex in vertices]
     return lebesgue_volume(points, tight_sets) / 2**components
+
+
+# --- quantities that only the tests read --------------------------------
+
+
+def pullback_to_triangulation(matrix, q: int) -> list[list[Fraction]]:
+    """Pull a skew form in the dL_a coordinates of one q-gon back to the
+    2q triangulation edge differentials around the dual vertex.
+
+    Uses the per-corner linearization dL_a = (1/(3 sqrt 3)) sum c_j dl_j;
+    the squared prefactor 1/27 is rational, so the result is exact.
+    """
+    n = len(matrix)
+    if n > q:
+        raise DimensionError("form has more side coordinates than the polygon")
+    jac = [dual_edge_row(q, a) for a in range(n)]
+    out = [[Fraction(0)] * (2 * q) for _ in range(2 * q)]
+    scale = Fraction(1, 27)
+    for i in range(n):
+        for j in range(n):
+            cij = matrix[i][j]
+            if not cij:
+                continue
+            for u in range(2 * q):
+                if not jac[i][u]:
+                    continue
+                for v in range(2 * q):
+                    if jac[j][v]:
+                        out[u][v] += scale * cij * jac[i][u] * jac[j][v]
+    return out
+
+
+@dataclass(frozen=True)
+class CurvatureData:
+    q: tuple[int, ...]
+    deficits: tuple[Fraction, ...]          # coefficients of pi
+    divisor_coeffs: tuple[Fraction, ...]
+    degree: Fraction
+    euler_number: Fraction
+
+
+def divisor(t: Triangulation) -> CurvatureData:
+    """Curvature data of the equilateral triangulation: q(k)/6 - 1 weights."""
+    q = curvature_assignments(t)
+    coeffs = tuple(Fraction(qk, 6) - 1 for qk in q)
+    degree = sum(coeffs, Fraction(0))
+    chi = 2 - 2 * t.genus
+    return CurvatureData(
+        q=q,
+        deficits=deficit_angles(t),
+        divisor_coeffs=coeffs,
+        degree=degree,
+        euler_number=chi + degree,
+    )
+
+
+def save_catalog(catalog: Catalog, directory: Path | None = None) -> Path:
+    """Write a catalog to its key's cache file, in ``directory`` or else
+    under DTREGGE_CACHE_DIR, and return the path."""
+    path = catalog_path(catalog.genus, catalog.vertex_count, catalog.q, directory)
+    atomic_write_json(path, catalog.to_dict())
+    return path

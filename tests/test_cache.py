@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import save_catalog
 from dtregge import cache
 from dtregge.catalog import CONVENTION_VERSION, Catalog, enumerate_triangulations
 
@@ -23,7 +24,7 @@ def test_catalog_path_encodes_key_and_version(tmp_path):
 
 
 def test_save_load_round_trip(tmp_path, catalog):
-    path = cache.save_catalog(catalog, tmp_path)
+    path = save_catalog(catalog, tmp_path)
     again = cache.load_catalog(path)
     assert again.to_dict() == catalog.to_dict()
     assert cache.list_cache(tmp_path) == [path]
@@ -37,7 +38,7 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 
 
 def test_stale_version_rejected(tmp_path, catalog):
-    path = cache.save_catalog(catalog, tmp_path)
+    path = save_catalog(catalog, tmp_path)
     data = json.loads(path.read_text())
     data["version"] = CONVENTION_VERSION + 1
     path.write_text(json.dumps(data))
@@ -48,7 +49,7 @@ def test_stale_version_rejected(tmp_path, catalog):
 def test_cardinality_mismatch_rejected():
     full = enumerate_triangulations(0, 4, (3, 3, 3, 3))
     assert full.cardinality == 2
-    path = cache.save_catalog(full)  # the key's file under DTREGGE_CACHE_DIR
+    path = save_catalog(full)  # the key's file under DTREGGE_CACHE_DIR
     data = json.loads(path.read_text())
     data["entries"] = data["entries"][:1]
     path.write_text(json.dumps(data))

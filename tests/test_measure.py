@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from conftest import pullback_to_triangulation
 from dtregge.catalog import enumerate_ribbon_cells, enumerate_triangulations
 from dtregge.linalg import integer_det
 from dtregge.measure import (
@@ -17,7 +18,6 @@ from dtregge.measure import (
     kontsevich_check,
     kontsevich_coefficient,
     pfaffian,
-    pullback_to_triangulation,
     total_form,
 )
 from dtregge.ribbon import dualize

@@ -6,7 +6,13 @@ from math import factorial, prod
 
 import pytest
 
-from conftest import PAIRING_KEYS, has_positive_solution, lp_maximum, system_classes
+from conftest import (
+    PAIRING_KEYS,
+    has_positive_solution,
+    lp_maximum,
+    per_call_has_interior_point,
+    system_classes,
+)
 from dtregge.catalog import (
     ResourceCapError,
     enumerate_ribbon_cells,
@@ -480,6 +486,56 @@ def test_interior_point_test_on_each_clause(rows, rhs, interior):
 def test_interior_point_test_raises_on_a_column_not_summing_to_2(columns):
     with pytest.raises(ValueError, match="does not sum to 2"):
         has_interior_point((2, 2), columns)
+
+
+def test_interior_point_test_builds_its_sets_once_per_column_tuple(monkeypatch):
+    """From empty memos the 47 pairing keys reach ``has_interior_point`` on
+    304 memo misses with 55 distinct column tuples: it agrees with the
+    per-call oracle on each, and builds the independent sets once per
+    column tuple."""
+    calls = []
+    original = pairing.has_interior_point
+    monkeypatch.setattr(pairing, "_cell_volumes", {})
+    monkeypatch.setattr(
+        pairing, "has_interior_point", lambda *args: calls.append(args) or original(*args)
+    )
+    pairing._independent_sets.cache_clear()
+    for key in PAIRING_KEYS:
+        duality_pairing(*key)
+    assert len(calls) == 304
+    assert len({columns for _, columns in calls}) == 55
+    info = pairing._independent_sets.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (55, 304 - 55, 55)
+    for rhs, columns in calls:
+        assert original(rhs, columns) == per_call_has_interior_point(rhs, columns), (rhs, columns)
+
+
+def test_interior_point_test_equals_the_per_call_oracle_on_random_systems():
+    """Seeded random multigraphs on N0 <= 6 rows, loops included, each
+    paired with four rhs in halves: the sets built once per
+    column tuple answer as the per-call oracle does, at every call."""
+    rng = random.Random(34)
+    answers = Counter()
+    for _ in range(150):
+        n0 = rng.randint(1, 6)
+        ends = [(rng.randrange(n0), rng.randrange(n0)) for _ in range(rng.randint(1, n0 + 3))]
+        columns = tuple(tuple((u == i) + (v == i) for i in range(n0)) for u, v in ends)
+        for _ in range(4):
+            rhs = tuple(Fraction(rng.randint(1, 8), rng.choice([1, 2])) for _ in range(n0))
+            expected = per_call_has_interior_point(rhs, columns)
+            assert has_interior_point(rhs, columns) == expected, (rhs, columns)
+            answers[expected] += 1
+    assert answers[True] and answers[False]
+
+
+def test_interior_point_test_raises_at_every_call_on_an_invalid_column():
+    """A column that is no edge raises on the first call and again on a
+    repeated one, and no set is kept for it."""
+    pairing._independent_sets.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not sum to 2"):
+            has_interior_point((2, 2), ((1, 0), (1, 1)))
+    assert pairing._independent_sets.cache_info().currsize == 0
 
 
 def test_lp_oracle_drives_zero_artificials_out_before_phase_2():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import divisor
 from dtregge.catalog import enumerate_triangulations
 from dtregge.triangulation import (
     Triangulation,
@@ -10,7 +11,6 @@ from dtregge.triangulation import (
     corner_classes,
     curvature_assignments,
     deficit_angles,
-    divisor,
     gauss_bonnet_check,
 )
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -6,7 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PAIRING_KEYS, kernel_vertices, system_classes, triangulated_leray_volume
+from conftest import (
+    PAIRING_KEYS,
+    all_bases_vertices,
+    kernel_vertices,
+    system_classes,
+    triangulated_leray_volume,
+)
 from dtregge.catalog import enumerate_triangulations, feasible_q_vectors
 from dtregge.linalg import det, kernel_and_particular, matrix_rank, rref, solve_square
 from dtregge.measure import ConstraintSystem, edge_ends, incidence_matrix
@@ -16,6 +23,7 @@ from dtregge.volume import (
     RankDeficientError,
     UnboundedPolytopeError,
     _bases,
+    _integer_vertices,
     kernel_basis_and_particular,
     lebesgue_volume,
     leray_volume,
@@ -262,6 +270,66 @@ def test_basic_solutions_equal_the_kernel_vertex_oracle(keys):
     zero coordinates are the facets tight at its y."""
     for system in _nonempty_systems(keys):
         _assert_vertices_match_the_oracle(system)
+
+
+@pytest.mark.parametrize("keys, count", [
+    (PAIRING_KEYS, 54), ([(1, 4, (5, 5, 7, 7))], 396),
+], ids=["pairing-keys", "1-4-5577"])
+def test_vertices_equal_the_all_bases_oracle(keys, count):
+    """On every nonempty class of the keys, the bases walked and solved in
+    place give the all-bases oracle's sorted vertices and unit."""
+    systems = _nonempty_systems(keys)
+    assert len(systems) == count
+    for system in systems:
+        ends = edge_ends(zip(*system.a))
+        expected = all_bases_vertices(ends, system.rhs, system.n0)
+        assert _integer_vertices(ends, system.rhs, system.n0) == expected, system
+
+
+def test_a_system_with_no_rows_has_the_empty_basis():
+    """With no rows, the empty set of columns is the one basis, and its
+    solution is the one vertex: the polytope is a point of volume 1."""
+    assert list(_bases([], 0)) == [([], 0)]
+    assert _integer_vertices([], (), 0) == ([()], 2)
+    assert leray_volume(ConstraintSystem((), ())) == LerayVolume(Fraction(1), 0)
+
+
+def test_vertices_and_bases_on_seeded_random_multigraphs():
+    """Seeded random multigraphs on N0 <= 6 rows, with loops and parallel
+    edges, and with rhs in halves and thirds, all 6 (as (6, 6, 6)), or A L
+    for an L >= 0 with zeros, which makes them degenerate: the vertices and
+    unit are the all-bases oracle's, None where A is rank deficient, and
+    ``_bases`` walks exactly the N0-subsets of nonzero determinant, in
+    lexicographic order, each with |det| 2**components."""
+    rng = random.Random(33)
+    seen = Counter()
+    for _ in range(240):
+        n0 = rng.randint(1, 6)
+        ends = [(rng.randrange(n0), rng.randrange(n0)) for _ in range(rng.randint(n0, n0 + 3))]
+        ends += [(v, v) for v in rng.sample(range(n0), rng.randint(0, min(n0, 2)))]
+        rng.shuffle(ends)
+        a = [[(u == i) + (v == i) for u, v in ends] for i in range(n0)]
+        kind = rng.choice(["rational", "sixes", "degenerate"])
+        if kind == "rational":
+            rhs = tuple(Fraction(rng.randint(0, 12), rng.choice([1, 2, 3])) for _ in range(n0))
+        elif kind == "sixes":
+            rhs = (6,) * n0
+        else:
+            point = [rng.choice([0, 0, Fraction(1, 2), 1, 2]) for _ in ends]
+            rhs = tuple(sum(x * p for x, p in zip(row, point)) for row in a)
+        vertices, unit = _integer_vertices(ends, rhs, n0)
+        assert (vertices, unit) == all_bases_vertices(ends, rhs, n0), (ends, rhs)
+        bases = list(_bases(ends, n0))
+        nonsingular = [
+            list(subset) for subset in combinations(range(len(ends)), n0)
+            if det([[row[j] for j in subset] for row in a])
+        ]
+        assert [basis for basis, _ in bases] == nonsingular, ends
+        for basis, components in bases:
+            assert abs(det([[row[j] for j in basis] for row in a])) == 2**components
+        seen[kind, "rank deficient" if vertices is None else "empty" if not vertices else "vertices"] += 1
+    assert {outcome for _, outcome in seen} == {"rank deficient", "empty", "vertices"}
+    assert all(seen[kind, "vertices"] for kind in ("rational", "sixes", "degenerate")), seen
 
 
 @st.composite
