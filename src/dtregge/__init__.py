@@ -1,9 +1,8 @@
 """Exact tools for 2D dynamical triangulations, their dual trivalent
 ribbon graphs, isoperimetric moduli volumes, and intersection numbers.
 
-All core quantities are computed in exact arithmetic (integers, Fractions,
-and the quadratic ring Q[sqrt 3]); floating point appears only in the
-adjustable-precision polygon charts used for numerical cross-checks.
+Every result is exact: integers, Fractions, and integer coefficient lists
+over the cyclotomic field Q(zeta_q) for the polygon's deformation rank.
 """
 
 from .catalog import (
@@ -27,8 +26,7 @@ from .measure import (
     pfaffian,
     total_form,
 )
-from .pairing import PairingReport, cardinality_and_average, duality_pairing
-from .qsqrt3 import QSqrt3
+from .pairing import PairingReport, duality_pairing
 from .report import RunReport
 from .ribbon import RibbonGraph, aut_boundary, canonical_code, dualize
 from .triangulation import (
@@ -47,7 +45,6 @@ __all__ = [
     "InfeasibleKeyError",
     "LerayVolume",
     "PairingReport",
-    "QSqrt3",
     "ResourceCapError",
     "RibbonGraph",
     "RunReport",
@@ -57,7 +54,6 @@ __all__ = [
     "aut_boundary",
     "build_triangulation",
     "canonical_code",
-    "cardinality_and_average",
     "check_feasible",
     "constraint_system",
     "curvature_assignments",

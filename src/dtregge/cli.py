@@ -4,10 +4,10 @@ Exit codes, from ``EXIT_CODES``: 0 success / all checks pass, 1 check
 failure, 2 input error (a bad key, an ``--in`` file that cannot be read or
 fails catalog verification, or an ``--out`` path that cannot be written),
 3 resource cap exceeded.  Machine output is JSON with exact rationals as
-"p/q" strings.  Only ``check rank`` loads mpmath.  Each command, each of
-the four ``check`` commands included, takes only the options it reads, and
-a report's ``inputs`` echo what it read.  ``enumerate --out`` writes a copy
-that nothing reads back; ``--no-cache`` neither reads nor writes the cache.
+"p/q" strings.  Each command, each of the four ``check`` commands
+included, takes only the options it reads, and a report's ``inputs`` echo
+what it read.  ``enumerate --out`` writes a copy that nothing reads back;
+``--no-cache`` neither reads nor writes the cache.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from pathlib import Path
 import click
 
 from . import cache as cache_mod
+from . import polygon
 from .catalog import (MAX_FACES, InfeasibleKeyError, ResourceCapError,
                       enumerate_triangulations)
 from .geometry import half_edge_lengths, median_identity_check, random_fan
@@ -210,8 +211,6 @@ def check_median(seed, trials):
 @click.option("--q-max", type=click.IntRange(min=3), default=8, show_default=True)
 def check_rank(q_max):
     """The rank q-1 of the tangent map at the regular q-gons, q = 3..q_max."""
-    from . import polygon  # loaded here only: it imports mpmath
-
     if q_max > MAX_RANK_Q:
         raise ResourceCapError(f"--q-max {q_max} is above the cap of {MAX_RANK_Q}")
     ranks = ((q, polygon.equilateral_rank(q)) for q in range(3, q_max + 1))

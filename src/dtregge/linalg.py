@@ -3,10 +3,10 @@
 One routine, ``eliminate``, reduces an integer matrix in place by
 Bareiss's one-step fraction-free rule (Bareiss, Math. Comp. 22, 1968):
 every entry it writes is an integer minor of the input, so every division
-is exact and no rational is ever built.  Determinants, solutions, reduced
-row echelon forms and ranks are read off its result.  Rational input is
-first cleared of denominators row by row; that scales each row by a
-positive integer, which keeps solution sets, row spaces and signs.
+is exact and no rational is ever built.  Determinants, solutions and ranks
+are read off its result.  Rational input is first cleared of denominators
+row by row; that scales each row by a positive integer, which keeps
+solution sets, row spaces and signs.
 ``pfaffian`` applies the same rule to skew matrices, two indices a step.
 """
 
@@ -133,14 +133,6 @@ def solve_square(rows, rhs):
         return None
     d = m[n - 1][n - 1] if n else 1
     return [Fraction(m[r][n], d) for r in range(n)]
-
-
-def rref(rows):
-    """Reduced row echelon form; returns (matrix, pivot_columns)."""
-    m = [clear_denominators(row)[0] for row in rows]
-    pivots, _ = eliminate(m)
-    d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
-    return [[Fraction(x, d) for x in row] for row in m], pivots
 
 
 def matrix_rank(rows) -> int:

@@ -71,21 +71,30 @@ def edge_ends(columns) -> list[tuple[int, int]]:
     return ends
 
 
+def boundary_columns(graph: RibbonGraph) -> list[tuple[int, ...]]:
+    """One column per edge (d, alpha d), d < alpha d, in edge order: the
+    number of the edge's two sides on each boundary cycle, in cycle order.
+    It holds a 2 at a cycle that runs along both sides of the edge."""
+    cycle_of = {d: i for i, cycle in enumerate(graph.boundary_cycles) for d in cycle}
+    n0 = len(graph.boundary_cycles)
+    return [
+        tuple((cycle_of[d] == i) + (cycle_of[e] == i) for i in range(n0))
+        for d, e in enumerate(graph.alpha) if d < e
+    ]
+
+
 def constraint_system(graph: RibbonGraph, perimeters) -> ConstraintSystem:
     """Incidence rows in boundary-label order, with prescribed perimeters.
 
     ``perimeters`` maps each boundary label to its fixed perimeter in units
-    u = 1.  Row k counts the sides of the k-th word of ``boundary_edge_words``
-    on each edge.
+    u = 1.  Row k is the k-th boundary's entry of each ``boundary_columns``
+    column: how many of its sides lie on each edge.
     """
-    rows = []
-    for word in boundary_edge_words(graph):
-        row = [0] * graph.edge_count
-        for j in word:
-            row[j] += 1
-        rows.append(tuple(row))
+    columns = boundary_columns(graph)
+    order = sorted(range(len(graph.boundary_cycles)), key=graph.boundary_labels.__getitem__)
+    rows = tuple(tuple(column[i] for column in columns) for i in order)
     rhs = tuple(Fraction(perimeters[label]) for label in sorted(graph.boundary_labels))
-    return ConstraintSystem(tuple(rows), rhs)
+    return ConstraintSystem(rows, rhs)
 
 
 def incidence_matrix(graph: RibbonGraph) -> ConstraintSystem:

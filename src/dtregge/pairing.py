@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .catalog import MAX_FACES, check_feasible, enumerate_ribbon_cells
 from .intersection import generating_F
-from .measure import ConstraintSystem, edge_ends
+from .measure import ConstraintSystem, boundary_columns, edge_ends
 from .ribbon import RibbonGraph, canonical_code
 from .volume import leray_volume
 
@@ -178,19 +178,15 @@ def cell_volume(graph: RibbonGraph, q: tuple) -> Fraction:
     cycle order), which the labelled cells of one class share up to a row
     permutation.  A pattern with no L > 0 (``has_interior_point``) gets 0 and
     no class search: its polytope lies in a coordinate face of lower dimension.
-    The columns are read off the boundary cycles once per (sigma, alpha)."""
+    The columns, ``boundary_columns``, are read once per (sigma, alpha)."""
     rhs = tuple([q[label - 1] for label in graph.boundary_labels])
     key = (graph.sigma, graph.alpha, rhs)
     volume = _cell_volumes.get(key)
     if volume is None:
         columns = _cell_columns.get(key[:2])
-        if columns is None:  # one per edge (d, alpha d), holding 2 at the cycle of a loop
-            cycle_of = {d: i for i, cycle in enumerate(graph.boundary_cycles) for d in cycle}
+        if columns is None:
             columns = _cell_columns[key[:2]] = tuple(
-                _columns.setdefault(column, column) for column in (
-                    tuple((cycle_of[d] == i) + (cycle_of[e] == i) for i in range(len(rhs)))
-                    for d, e in enumerate(graph.alpha) if d < e
-                )
+                _columns.setdefault(column, column) for column in boundary_columns(graph)
             )
         volume = _cell_volumes[key] = (
             class_volume(system_class(ConstraintSystem(tuple(zip(*columns)), rhs)))
@@ -253,11 +249,3 @@ def duality_pairing(
         genus, n0, q, lhs, catalog_lhs, rhs, lhs == rhs, cardinality, tuple(contributions)
     )
 
-
-def cardinality_and_average(
-    genus: int, n0: int, q, max_faces: int = MAX_FACES
-) -> tuple[int, Fraction | None]:
-    """Catalog cardinality and the orbifold-weighted average cell volume
-    (see ``PairingReport.average_volume``)."""
-    report = duality_pairing(genus, n0, q, max_faces=max_faces)
-    return report.cardinality, report.average_volume

@@ -6,11 +6,11 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from corner_linearization import dual_edge_row
 
 from dtregge import catalog
 from dtregge.catalog import Catalog
 from dtregge.cache import atomic_write_json, catalog_path
-from dtregge.geometry import dual_edge_row
 from dtregge.intersection import TauQuery, intersection_number
 from dtregge.linalg import clear_denominators, solve_square
 from dtregge.measure import DimensionError, constraint_system, edge_ends

@@ -17,16 +17,16 @@ from dtregge.catalog import (
     face_count,
     feasible_q_vectors,
 )
-from dtregge.geometry import linearized_map_at_equilateral
 from dtregge.intersection import TauQuery, intersection_number, tau
 from dtregge.measure import incidence_matrix, kontsevich_check, pfaffian
 from dtregge.pairing import duality_pairing
 from dtregge.polygon import equilateral_rank
-from dtregge.qsqrt3 import QSqrt3
 from dtregge.ribbon import dualize
 from dtregge.triangulation import curvature_assignments, gauss_bonnet_check
 from dtregge.volume import leray_volume
 
+from corner_linearization import linearized_map_at_equilateral
+from qsqrt3 import QSqrt3
 from test_intersection import _on_shell_sets, _string_reduction_genus0
 from test_measure import _pfaffian_oracle, _random_skew
 from test_polygon import (
@@ -117,7 +117,7 @@ def test_criterion_03_corner_linearization(capsys):
 def test_criterion_04_polygon_tangent_map(capsys):
     import mpmath
 
-    from dtregge.polygon import edge_length_map, tangent_map
+    from polygon_charts import edge_length_map, tangent_map
 
     with criterion(capsys, 4, "rank q-1 at the regular q-gon (q=3..8) and 1e-8 finite-difference agreement on 100 seeded charts"):
         for q in range(3, 9):

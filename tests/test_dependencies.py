@@ -1,5 +1,7 @@
 """The third-party modules that ``src/dtregge`` imports, lazy imports
-included, are exactly the ``[project] dependencies`` of ``pyproject.toml``."""
+included, are exactly the ``[project] dependencies`` of ``pyproject.toml``,
+and those that ``tests`` imports are declared there or in the ``test``
+extra."""
 
 import ast
 import re
@@ -26,17 +28,22 @@ def _third_party_imports(paths) -> set[str]:
     return names - set(sys.stdlib_module_names) - {"dtregge"}
 
 
-def _declared_dependencies() -> set[str]:
+def _declared_dependencies(extra: str | None = None) -> set[str]:
+    """The ``[project] dependencies``, or those of the optional ``extra``."""
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    return {
-        re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
-        for spec in project["dependencies"]
-    }
+    specs = project["dependencies"] if extra is None else project["optional-dependencies"][extra]
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_") for spec in specs}
 
 
 def test_imports_are_the_declared_dependencies():
     imported = _third_party_imports(sorted((ROOT / "src" / "dtregge").glob("*.py")))
     assert imported == _declared_dependencies()
+
+
+def test_test_imports_are_declared():
+    paths = sorted((ROOT / "tests").glob("*.py"))
+    imported = _third_party_imports(paths) - {path.stem for path in paths}
+    assert imported <= _declared_dependencies() | _declared_dependencies("test")
 
 
 def test_lazy_and_dotted_imports_are_seen(tmp_path):

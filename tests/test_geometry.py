@@ -4,18 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from dtregge.geometry import (
-    CornerFan,
-    DegenerateTriangleError,
+from corner_linearization import (
     dual_edge_row,
-    half_edge_lengths,
     linearized_map_at_equilateral,
-    median_identity_check,
-    random_fan,
     vertex_deficit,
     vertex_jacobian,
 )
-from dtregge.qsqrt3 import QSqrt3
+from qsqrt3 import QSqrt3
+
+from dtregge.geometry import (
+    CornerFan,
+    DegenerateTriangleError,
+    half_edge_lengths,
+    median_identity_check,
+    random_fan,
+)
 
 _THIRD = QSqrt3(0, Fraction(1, 9))  # 1/(3*sqrt(3))
 

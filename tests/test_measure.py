@@ -174,6 +174,16 @@ def test_constraint_system_custom_perimeters(duals):
     assert system.rhs == (Fraction(5), Fraction(7), Fraction(11))
 
 
+@pytest.mark.parametrize("genus,n0", [(0, 4), (1, 2), (1, 3)])
+def test_constraint_rows_count_the_edges_of_each_boundary_word(genus, n0):
+    """The rows, read off the boundary cycles, against the words, read one
+    side at a time through ``dart_edge``, on every cell, loops included."""
+    for graph in enumerate_ribbon_cells(genus, n0):
+        words = boundary_edge_words(graph)
+        rows = tuple(tuple(word.count(j) for j in range(graph.edge_count)) for word in words)
+        assert incidence_matrix(graph).a == rows
+
+
 def test_boundary_edge_words_cover_sides(duals):
     for graph in duals.values():
         words = boundary_edge_words(graph)

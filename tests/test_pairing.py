@@ -25,7 +25,6 @@ from dtregge.intersection import GenusError, generating_F, tau
 from dtregge.linalg import solve_square
 from dtregge.measure import ConstraintSystem, constraint_system
 from dtregge.pairing import (
-    cardinality_and_average,
     cell_volume,
     class_volume,
     duality_pairing,
@@ -102,13 +101,13 @@ def test_contribution_invariants():
 
 
 def test_cardinality_and_average():
-    card, average = cardinality_and_average(0, 4, (3, 3, 3, 3))
-    assert (card, average) == (2, Fraction(9, 4))
-    card, average = cardinality_and_average(1, 1, (6,))
-    assert (card, average) == (1, Fraction(3, 8))
+    report = duality_pairing(0, 4, (3, 3, 3, 3))
+    assert (report.cardinality, report.average_volume) == (2, Fraction(9, 4))
+    report = duality_pairing(1, 1, (6,))
+    assert (report.cardinality, report.average_volume) == (1, Fraction(3, 8))
     # empty catalog: cardinality zero, no average
-    card, average = cardinality_and_average(0, 4, (2, 2, 2, 6))
-    assert (card, average) == (0, None)
+    report = duality_pairing(0, 4, (2, 2, 2, 6))
+    assert (report.cardinality, report.average_volume) == (0, None)
 
 
 def test_report_serialization():

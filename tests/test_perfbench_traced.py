@@ -33,7 +33,8 @@ def test_traced_round_ends_correct(tmp_path, workload, traced):
     (["check", "gauss-bonnet", "-g", "0", "-n", "4", "--q", "3,3,3,3"],
      "catalog.enumerate_triangulations"),
     (["check", "median", "--trials", "3"], None),
-], ids=["gauss-bonnet", "median"])
+    (["check", "rank", "--q-max", "4"], "polygon.equilateral_rank"),
+], ids=["gauss-bonnet", "median", "rank"])
 def test_traced_cli_command_exits_0(tmp_path, command, traced):
     """A ``cli`` session command under the tracer, on an empty cache."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1",

@@ -5,21 +5,20 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from dtregge.linalg import regular_representation
-from dtregge.polygon import (
+from polygon_charts import (
     PolygonChart,
-    PolygonError,
     TangentVector,
     connection_form,
     edge_length_map,
-    equilateral_rank,
     evaluate_two_form,
     is_degenerate,
     polygon_two_form,
     tangent_map,
     tangent_map_matrix,
-    _cyclotomic_tangent_map,
 )
+
+from dtregge.linalg import regular_representation
+from dtregge.polygon import PolygonError, _cyclotomic_tangent_map, equilateral_rank
 
 
 def _random_chart(rng: random.Random) -> PolygonChart:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dtregge.qsqrt3 import QSqrt3
+from qsqrt3 import QSqrt3
 
 
 def test_field_axioms_on_random_elements():

@@ -14,8 +14,9 @@ from conftest import (
     system_classes,
     triangulated_leray_volume,
 )
+from linalg_oracles import rref
 from dtregge.catalog import enumerate_triangulations, feasible_q_vectors
-from dtregge.linalg import det, kernel_and_particular, matrix_rank, rref, solve_square
+from dtregge.linalg import det, kernel_and_particular, matrix_rank, solve_square
 from dtregge.measure import ConstraintSystem, edge_ends, incidence_matrix
 from dtregge.pairing import has_interior_point
 from dtregge.volume import (
