@@ -17,7 +17,8 @@ labels the orbits of the group sorted(q), which holds no loop since
 q >= 2, and the ribbon cells of (g, N0) label the boundaries of every
 group.  ``_classes`` keeps the least rooting of each isomorphism class
 and its automorphism group, and one loop, ``_labelled_cells``, labels it
-once per orbit of that group.
+once per orbit of that group.  The cells are kept as rows (``_cells``),
+and ``enumerate_ribbon_cells`` builds their graphs on request.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 from itertools import chain, permutations, product
 from types import MappingProxyType
 
-from .ribbon import RibbonGraph, canonical_code
+from .ribbon import RibbonGraph, canonical_code, canonical_form
 from .triangulation import Triangulation, boundary_cycles, build_triangulation, corner_rotation
 
 #: Bump when a normative counting/orientation convention changes, or when the
@@ -310,40 +311,67 @@ def enumerate_ribbon_cells(
     one labelling of 1..N0 per orbit of its automorphism group.  A key
     needing more than ``max_faces`` faces, more than 256 darts, more than
     ``MAX_MATCHINGS`` gluings or a search of more than ``MAX_NODES`` nodes
-    raises ResourceCapError.  The cells are kept per (g, N0).
+    raises ResourceCapError.  The rows of the cells (``_cells``) are kept
+    per (g, N0); the graphs are built afresh at each call, class by class.
     """
     _check_faces(face_count(genus, n0), max_faces)
-    return _cells(genus, n0)
+    rows = _cells(genus, n0)
+    cells = [None] * len(rows)
+    for i in sorted(range(len(rows)), key=lambda i: rows[i][5]):  # one dart check per class
+        cells[i] = RibbonGraph(*_class_darts[rows[i][5]], rows[i][4])
+    return tuple(cells)
+
+
+_class_darts: list[tuple] = []  # class index -> (sigma, alpha), for the life of the process
+_class_indices: dict[tuple, int] = {}  # and back
+
+
+def class_index(sigma: tuple, alpha: tuple) -> int:
+    """The number of (sigma, alpha), shared by the labelled cells on it."""
+    index = _class_indices.setdefault((sigma, alpha), len(_class_darts))
+    if index == len(_class_darts):
+        _class_darts.append((sigma, alpha))
+    return index
 
 
 @lru_cache(maxsize=None)
-def _cells(genus: int, n0: int) -> tuple[RibbonGraph, ...]:
-    """The cells of ``enumerate_ribbon_cells``, uncapped."""
-    cells = []
+def _cells(genus: int, n0: int) -> tuple[tuple, ...]:
+    """One row per cell of ``enumerate_ribbon_cells``, uncapped, in code
+    order: (code, side counts in label order, automorphism order, loop flag,
+    label of each boundary cycle, class index).  A loop bounds a one-sided
+    boundary, and nothing else does."""
+    labellings, shared, rows = list(permutations(range(1, n0 + 1))), {}, []
     for sizes in enumerate_gluings(genus, n0):
         for alpha, group in _classes(genus, sizes):
-            cells.extend(_labelled_cells(alpha, group, permutations(range(1, n0 + 1))))
-    return tuple(sorted(cells, key=canonical_code))
+            sigma = corner_rotation(len(alpha))
+            cycles = boundary_cycles(sigma, alpha)
+            where = sorted((d, i) for i, cycle in enumerate(cycles) for d in cycle)
+            index = class_index(sigma, alpha)
+            for labels in _labelled_cells(cycles, group, labellings):
+                code, automorphisms = canonical_form(sigma, alpha, [labels[i] for _, i in where])
+                sides = tuple(len(cycle) for _, cycle in sorted(zip(labels, cycles)))
+                sides = shared.setdefault(sides, sides)
+                rows.append((code, sides, len(automorphisms), 1 in sides, labels, index))
+    return tuple(sorted(rows))  # by code: no two rows share one
 
 
-def _labelled_cells(alpha, group, labellings):
-    """One labelled graph per orbit of ``group`` among the given boundary
-    labellings of one class representative, the first in their order.
+def _labelled_cells(cycles, group, labellings):
+    """The first, in their order, of each orbit of ``group`` among the given
+    labellings (label of the i-th of the boundary ``cycles``) of one class
+    representative.
 
     This is the one labelling loop: the ribbon cells feed it every
     permutation of 1..N0, a catalog the labellings compatible with q.
     Labellings in one orbit give isomorphic labelled graphs, and labellings
     in different orbits give different codes.
     """
-    sigma = corner_rotation(len(alpha))
-    cycles = boundary_cycles(sigma, alpha)
     where = {d: i for i, cycle in enumerate(cycles) for d in cycle}
     moves = [[where[g[cycle[0]]] for cycle in cycles] for g in group]
     seen = set()
     for labels in labellings:
         if labels not in seen:
             seen.update(tuple(labels[i] for i in move) for move in moves)
-            yield RibbonGraph(sigma, alpha, labels)
+            yield labels
 
 
 def _label_assignments(classes, q):
@@ -371,10 +399,12 @@ def _entries_for_gluing(args) -> list[CatalogEntry]:
     triangulation is built from the dart labels and the slot pairs of alpha.
     """
     alpha, group, q = args
-    vertices = boundary_cycles(corner_rotation(len(alpha)), alpha)
+    sigma = corner_rotation(len(alpha))
+    vertices = boundary_cycles(sigma, alpha)
     gluing = [(divmod(d, 3), divmod(a, 3)) for d, a in enumerate(alpha) if d < a]
     entries = []
-    for graph in _labelled_cells(alpha, group, _label_assignments(vertices, q)):
+    for boundary_labels in _labelled_cells(vertices, group, _label_assignments(vertices, q)):
+        graph = RibbonGraph(sigma, alpha, boundary_labels)
         labels = graph.dart_labels()
         faces = [labels[d:d + 3] for d in range(0, len(alpha), 3)]
         t = build_triangulation(len(q), faces, gluing)

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import linalg
 from .ribbon import RibbonGraph
+from .triangulation import boundary_cycles
 
 
 class DimensionError(ValueError):
@@ -71,15 +72,15 @@ def edge_ends(columns) -> list[tuple[int, int]]:
     return ends
 
 
-def boundary_columns(graph: RibbonGraph) -> list[tuple[int, ...]]:
+def boundary_columns(sigma, alpha) -> list[tuple[int, ...]]:
     """One column per edge (d, alpha d), d < alpha d, in edge order: the
     number of the edge's two sides on each boundary cycle, in cycle order.
     It holds a 2 at a cycle that runs along both sides of the edge."""
-    cycle_of = {d: i for i, cycle in enumerate(graph.boundary_cycles) for d in cycle}
-    n0 = len(graph.boundary_cycles)
+    cycles = boundary_cycles(sigma, alpha)
+    cycle_of = {d: i for i, cycle in enumerate(cycles) for d in cycle}
     return [
-        tuple((cycle_of[d] == i) + (cycle_of[e] == i) for i in range(n0))
-        for d, e in enumerate(graph.alpha) if d < e
+        tuple((cycle_of[d] == i) + (cycle_of[e] == i) for i in range(len(cycles)))
+        for d, e in enumerate(alpha) if d < e
     ]
 
 
@@ -90,7 +91,7 @@ def constraint_system(graph: RibbonGraph, perimeters) -> ConstraintSystem:
     u = 1.  Row k is the k-th boundary's entry of each ``boundary_columns``
     column: how many of its sides lie on each edge.
     """
-    columns = boundary_columns(graph)
+    columns = boundary_columns(graph.sigma, graph.alpha)
     order = sorted(range(len(graph.boundary_cycles)), key=graph.boundary_labels.__getitem__)
     rows = tuple(tuple(column[i] for column in columns) for i in order)
     rhs = tuple(Fraction(perimeters[label]) for label in sorted(graph.boundary_labels))

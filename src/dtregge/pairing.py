@@ -11,9 +11,9 @@ exact rationals computed through fully independent code paths, and they
 agree for every admissible q; the catalog cells alone carry the whole sum
 exactly when the loop cells have empty polytopes, which happens at the
 classical anchor assignments.  Everything that ignores q is computed once
-per process: the cells and their codes, the columns of each cell's system,
-one ``class_volume`` per ``system_class`` and F_g's coefficients.  One
-memo, ``cell_volume``, takes a cell and q to its volume, emptiness first.
+per process: the cells' rows (``catalog._cells``), the columns of each
+class, one ``class_volume`` per ``system_class`` and F_g's coefficients.
+One memo, keyed by class index and perimeters, holds the volumes.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from itertools import permutations, product
 from math import lcm
 from typing import NamedTuple
 
-from .catalog import MAX_FACES, check_feasible, enumerate_ribbon_cells
+from . import catalog
+from .catalog import MAX_FACES, check_feasible, class_index
 from .intersection import generating_F
 from .measure import ConstraintSystem, boundary_columns, edge_ends
-from .ribbon import RibbonGraph, canonical_code
+from .ribbon import RibbonGraph
 from .volume import leray_volume
 
 
@@ -144,7 +145,7 @@ def _independent_sets(n0: int, columns: tuple) -> tuple:
     nonempty independent set I of the n0 rows, as bitmasks, in the
     multigraph of ``columns``: the part of ``has_interior_point`` that
     ignores rhs, built once per process for each column tuple, which
-    ``_cell_columns`` shares among the cells."""
+    ``_class_columns`` shares among the classes."""
     adjacent = [0] * n0
     for u, v in edge_ends(columns):
         adjacent[u] |= 1 << v
@@ -167,32 +168,39 @@ def class_volume(key: tuple) -> Fraction:
     return leray_volume(ConstraintSystem(tuple(zip(*columns)), rhs)).value
 
 
-_cell_volumes: dict[tuple, Fraction] = {}
-_cell_columns: dict[tuple, tuple] = {}  # (sigma, alpha) -> one column per edge
-_columns: dict[tuple, tuple] = {}  # one tuple per distinct column, shared by the cells
+_cell_volumes: dict[tuple, Fraction] = {}  # (class index, perimeters in cycle order) -> volume
+_columns: dict[tuple, tuple] = {}  # one tuple per distinct column, shared by the classes
 
 
 def cell_volume(graph: RibbonGraph, q: tuple) -> Fraction:
-    """Leray volume of a cell's system at any positive perimeters q, memoized
-    for the process per (sigma, alpha, perimeter of each boundary cycle in
-    cycle order), which the labelled cells of one class share up to a row
-    permutation.  A pattern with no L > 0 (``has_interior_point``) gets 0 and
-    no class search: its polytope lies in a coordinate face of lower dimension.
-    The columns, ``boundary_columns``, are read once per (sigma, alpha)."""
-    rhs = tuple([q[label - 1] for label in graph.boundary_labels])
-    key = (graph.sigma, graph.alpha, rhs)
-    volume = _cell_volumes.get(key)
+    """Leray volume of a cell's system at positive perimeters q, through the
+    memo of ``duality_pairing`` at the ``catalog.class_index`` of the cell's
+    (sigma, alpha).  Raises ValueError unless its labels are 1..N0 = len(q)."""
+    labels, n0 = graph.boundary_labels, len(graph.boundary_labels)
+    if len(q) != n0 or sorted(labels) != list(range(1, n0 + 1)):
+        raise ValueError(f"need labels 1..{n0} and {n0} perimeters, not {labels} and {len(q)}")
+    return _volume(class_index(graph.sigma, graph.alpha), tuple([q[k - 1] for k in labels]))
+
+
+def _volume(index: int, perimeters: tuple) -> Fraction:
+    """Volume of a class index's system at perimeters of its boundary cycles
+    in cycle order, memoized for the process.  With no L > 0
+    (``has_interior_point``) it is 0 and no class is searched: the polytope
+    lies in a coordinate face."""
+    volume = _cell_volumes.get((index, perimeters))
     if volume is None:
-        columns = _cell_columns.get(key[:2])
-        if columns is None:
-            columns = _cell_columns[key[:2]] = tuple(
-                _columns.setdefault(column, column) for column in boundary_columns(graph)
-            )
-        volume = _cell_volumes[key] = (
-            class_volume(system_class(ConstraintSystem(tuple(zip(*columns)), rhs)))
-            if has_interior_point(rhs, columns) else Fraction(0)
+        columns = _class_columns(index)
+        volume = _cell_volumes[index, perimeters] = (
+            class_volume(system_class(ConstraintSystem(tuple(zip(*columns)), perimeters)))
+            if has_interior_point(perimeters, columns) else Fraction(0)
         )
     return volume
+
+
+@lru_cache(maxsize=None)
+def _class_columns(index: int) -> tuple:
+    """One column per edge of a class index, ``boundary_columns``, read once."""
+    return tuple(_columns.setdefault(c, c) for c in boundary_columns(*catalog._class_darts[index]))
 
 
 def _weighted_sum(const: int, weights: Counter) -> Fraction:
@@ -214,31 +222,30 @@ def duality_pairing(
     The key, the face cap and the genus are checked before the cells are
     read.  A cell is the dual of a catalog triangulation exactly when its
     boundary labelled k has q_k sides, and the catalog part and cardinality
-    are read off those cells.  A cell visit is one lookup in the
-    ``cell_volume`` memo and one ``CellContribution`` tuple: side counts,
-    code and aut order ignore q and are cached on the cells, which
-    ``enumerate_ribbon_cells`` keeps per (g, N0).  Each side is one integer
-    sum over the distinct (volume, aut order) of the cells of volume > 0.
+    are read off those cells.  A cell is a row of ``catalog._cells``, whose
+    fields ignore q, and a visit is one memo lookup and one contribution
+    built by ``tuple.__new__``, which skips the NamedTuple's Python-level
+    ``__new__``.  Each side is one integer sum over the distinct (volume,
+    aut order) of the cells of volume > 0.
     """
     q = tuple(q)
     check_feasible(genus, n0, q, max_faces)
     rhs = generating_F(genus, q, enable_higher_genus)  # before any volume work
     const = pairing_constant(genus, n0)
 
-    memo, contributions, cardinality = _cell_volumes, [], 0
+    memo, new, contributions, cardinality = _cell_volumes, tuple.__new__, [], 0
     weights, catalog_weights = Counter(), Counter()  # cells of volume n/d > 0 per (n, d, aut)
-    for graph in enumerate_ribbon_cells(genus, n0, max_faces):
-        perimeters = tuple([q[label - 1] for label in graph.boundary_labels])
-        volume = memo.get((graph.sigma, graph.alpha, perimeters))
+    perimeters = {}  # of the boundary cycles, in cycle order, per labelling
+    for code, sides, aut, loop, labels, index in catalog._cells(genus, n0):
+        at = perimeters.get(labels)
+        if at is None:
+            at = perimeters[labels] = tuple([q[k - 1] for k in labels])
+        volume = memo.get((index, at))
         if volume is None:
-            volume = cell_volume(graph, q)
-        sides, aut = graph.sides, graph.aut_order
+            volume = _volume(index, at)
         from_catalog = sides == q
         cardinality += from_catalog
-        # a loop bounds a one-sided boundary, and nothing else does
-        contributions.append(
-            CellContribution(canonical_code(graph), sides, volume, aut, 1 in sides, from_catalog)
-        )
+        contributions.append(new(CellContribution, (code, sides, volume, aut, loop, from_catalog)))
         if volume:
             weights[volume.numerator, volume.denominator, aut] += 1
             if from_catalog:

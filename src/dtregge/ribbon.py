@@ -99,17 +99,6 @@ class RibbonGraph:
         chi = self.vertex_count - self.edge_count + len(self.boundary_cycles)
         return (2 - chi) // 2
 
-    def mirror(self) -> "RibbonGraph":
-        """Same underlying graph with all rotations reversed.
-
-        Per-dart boundary labels of the mirror are the original labels
-        composed with sigma, which is constant along the mirrored cycles.
-        """
-        inv = tuple(sorted(range(self.dart_count), key=self.sigma.__getitem__))
-        old = self.dart_labels()
-        cycles = boundary_cycles(inv, self.alpha)
-        return RibbonGraph(inv, self.alpha, tuple(old[self.sigma[c[0]]] for c in cycles))
-
     def to_dict(self) -> dict:
         return {
             "darts": self.dart_count,
@@ -181,8 +170,8 @@ def _check_darts(sigma: tuple[int, ...], alpha: tuple[int, ...]) -> None:
     """Raise RibbonGraphError unless sigma and alpha form a connected
     trivalent ribbon graph.
 
-    The labelling loop builds the labellings of one matching in a row, so
-    remembering the last pair that passed validates each matching once.
+    Catalogs and ``enumerate_ribbon_cells`` build one matching's graphs in
+    a row, so remembering the last pair that passed validates each once.
     """
     n = len(sigma)
     if len(alpha) != n:

@@ -9,11 +9,11 @@ seconds the vertex search of ``leray_volume`` (``_integer_vertices``)
 takes again over those classes; then the process's peak resident memory
 (``ru_maxrss``).  ``polytope_vertices`` would add a ``Fraction`` per
 vertex entry, which ``leray_volume`` never builds.  The first key builds the
-labelled cells of (2, 3), which the second reuses, and the second computes
-only the classes the first did not reach.  It exits 1 when the two sides
-differ at either key.  It takes about 22 s on one core and 260 MiB, too
-much for the test suite; pytest does not collect this file, as its name
-does not start with ``test_``.
+rows of the labelled cells of (2, 3), which the second reuses, and the
+second computes only the classes the first did not reach.  It exits 1 when
+the two sides differ at either key.  It takes about 17 s on one core of a
+2-CPU machine and 200 MiB, too much for the test suite; pytest does not
+collect this file, as its name does not start with ``test_``.
 """
 
 from __future__ import annotations

@@ -131,7 +131,7 @@ def test_face_cap_is_checked_before_the_cells(monkeypatch):
     def no_cells(*args):
         raise AssertionError("cells enumerated before the face cap")
 
-    monkeypatch.setattr("dtregge.pairing.enumerate_ribbon_cells", no_cells)
+    monkeypatch.setattr("dtregge.catalog._cells", no_cells)
     with pytest.raises(ResourceCapError):
         duality_pairing(0, 4, (3, 3, 3, 3), max_faces=2)
 
@@ -373,15 +373,68 @@ def test_pairing_at_genus_3():
 
 
 def test_pairing_builds_no_rows_on_the_cells(monkeypatch, fresh_gluing_caches):
-    """The pairing keeps nothing per cell beyond what the enumerator caches:
-    fresh cells paired from an empty memo gain no ``edges`` or
-    ``dart_edge``, as ``cell_volume`` reads its columns off the boundary
-    cycles."""
+    """The pairing keeps nothing per cell beyond the enumerator's rows:
+    fresh rows paired from an empty memo stay six plain fields each, and
+    the volume memo is keyed by class index and perimeters, as ``_volume``
+    reads its columns once per class, off the boundary cycles."""
     monkeypatch.setattr(pairing, "_cell_volumes", {})
     duality_pairing(1, 4, (6, 6, 6, 6))
     assert pairing._cell_volumes
-    for graph in enumerate_ribbon_cells(1, 4):
-        assert not {"edges", "dart_edge"} & set(vars(graph))
+    assert all(type(index) is int and len(perimeters) == 4
+               for index, perimeters in pairing._cell_volumes)
+    for row in dtregge.catalog._cells(1, 4):
+        assert [type(field) for field in row] == [bytes, tuple, int, bool, tuple, int]
+
+
+def test_pairing_keys_build_no_ribbon_graph(monkeypatch, fresh_gluing_caches):
+    """From fresh caches and an empty memo, the 47 pairing keys read the
+    cells as rows and construct no ``RibbonGraph``."""
+    built = []
+    post_init = ribbon.RibbonGraph.__post_init__
+    monkeypatch.setattr(ribbon.RibbonGraph, "__post_init__",
+                        lambda graph: built.append(graph) or post_init(graph))
+    monkeypatch.setattr(pairing, "_cell_volumes", {})
+    for key in PAIRING_KEYS:
+        assert duality_pairing(*key).equal
+    assert built == []
+    assert len(enumerate_ribbon_cells(1, 3)) == len(built) == 236  # the count sees a build
+
+
+def test_cell_volume_of_a_catalog_dual_reads_the_pairing_memo(monkeypatch):
+    """``cell_volume`` on the duals of the (1,3,(6,6,6)) catalog finds each
+    volume in the memo the pairing filled, keyed by the class index of the
+    dual's (sigma, alpha) and its perimeters in cycle order."""
+    q = (6, 6, 6)
+    monkeypatch.setattr(pairing, "_cell_volumes", {})
+    report = duality_pairing(1, 3, q)
+    filled = dict(pairing._cell_volumes)
+
+    def no_search(*args):
+        raise AssertionError("memo miss")
+
+    monkeypatch.setattr(pairing, "has_interior_point", no_search)
+    volumes = {c.code: c.volume for c in report.contributions}
+    entries = enumerate_triangulations(1, 3, q).entries
+    assert len(entries) == report.cardinality > 0
+    for entry in entries:
+        dual = entry.dual
+        key = (dtregge.catalog.class_index(dual.sigma, dual.alpha),
+               tuple(q[label - 1] for label in dual.boundary_labels))
+        assert key in filled
+        assert cell_volume(dual, q) == filled[key] == volumes[entry.code]
+    assert pairing._cell_volumes == filled
+
+
+@pytest.mark.parametrize("labels, q", [
+    ((1, 2, 3), (2, 2, 2, 99)),  # an extra q entry
+    ((0, 1, 2), (2, 2, 5)),  # label 0 would read q[-1]
+    ((1, 2, 7), (2, 2, 5)),  # label 7 is past q
+], ids=["extra-q", "label-0", "label-7"])
+def test_cell_volume_rejects_labels_that_are_not_1_to_n0(labels, q):
+    graph = enumerate_ribbon_cells(0, 3)[0]
+    cell = ribbon.RibbonGraph(graph.sigma, graph.alpha, labels)
+    with pytest.raises(ValueError, match="need labels 1..3 and 3 perimeters"):
+        cell_volume(cell, q)
 
 
 def test_pairing_keys_run_one_class_search_per_nonempty_memo_key(monkeypatch):
@@ -407,17 +460,17 @@ def test_pairing_keys_run_one_class_search_per_nonempty_memo_key(monkeypatch):
 
 def test_a_second_key_recomputes_no_cell_field(monkeypatch):
     """Side counts, code and aut order ignore q: they are computed once per
-    cell and kept on it, so a second key of the same (g, N0) reads the
+    cell and kept in its row, so a second key of the same (g, N0) reads the
     first key's objects back and runs no canonical pass or cycle search."""
     first = duality_pairing(0, 4, (2, 3, 3, 4))
     calls = []
 
     def counting(name):
-        function = getattr(ribbon, name)
+        function = getattr(dtregge.catalog, name)
         return lambda *args: calls.append(name) or function(*args)
 
     for name in ("canonical_form", "boundary_cycles"):
-        monkeypatch.setattr(ribbon, name, counting(name))
+        monkeypatch.setattr(dtregge.catalog, name, counting(name))
     second = duality_pairing(0, 4, (4, 3, 3, 2))
     assert calls == []
     assert len(second.contributions) == 64

@@ -5,10 +5,15 @@ from fractions import Fraction
 import pytest
 from conftest import PAIRING_KEYS, bipyramid
 
-from dtregge.catalog import CatalogEntry, enumerate_triangulations, feasible_q_vectors
+from dtregge.catalog import (
+    CatalogEntry,
+    enumerate_ribbon_cells,
+    enumerate_triangulations,
+    feasible_q_vectors,
+)
 from dtregge.pairing import duality_pairing
 from dtregge.report import SCHEMA, RunReport, rational
-from dtregge.ribbon import RibbonGraph, RibbonGraphError, dualize
+from dtregge.ribbon import RibbonGraph, RibbonGraphError, canonical_code, dualize
 from dtregge.triangulation import Triangulation
 
 
@@ -120,3 +125,15 @@ def test_pairing_reports_in_workload_order_are_bit_identical():
     assert _digest(duality_pairing(*key) for key in PAIRING_KEYS) == (
         "cad311d5753f49fb98ef03d9e2409a9fe58a395b8f04e39af5200bf4ba9548cb"
     )
+
+
+def test_ribbon_cells_are_bit_identical():
+    """Every cell of ``enumerate_ribbon_cells`` at eight (g, N0), in code
+    order: its darts, boundary labels, canonical code and automorphism order."""
+    h = hashlib.sha256()
+    for genus, n0 in [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1), (0, 5), (1, 3), (2, 2)]:
+        for cell in enumerate_ribbon_cells(genus, n0):
+            fields = (cell.sigma, cell.alpha, cell.boundary_labels, canonical_code(cell).hex(),
+                      cell.aut_order)
+            h.update(repr(fields).encode())
+    assert h.hexdigest() == "35acc832d336ac6240d660d4ff737831e45143c83700dd18ba151e046c89f4bd"
