@@ -29,6 +29,7 @@ from functools import lru_cache
 from itertools import chain, permutations, product
 from types import MappingProxyType
 
+from .measure import boundary_columns
 from .ribbon import RibbonGraph, canonical_code, canonical_form
 from .triangulation import Triangulation, boundary_cycles, build_triangulation, corner_rotation
 
@@ -324,6 +325,7 @@ def enumerate_ribbon_cells(
 
 _class_darts: list[tuple] = []  # class index -> (sigma, alpha), for the life of the process
 _class_indices: dict[tuple, int] = {}  # and back
+_columns: dict[tuple, tuple] = {}  # one tuple per distinct column, shared by the classes
 
 
 def class_index(sigma: tuple, alpha: tuple) -> int:
@@ -332,6 +334,12 @@ def class_index(sigma: tuple, alpha: tuple) -> int:
     if index == len(_class_darts):
         _class_darts.append((sigma, alpha))
     return index
+
+
+@lru_cache(maxsize=None)
+def class_columns(index: int) -> tuple:
+    """The ``boundary_columns`` of class ``index``, read once; equal columns are one tuple."""
+    return tuple(_columns.setdefault(c, c) for c in boundary_columns(*_class_darts[index]))
 
 
 @lru_cache(maxsize=None)

@@ -27,9 +27,9 @@ from math import lcm
 from typing import NamedTuple
 
 from . import catalog
-from .catalog import MAX_FACES, check_feasible, class_index
+from .catalog import MAX_FACES, check_feasible, class_columns, class_index
 from .intersection import generating_F
-from .measure import ConstraintSystem, boundary_columns, edge_ends
+from .measure import ConstraintSystem, edge_ends
 from .ribbon import RibbonGraph
 from .volume import leray_volume
 
@@ -145,7 +145,7 @@ def _independent_sets(n0: int, columns: tuple) -> tuple:
     nonempty independent set I of the n0 rows, as bitmasks, in the
     multigraph of ``columns``: the part of ``has_interior_point`` that
     ignores rhs, built once per process for each column tuple, which
-    ``_class_columns`` shares among the classes."""
+    ``catalog.class_columns`` shares among the classes."""
     adjacent = [0] * n0
     for u, v in edge_ends(columns):
         adjacent[u] |= 1 << v
@@ -169,7 +169,6 @@ def class_volume(key: tuple) -> Fraction:
 
 
 _cell_volumes: dict[tuple, Fraction] = {}  # (class index, perimeters in cycle order) -> volume
-_columns: dict[tuple, tuple] = {}  # one tuple per distinct column, shared by the classes
 
 
 def cell_volume(graph: RibbonGraph, q: tuple) -> Fraction:
@@ -183,24 +182,17 @@ def cell_volume(graph: RibbonGraph, q: tuple) -> Fraction:
 
 
 def _volume(index: int, perimeters: tuple) -> Fraction:
-    """Volume of a class index's system at perimeters of its boundary cycles
-    in cycle order, memoized for the process.  With no L > 0
-    (``has_interior_point``) it is 0 and no class is searched: the polytope
-    lies in a coordinate face."""
+    """Volume of class ``index``'s system at the perimeters of its boundary
+    cycles in cycle order, memoized; with no L > 0 (``has_interior_point``)
+    it is 0, with no class search: the polytope lies in a coordinate face."""
     volume = _cell_volumes.get((index, perimeters))
     if volume is None:
-        columns = _class_columns(index)
+        columns = class_columns(index)
         volume = _cell_volumes[index, perimeters] = (
             class_volume(system_class(ConstraintSystem(tuple(zip(*columns)), perimeters)))
             if has_interior_point(perimeters, columns) else Fraction(0)
         )
     return volume
-
-
-@lru_cache(maxsize=None)
-def _class_columns(index: int) -> tuple:
-    """One column per edge of a class index, ``boundary_columns``, read once."""
-    return tuple(_columns.setdefault(c, c) for c in boundary_columns(*catalog._class_darts[index]))
 
 
 def _weighted_sum(const: int, weights: Counter) -> Fraction:

@@ -465,12 +465,14 @@ def test_a_second_key_recomputes_no_cell_field(monkeypatch):
     first = duality_pairing(0, 4, (2, 3, 3, 4))
     calls = []
 
-    def counting(name):
-        function = getattr(dtregge.catalog, name)
-        return lambda *args: calls.append(name) or function(*args)
+    def count(module, name):
+        function = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or function(*args))
 
-    for name in ("canonical_form", "boundary_cycles"):
-        monkeypatch.setattr(dtregge.catalog, name, counting(name))
+    # the rows read their cycles in catalog, a class's columns in measure
+    count(dtregge.catalog, "canonical_form")
+    count(dtregge.catalog, "boundary_cycles")
+    count(measure, "boundary_cycles")
     second = duality_pairing(0, 4, (4, 3, 3, 2))
     assert calls == []
     assert len(second.contributions) == 64

@@ -231,7 +231,8 @@ def test_malformed_graphs_are_rejected_after_a_valid_one(sigma, alpha, labels, m
             RibbonGraph(sigma, alpha, labels)
 
 
-def test_labelling_loop_validates_each_matching_once(monkeypatch):
+def _count_dart_checks(monkeypatch) -> list:
+    """The alphas that ``_check_darts`` validates from now on, from a cleared memo."""
     checked = []
     connected = ribbon._connected
     monkeypatch.setattr(
@@ -239,6 +240,22 @@ def test_labelling_loop_validates_each_matching_once(monkeypatch):
         lambda sigma, alpha: checked.append(alpha) or connected(sigma, alpha),
     )
     ribbon._check_darts.cache_clear()
+    return checked
+
+
+def test_labelling_loop_validates_each_matching_once(monkeypatch):
+    """A catalog builds the labelled duals of each class in a row, so the
+    dart check runs once per class representative, not once per entry."""
+    checked = _count_dart_checks(monkeypatch)
+    q = (6, 6, 6, 6)
+    entries = enumerate_triangulations(1, 4, q).entries
+    representatives = [alpha for alpha, _ in _classes(1, q)]
+    assert checked == representatives
+    assert len(set(checked)) == len(checked) < len(entries)
+
+
+def test_ribbon_cells_validate_each_matching_once(monkeypatch):
+    checked = _count_dart_checks(monkeypatch)
     enumerate_ribbon_cells(1, 2)  # builds the graphs of each class in a run
     groups = enumerate_gluings(1, 2)
     representatives = [alpha for sizes in groups for alpha, _ in _classes(1, sizes)]
