@@ -13,7 +13,6 @@ from .catalog import (
     check_feasible,
     enumerate_triangulations,
     face_count,
-    feasible_q_vectors,
 )
 from .intersection import GenusError, TauQuery, generating_F, intersection_number, tau
 from .measure import (
@@ -61,7 +60,6 @@ __all__ = [
     "dualize",
     "enumerate_triangulations",
     "face_count",
-    "feasible_q_vectors",
     "gauss_bonnet_check",
     "generating_F",
     "incidence_matrix",

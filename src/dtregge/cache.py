@@ -53,12 +53,11 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "dtregge"
 
 
-def catalog_path(genus: int, n0: int, q, directory: Path | None = None) -> Path:
-    base = directory if directory is not None else cache_dir()
+def catalog_path(genus: int, n0: int, q) -> Path:
     name = "catalog-g{}-n{}-q{}-v{}.json".format(
         genus, n0, "_".join(str(x) for x in q), CONVENTION_VERSION
     )
-    return base / name
+    return cache_dir() / name
 
 
 def atomic_write_json(path: Path, data) -> None:
@@ -155,8 +154,8 @@ def cached_catalog(
     return catalog
 
 
-def list_cache(directory: Path | None = None) -> list[Path]:
-    base = directory if directory is not None else cache_dir()
+def list_cache() -> list[Path]:
+    base = cache_dir()
     if not base.is_dir():
         return []
     return sorted(base.glob("catalog-*.json"))

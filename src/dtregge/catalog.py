@@ -445,20 +445,3 @@ def enumerate_triangulations(
     # classes and their orbits never share a code
     entries = sorted(chain.from_iterable(results), key=lambda entry: entry.code)
     return Catalog(genus, n0, q, tuple(entries))
-
-
-def feasible_q_vectors(genus: int, n0: int):
-    """All labelled q-vectors (each entry >= 2) with sum 3*N2 at this key."""
-    n2 = face_count(genus, n0)
-    total = 3 * n2
-
-    def rec(remaining: int, parts: int):
-        if parts == 1:
-            if remaining >= 2:
-                yield (remaining,)
-            return
-        for first in range(2, remaining - 2 * (parts - 1) + 1):
-            for rest in rec(remaining - first, parts - 1):
-                yield (first,) + rest
-
-    yield from rec(total, n0)

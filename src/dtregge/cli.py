@@ -22,10 +22,10 @@ import click
 
 from . import cache as cache_mod
 from . import polygon
-from .catalog import (MAX_FACES, InfeasibleKeyError, ResourceCapError,
+from .catalog import (MAX_FACES, InfeasibleKeyError, ResourceCapError, check_feasible,
                       enumerate_triangulations)
 from .geometry import half_edge_lengths, median_identity_check, random_fan
-from .intersection import ExponentError, GenusError, tau
+from .intersection import ExponentError, GenusError, TauQuery, intersection_number
 from .measure import DimensionError, kontsevich_check
 from .pairing import cell_volume, duality_pairing
 from .report import RunReport, rational
@@ -237,27 +237,38 @@ def cmd_volume(genus, vertices, qlist, max_faces):
     _report("volume", {"genus": genus, "vertices": vertices, "q": list(q)}, {"entries": entries})
 
 
+dvv_option = click.option("--enable-dvv", is_flag=True, help="allow genus >= 2")
+
+
+def _genus_gate(genus: int, enable_dvv: bool) -> None:
+    """GenusError at genus >= 2 unless ``--enable-dvv`` was given."""
+    if genus >= 2 and not enable_dvv:
+        raise GenusError("genus >= 2 requires the higher-genus recursion flag (--enable-dvv)")
+
+
 @main.command("tau")
 @click.option("--genus", "-g", type=int, required=True)
 @click.option("--d", "dlist", type=str, required=True, help="comma-separated exponents")
-@click.option("--enable-dvv", is_flag=True, help="allow genus >= 2 via the DVV recursion")
+@dvv_option
 def cmd_tau(genus, dlist, enable_dvv):
     """One intersection number <tau_{d_1} ... tau_{d_n}>_g."""
-    ds = _parse_q(dlist)
-    value = tau(genus, ds, enable_higher_genus=enable_dvv)
-    _report("tau", {"genus": genus, "d": list(ds)}, {"value": rational(value)})
+    query = TauQuery(genus, _parse_q(dlist))
+    if query.on_shell:  # an off-shell number is 0 at every genus
+        _genus_gate(genus, enable_dvv)
+    value = intersection_number(query)
+    _report("tau", {"genus": genus, "d": list(query.exponents)}, {"value": rational(value)})
 
 
 @main.command("pairing")
 @with_key
 @max_faces_option
-@click.option("--enable-dvv", is_flag=True, help="allow genus >= 2 via the DVV recursion")
+@dvv_option
 def cmd_pairing(genus, vertices, qlist, max_faces, enable_dvv):
     """Verify the duality pairing at a key; exit status reflects equality."""
     q = _parse_q(qlist)
-    report = duality_pairing(
-        genus, vertices, q, enable_higher_genus=enable_dvv, max_faces=max_faces
-    )
+    check_feasible(genus, vertices, q, max_faces)  # a bad key or cap first, then the genus
+    _genus_gate(genus, enable_dvv)
+    report = duality_pairing(genus, vertices, q, max_faces)
     body = report.to_dict()
     average = report.average_volume
     body["average_volume"] = rational(average) if average is not None else None

@@ -1,15 +1,14 @@
 """Metric dictionary between a Regge star and its dual polygon.
 
 Squared lengths are the primitive quantities: every half-edge relation is
-rational in squared edge lengths, so identity checks stay exact.  Square
-roots are taken only at presentation boundaries.  ``check median`` reads
-this module; the deficit angle and the exact linearization at the
-equilateral point are test cross-checks.
+rational in squared edge lengths, so identity checks stay exact and no
+square root is taken.  ``check median`` reads this module; the deficit
+angle and the exact linearization at the equilateral point are test
+cross-checks.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,11 +54,6 @@ class CornerFan:
             tuple(Fraction(x) ** 2 for x in links),
         )
 
-    @classmethod
-    def equilateral(cls, q: int, a=1) -> "CornerFan":
-        s = Fraction(a) ** 2
-        return cls((s,) * q, (s,) * q)
-
 
 def _strict_triangle_sq(a2, b2, c2) -> bool:
     # a + b > c with squared inputs, for every assignment of the long side
@@ -85,12 +79,6 @@ class DualLengths:
     @property
     def q(self) -> int:
         return len(self.plus_sq)
-
-    def lengths(self) -> tuple[float, ...]:
-        """Dual edge lengths L_a = L-_a + L+_a (presentation values)."""
-        return tuple(
-            math.sqrt(m) + math.sqrt(p) for m, p in zip(self.minus_sq, self.plus_sq)
-        )
 
 
 def half_edge_lengths(fan: CornerFan) -> DualLengths:

@@ -4,7 +4,8 @@ function F_g(q), all as exact rationals.
 Nonzero only on shell, i.e. when sum d_i = n + 3g - 3.  Every genus uses
 one recursion, the Virasoro (DVV) step on the smallest insertion, which is
 the string equation at tau_0 and the dilaton equation at tau_1 and ends at
-<tau_0^3>_0 = 1 and <tau_1>_1 = 1/24.  Genus >= 2 is behind an opt-in flag.
+<tau_0^3>_0 = 1 and <tau_1>_1 = 1/24.  The library computes every genus;
+only the command line gates genus >= 2 behind ``--enable-dvv``.
 """
 
 from __future__ import annotations
@@ -40,23 +41,15 @@ class TauQuery:
         return sum(self.exponents) == len(self.exponents) + 3 * self.genus - 3
 
 
-def intersection_number(query: TauQuery, enable_higher_genus: bool = False) -> Fraction:
+def intersection_number(query: TauQuery) -> Fraction:
     """<tau_{d_1} ... tau_{d_n}>_g, zero off shell."""
     if not query.on_shell:
         return Fraction(0)
-    _check_flag(query.genus, enable_higher_genus)
     return _tau(query.genus, tuple(sorted(query.exponents)))
 
 
-def _check_flag(genus: int, enable_higher_genus: bool) -> None:
-    if genus >= 2 and not enable_higher_genus:
-        raise GenusError("genus >= 2 requires the higher-genus recursion flag (--enable-dvv)")
-
-
-def tau(genus: int, exponents, enable_higher_genus: bool = False) -> Fraction:
-    return intersection_number(
-        TauQuery(genus, tuple(exponents)), enable_higher_genus
-    )
+def tau(genus: int, exponents) -> Fraction:
+    return intersection_number(TauQuery(genus, tuple(exponents)))
 
 
 def _dfact(k: int) -> int:
@@ -110,27 +103,28 @@ def _tau(g: int, ds: tuple[int, ...]) -> Fraction:
 
 def _compositions(total: int, parts: int):
     """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
+    if parts < 2:  # one part takes the total, and no parts only a total of 0
+        if parts or total == 0:
+            yield (total,) * parts
         return
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
-def generating_F(genus: int, q, enable_higher_genus: bool = False) -> Fraction:
+def generating_F(genus: int, q) -> Fraction:
     """F_g(q) = sum over delta with sum delta_i = N0 + 3g - 3 of
-    prod q_i^(2 delta_i) / delta_i! * <tau_delta>_g, for any rational q.
+    prod q_i^(2 delta_i) / delta_i! * <tau_delta>_g, for any rational q and
+    every genus; 0 at N0 = 0, where the one delta, (), is off shell.
 
-    ValueError when there is no stable moduli space and GenusError at a
-    negative genus or at genus >= 2 without the flag, before any term.  A q
-    then costs one integer sum over the terms of ``_F_terms`` and one Fraction.
+    ValueError when there is no stable moduli space (2g - 2 + N0 <= 0) and
+    GenusError at a negative genus, before any term.  A q then costs one
+    integer sum over the terms of ``_F_terms`` and one Fraction.
     """
     q = tuple(q)
-    if len(q) + 3 * genus - 3 < 0:
+    if 2 * genus - 2 + len(q) <= 0:
         raise ValueError(f"no stable moduli space for g={genus}, N0={len(q)}")
     TauQuery(genus, ())  # GenusError at a negative genus
-    _check_flag(genus, enable_higher_genus)
     denominator, terms = _F_terms(genus, len(q))
     squares = [x * x for x in q]
     return Fraction(sum(c * prod(map(pow, squares, delta)) for delta, c in terms), denominator)
@@ -142,7 +136,7 @@ def _F_terms(genus: int, n0: int) -> tuple[int, tuple]:
     the pairs (delta, D <tau_delta>_g / prod delta_i!), all integers, each
     <tau_delta>_g read once per process through ``intersection_number``."""
     weights = [
-        (delta, intersection_number(TauQuery(genus, delta), True) / prod(map(factorial, delta)))
+        (delta, intersection_number(TauQuery(genus, delta)) / prod(map(factorial, delta)))
         for delta in _compositions(n0 + 3 * genus - 3, n0)
     ]
     denominator = lcm(*(weight.denominator for _, weight in weights))

@@ -202,19 +202,13 @@ def _weighted_sum(const: int, weights: Counter) -> Fraction:
     return Fraction(const * sum(c * n * (lcd // (d * a)) for (n, d, a), c in weights.items()), lcd)
 
 
-def duality_pairing(
-    genus: int,
-    n0: int,
-    q,
-    enable_higher_genus: bool = False,
-    max_faces: int = MAX_FACES,
-) -> PairingReport:
+def duality_pairing(genus: int, n0: int, q, max_faces: int = MAX_FACES) -> PairingReport:
     """Both sides of the pairing at (genus, N0, q), with a cell breakdown.
 
-    The key, the face cap and the genus are checked before the cells are
-    read.  A cell is the dual of a catalog triangulation exactly when its
-    boundary labelled k has q_k sides, and the catalog part and cardinality
-    are read off those cells.  A cell is a row of ``catalog._cells``, whose
+    The key and the face cap are checked before the cells are read.  A cell
+    is the dual of a catalog triangulation exactly when its boundary
+    labelled k has q_k sides, and the catalog part and cardinality are read
+    off those cells.  A cell is a row of ``catalog._cells``, whose
     fields ignore q, and a visit is one memo lookup and one contribution
     built by ``tuple.__new__``, which skips the NamedTuple's Python-level
     ``__new__``.  Each side is one integer sum over the distinct (volume,
@@ -222,7 +216,7 @@ def duality_pairing(
     """
     q = tuple(q)
     check_feasible(genus, n0, q, max_faces)
-    rhs = generating_F(genus, q, enable_higher_genus)  # before any volume work
+    rhs = generating_F(genus, q)
     const = pairing_constant(genus, n0)
 
     memo, new, contributions, cardinality = _cell_volumes, tuple.__new__, [], 0

@@ -24,11 +24,10 @@ class RunReport:
     inputs: dict
     results: dict
     timings: dict = field(default_factory=dict)
-    schema: str = SCHEMA
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": SCHEMA,
             "command": self.command,
             "inputs": self.inputs,
             "results": self.results,
@@ -37,13 +36,3 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunReport":
-        return cls(
-            command=data["command"],
-            inputs=data["inputs"],
-            results=data["results"],
-            timings=data.get("timings", {}),
-            schema=data["schema"],
-        )

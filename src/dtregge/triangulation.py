@@ -42,13 +42,6 @@ class Triangulation:
     def n1(self) -> int:
         return 3 * len(self.faces) // 2
 
-    def partner(self, slot: Slot) -> Slot:
-        return _partner_map(self.gluing)[slot]
-
-    def slot_vertices(self, slot: Slot) -> tuple[int, int]:
-        f, i = slot
-        return self.faces[f][i], self.faces[f][(i + 1) % 3]
-
     def to_dict(self) -> dict:
         return {
             "vertex_count": self.vertex_count,
@@ -61,14 +54,6 @@ class Triangulation:
         faces = [tuple(face) for face in data["faces"]]
         gluing = [(tuple(s), tuple(t)) for s, t in data["gluing"]]
         return build_triangulation(data["vertex_count"], faces, gluing)
-
-
-def _partner_map(gluing) -> dict[Slot, Slot]:
-    partner = {}
-    for s, t in gluing:
-        partner[s] = t
-        partner[t] = s
-    return partner
 
 
 def build_triangulation(vertex_count, face_corner_labels, slot_gluing) -> Triangulation:

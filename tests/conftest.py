@@ -9,7 +9,7 @@ import pytest
 from corner_linearization import dual_edge_row
 
 from dtregge import catalog
-from dtregge.catalog import Catalog
+from dtregge.catalog import Catalog, face_count
 from dtregge.cache import atomic_write_json, catalog_path
 from dtregge.intersection import TauQuery, intersection_number
 from dtregge.linalg import clear_denominators, solve_square
@@ -23,11 +23,29 @@ from dtregge.triangulation import (
 )
 from dtregge.volume import _bases, lebesgue_volume, polytope_vertices
 
+
+def feasible_q_vectors(genus: int, n0: int):
+    """All labelled q-vectors (each entry >= 2) with sum 3*N2 at this key."""
+    n2 = face_count(genus, n0)
+    total = 3 * n2
+
+    def rec(remaining: int, parts: int):
+        if parts == 1:
+            if remaining >= 2:
+                yield (remaining,)
+            return
+        for first in range(2, remaining - 2 * (parts - 1) + 1):
+            for rest in rec(remaining - first, parts - 1):
+                yield (first,) + rest
+
+    yield from rec(total, n0)
+
+
 #: The keys of the benchmark's pairing workload: every labelled q at (0,4)
 #: and (1,2), the anchors, and (1,3,(6,6,6)).
 PAIRING_KEYS = [
-    *((0, 4, q) for q in catalog.feasible_q_vectors(0, 4)),
-    *((1, 2, q) for q in catalog.feasible_q_vectors(1, 2)),
+    *((0, 4, q) for q in feasible_q_vectors(0, 4)),
+    *((1, 2, q) for q in feasible_q_vectors(1, 2)),
     (0, 3, (2, 2, 2)),
     (1, 1, (6,)),
     (1, 3, (6, 6, 6)),
@@ -46,25 +64,64 @@ def system_classes(keys) -> set:
 
 def compositions(total: int, parts: int):
     """The tuples of ``parts`` nonnegative integers summing to ``total``, by
-    stars and bars: the bars sit at ``parts - 1`` of ``total + parts - 1`` places."""
+    stars and bars: the bars sit at ``parts - 1`` of ``total + parts - 1`` places.
+    No parts sum only to 0."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
     for bars in combinations(range(total + parts - 1), parts - 1):
         cuts = (-1, *bars, total + parts - 1)
         yield tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))
 
 
-def term_by_term_F(genus: int, q, enable_higher_genus: bool = False) -> Fraction:
+@lru_cache(maxsize=None)
+def _goulden_jackson(n: int, genus: int) -> Fraction:
+    """T(n, g) = (3n + 2) t(n, g), by the recurrence of Goulden and Jackson,
+    Adv. Math. 219 (2008):
+
+    T(n, g) = 4 (3n + 2) / (n + 1) (n (3n - 2) T(n - 2, g - 1)
+              + sum over i + j = n - 2 and h + k = g of T(i, h) T(j, k)),
+
+    with i, j >= -1, T(-1, 0) = 1/2, and T = 0 at n < -1, at g < 0 and at
+    (-1, g >= 1)."""
+    if n < -1 or genus < 0 or n == -1 and genus > 0:
+        return Fraction(0)
+    if n == -1:
+        return Fraction(1, 2)
+    splits = sum(
+        _goulden_jackson(i, h) * _goulden_jackson(n - 2 - i, genus - h)
+        for i in range(-1, n) for h in range(genus + 1)
+    )
+    handle = n * (3 * n - 2) * _goulden_jackson(n - 2, genus - 1)
+    return Fraction(4 * (3 * n + 2), n + 1) * (handle + splits)
+
+
+def rooted_triangulations(n2: int, genus: int) -> int:
+    """t(N2/2, g), the rooted triangulations of genus g with N2 faces, loops
+    and multiple edges allowed: an oracle for the matchings that
+    ``catalog.enumerate_gluings`` stores, one per rooting of each class,
+    which shares no code with the search."""
+    n = n2 // 2
+    count = _goulden_jackson(n, genus) / (3 * n + 2)
+    assert count.denominator == 1
+    return int(count)
+
+
+def term_by_term_F(genus: int, q) -> Fraction:
     """F_g(q) as a sum of Fractions, term by term, with one
-    ``intersection_number`` per on-shell delta: an oracle for
+    ``intersection_number`` per delta: an oracle for
     ``intersection.generating_F``, which sums integer coefficients cached per
-    (g, N0) instead.  It raises what ``intersection_number`` raises."""
+    (g, N0) instead.  Past the stability test 2g - 2 + N0 > 0 it raises what
+    ``TauQuery`` raises."""
     q = tuple(q)
     n0 = len(q)
-    dim = n0 + 3 * genus - 3
-    if dim < 0:
+    if 2 * genus - 2 + n0 <= 0:
         raise ValueError(f"no stable moduli space for g={genus}, N0={n0}")
+    TauQuery(genus, ())  # GenusError at a negative genus
     total = Fraction(0)
-    for delta in compositions(dim, n0):
-        value = intersection_number(TauQuery(genus, delta), enable_higher_genus)
+    for delta in compositions(n0 + 3 * genus - 3, n0):
+        value = intersection_number(TauQuery(genus, delta))
         weight = Fraction(1)
         for qi, di in zip(q, delta):
             weight *= Fraction(qi ** (2 * di), factorial(di))
@@ -447,9 +504,9 @@ def divisor(t: Triangulation) -> CurvatureData:
     )
 
 
-def save_catalog(catalog: Catalog, directory: Path | None = None) -> Path:
-    """Write a catalog to its key's cache file, in ``directory`` or else
-    under DTREGGE_CACHE_DIR, and return the path."""
-    path = catalog_path(catalog.genus, catalog.vertex_count, catalog.q, directory)
+def save_catalog(catalog: Catalog) -> Path:
+    """Write a catalog to its key's cache file under DTREGGE_CACHE_DIR, and
+    return the path."""
+    path = catalog_path(catalog.genus, catalog.vertex_count, catalog.q)
     atomic_write_json(path, catalog.to_dict())
     return path

@@ -15,7 +15,6 @@ from dtregge.catalog import (
     InfeasibleKeyError,
     enumerate_triangulations,
     face_count,
-    feasible_q_vectors,
 )
 from dtregge.intersection import TauQuery, intersection_number, tau
 from dtregge.measure import incidence_matrix, kontsevich_check, pfaffian
@@ -25,6 +24,7 @@ from dtregge.ribbon import dualize
 from dtregge.triangulation import curvature_assignments, gauss_bonnet_check
 from dtregge.volume import leray_volume
 
+from conftest import feasible_q_vectors
 from corner_linearization import linearized_map_at_equilateral
 from qsqrt3 import QSqrt3
 from test_intersection import _on_shell_sets, _string_reduction_genus0

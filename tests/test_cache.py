@@ -18,16 +18,19 @@ def test_cache_dir_honours_environment(tmp_path, monkeypatch):
     assert cache.cache_dir() == tmp_path / "elsewhere"
 
 
-def test_catalog_path_encodes_key_and_version(tmp_path):
-    path = cache.catalog_path(0, 3, (2, 2, 2), tmp_path)
-    assert path.name == f"catalog-g0-n3-q2_2_2-v{CONVENTION_VERSION}.json"
+def test_catalog_path_encodes_key_and_version(tmp_path, monkeypatch):
+    monkeypatch.setenv(cache.CACHE_ENV, str(tmp_path))
+    path = cache.catalog_path(0, 3, (2, 2, 2))
+    assert path == tmp_path / f"catalog-g0-n3-q2_2_2-v{CONVENTION_VERSION}.json"
 
 
-def test_save_load_round_trip(tmp_path, catalog):
-    path = save_catalog(catalog, tmp_path)
+def test_save_load_round_trip(tmp_path, monkeypatch, catalog):
+    monkeypatch.setenv(cache.CACHE_ENV, str(tmp_path))
+    assert cache.list_cache() == []
+    path = save_catalog(catalog)
     again = cache.load_catalog(path)
     assert again.to_dict() == catalog.to_dict()
-    assert cache.list_cache(tmp_path) == [path]
+    assert cache.list_cache() == [path]
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
@@ -37,8 +40,8 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert [p.name for p in path.parent.iterdir()] == ["data.json"]
 
 
-def test_stale_version_rejected(tmp_path, catalog):
-    path = save_catalog(catalog, tmp_path)
+def test_stale_version_rejected(catalog):
+    path = save_catalog(catalog)
     data = json.loads(path.read_text())
     data["version"] = CONVENTION_VERSION + 1
     path.write_text(json.dumps(data))

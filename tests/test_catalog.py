@@ -2,11 +2,19 @@ import concurrent.futures
 import hashlib
 import json
 import os
+from collections import Counter
+from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 
-from conftest import search_matchings, union_find_corner_classes
+from conftest import (
+    feasible_q_vectors,
+    rooted_triangulations,
+    search_matchings,
+    union_find_corner_classes,
+)
 from dtregge import catalog
 from dtregge.catalog import (
     Catalog,
@@ -18,7 +26,6 @@ from dtregge.catalog import (
     enumerate_ribbon_cells,
     enumerate_triangulations,
     face_count,
-    feasible_q_vectors,
 )
 from dtregge.ribbon import RibbonGraph, aut_boundary, canonical_code, dualize
 from dtregge.triangulation import (
@@ -205,9 +212,32 @@ def test_gluing_search_at_genus_zero_with_seven_vertices(fresh_gluing_caches):
     handle cut found them; the oracle scan of every matching at N2 = 10
     (828250 of them) is too slow to run here."""
     search = catalog.enumerate_gluings(0, 7)
-    assert sum(map(len, search.values())) == 54912
+    assert sum(map(len, search.values())) == 54912 == rooted_triangulations(10, 0)
     assert hashlib.sha256(repr(dict(search)).encode()).hexdigest() == (
         "432a2f93e17636f03509802a05d52ad1bd74e00d9333fda90bab9ce14f4434f7"
+    )
+
+
+#: Every (g, N0) whose gluing search, classes and cell rows the tests build
+#: anyway; (0, 7) is searched only under fresh caches, above.
+BUILT_KEYS = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1)]
+
+
+@pytest.mark.parametrize("genus, n0", BUILT_KEYS)
+def test_counts_equal_the_rooted_triangulations(genus, n0):
+    """With t the rooted triangulations with N2 faces (Goulden-Jackson): the
+    search stores t matchings, one per rooting; a class with automorphism
+    group G has 3 N2 / |G| rootings; and by orbit-stabilizer its labelled
+    cells have sum 1/aut = N0! / |G|, so the rows sum to N0! t / (3 N2)."""
+    n2 = face_count(genus, n0)
+    t = rooted_triangulations(n2, genus)
+    gluings = catalog.enumerate_gluings(genus, n0)
+    assert sum(map(len, gluings.values())) == t
+    groups = Counter(len(group) for sizes in gluings for _, group in _classes(genus, sizes))
+    assert sum(Fraction(3 * n2 * count, size) for size, count in groups.items()) == t
+    auts = Counter(aut for _, _, aut, *_ in catalog._cells(genus, n0))
+    assert sum(Fraction(count, aut) for aut, count in auts.items()) == Fraction(
+        factorial(n0) * t, 3 * n2
     )
 
 

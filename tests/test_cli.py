@@ -330,6 +330,9 @@ def test_tau_values_and_genus_gate(runner):
     result = runner.invoke(main, ["tau", "-g", "2", "--d", "4", "--enable-dvv"])
     assert result.exit_code == 0
     assert json.loads(result.output)["results"]["value"] == "1/1152"
+    result = runner.invoke(main, ["tau", "-g", "2", "--d", "1"])  # off shell: 0 at any genus
+    assert result.exit_code == 0
+    assert json.loads(result.output)["results"]["value"] == "0"
 
 
 def test_pairing_passes_at_anchor(runner):
@@ -347,6 +350,19 @@ def test_cache_ls_and_verify(runner, tmp_path, monkeypatch):
     assert result.exit_code == 0 and "catalog-g0-n3" in result.output
     result = runner.invoke(main, ["cache", "verify"])
     assert result.exit_code == 0 and "ok" in result.output
+
+
+def test_pairing_genus_gate_exits_2_before_any_cell_or_volume(runner, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("cells or volumes computed before the genus gate")
+
+    monkeypatch.setattr("dtregge.catalog._cells", no_work)
+    monkeypatch.setattr("dtregge.pairing.leray_volume", no_work)
+    result = runner.invoke(main, ["pairing", "-g", "2", "-n", "1", "--q", "18"])
+    assert result.exit_code == 2, result.output
+    assert result.output == (
+        "error: genus >= 2 requires the higher-genus recursion flag (--enable-dvv)\n"
+    )
 
 
 def test_pairing_genus2_with_dvv_flag(runner):
@@ -727,7 +743,7 @@ def test_any_cache_file_subtree_replaced_by_any_value_fails_verify_or_is_used(
         tmp_path_factory, path, value):
     """`cache verify` reports the file, and a file it fails is a cache miss."""
     directory = tmp_path_factory.mktemp("cache")
-    cache_file = dtregge.cache.catalog_path(0, 3, (2, 2, 2), directory)
+    cache_file = directory / dtregge.cache.catalog_path(0, 3, (2, 2, 2)).name
     _write(cache_file, _with(CATALOG, path, value))
     runner = CliRunner(env={"DTREGGE_CACHE_DIR": str(directory)})
     verify = runner.invoke(main, ["cache", "verify"])

@@ -106,14 +106,15 @@ def test_vertex_deficit_matches_angle_sum():
 
 
 def test_equilateral_dual_lengths():
-    fan = CornerFan.equilateral(6)
+    fan = CornerFan.from_lengths([1] * 6, [1] * 6)
     dual = half_edge_lengths(fan)
     assert set(dual.plus_sq) == {Fraction(1, 12)}
     assert set(dual.minus_sq) == {Fraction(1, 12)}
     assert set(dual.link_sq) == {Fraction(1, 12)}
-    # full dual edge length is u = sqrt(3)/3 * a
-    for length in dual.lengths():
-        assert math.isclose(length, math.sqrt(3) / 3, rel_tol=1e-12)
+    # full dual edge length is L = L- + L+ = sqrt(3)/3 * a: with L- = L+,
+    # L^2 = 4 (L+)^2 = 1/3 exactly
+    for minus, plus in zip(dual.minus_sq, dual.plus_sq):
+        assert minus == plus and 4 * plus == Fraction(1, 3)
     assert math.isclose(vertex_deficit(fan), 0.0, abs_tol=1e-12)
 
 

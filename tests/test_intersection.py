@@ -113,11 +113,11 @@ def test_string_equation_identity():
             for ds in _on_shell_sets(g, n):
                 if ds[0] == 0:
                     rhs = sum(
-                        tau(g, ds[1:j] + (ds[j] - 1,) + ds[j + 1:], True)
+                        tau(g, ds[1:j] + (ds[j] - 1,) + ds[j + 1:])
                         for j in range(1, n)
                         if ds[j] >= 1
                     )
-                    assert tau(g, ds, True) == rhs
+                    assert tau(g, ds) == rhs
 
 
 def test_dilaton_equation_identity():
@@ -127,20 +127,17 @@ def test_dilaton_equation_identity():
     for g, top in ((2, 3), (3, 2)):
         for n in range(1, top + 1):
             for ds in _on_shell_sets(g, n):
-                assert tau(g, (1,) + ds, True) == (2 * g - 2 + n) * tau(g, ds, True)
+                assert tau(g, (1,) + ds) == (2 * g - 2 + n) * tau(g, ds)
 
 
-def test_higher_genus_gated_behind_flag():
-    with pytest.raises(GenusError):
-        tau(2, (4,))
-    assert tau(2, (4,), enable_higher_genus=True) == Fraction(1, 1152)
-    assert tau(2, (2, 3), enable_higher_genus=True) == Fraction(29, 5760)
-    assert tau(3, (7,), enable_higher_genus=True) == Fraction(1, 82944)
+def test_higher_genus_values():
+    """The library computes every genus: only the command line gates genus >= 2."""
+    assert tau(2, (4,)) == Fraction(1, 1152)
+    assert tau(2, (2, 3)) == Fraction(29, 5760)
+    assert tau(3, (7,)) == Fraction(1, 82944)
     # one-point formula <tau_{3g-2}>_g = 1/(24^g g!)
     for g in range(1, 9):
-        assert tau(g, (3 * g - 2,), enable_higher_genus=True) == Fraction(
-            1, 24**g * factorial(g)
-        )
+        assert tau(g, (3 * g - 2,)) == Fraction(1, 24**g * factorial(g))
 
 
 def test_negative_inputs_rejected():
@@ -159,8 +156,17 @@ def test_generating_function_values():
 
 
 def test_generating_function_rejects_unstable_keys():
-    with pytest.raises(ValueError):
-        generating_F(0, (2, 2))
+    for genus, q in ((0, (2, 2)), (0, ()), (1, ())):
+        with pytest.raises(ValueError, match="^no stable moduli space"):
+            generating_F(genus, q)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_generating_function_without_boundaries_is_zero(genus):
+    """At N0 = 0 the one delta, (), is off shell at genus >= 2, so F_g is 0."""
+    assert list(intersection._compositions(3 * genus - 3, 0)) == []
+    assert list(intersection._compositions(0, 0)) == [()]
+    assert generating_F(genus, ()) == term_by_term_F(genus, ()) == 0
 
 
 #: Every (g, N0) with N0 >= 1 and 0 <= N0 + 3g - 3 <= 6.
@@ -170,27 +176,23 @@ SMALL_KEYS = [(g, n0) for g in range(3) for n0 in range(1, 10) if 0 <= n0 + 3 * 
 @pytest.mark.parametrize("genus, n0", SMALL_KEYS)
 def test_generating_function_equals_the_term_by_term_sum(genus, n0):
     rng = random.Random(100 * genus + n0)
-    flag = genus >= 2
     for _ in range(3):
         integers = [rng.randint(1, 12) for _ in range(n0)]
         rationals = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(n0)]
         for q in (integers, rationals):
-            assert generating_F(genus, q, flag) == term_by_term_F(genus, q, flag)
+            assert generating_F(genus, q) == term_by_term_F(genus, q)
 
 
-@pytest.mark.parametrize("genus, q, flag, error, message", [
-    (0, (2, 2), False, ValueError, "no stable moduli space for g=0, N0=2"),
-    (-1, (2, 2, 2), True, ValueError, "no stable moduli space for g=-1, N0=3"),
-    (-1, (2,) * 6, True, GenusError, "genus must be nonnegative"),
-    (2, (4,), False, GenusError,
-     "genus >= 2 requires the higher-genus recursion flag (--enable-dvv)"),
-])
-def test_generating_function_raises_what_the_term_by_term_sum_raises(
-    genus, q, flag, error, message
-):
+@pytest.mark.parametrize("genus, q, error, message", [
+    (0, (2, 2), ValueError, "no stable moduli space for g=0, N0=2"),
+    (1, (), ValueError, "no stable moduli space for g=1, N0=0"),
+    (-1, (2, 2, 2), ValueError, "no stable moduli space for g=-1, N0=3"),
+    (-1, (2,) * 6, GenusError, "genus must be nonnegative"),
+], ids=["g0-n2", "g1-n0", "g-1-n3", "g-1-n6"])
+def test_generating_function_raises_what_the_term_by_term_sum_raises(genus, q, error, message):
     for evaluate in (generating_F, term_by_term_F):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
-            evaluate(genus, q, flag)
+            evaluate(genus, q)
         assert type(caught.value) is error
 
 
@@ -202,15 +204,15 @@ def test_generating_function_reads_each_intersection_number_once(monkeypatch):
     )
     calls, read = Counter(), intersection.intersection_number
 
-    def counting(query, enable_higher_genus=False):
+    def counting(query):
         calls[query.genus, query.exponents] += 1
-        return read(query, enable_higher_genus)
+        return read(query)
 
     monkeypatch.setattr(intersection, "intersection_number", counting)
     keys = [(0, 4), (0, 5), (1, 2), (1, 3), (2, 2)]
     for genus, n0 in keys:
         for q in product((1, 2, Fraction(3, 2)), repeat=n0):
-            generating_F(genus, q, enable_higher_genus=genus >= 2)
+            generating_F(genus, q)
     assert set(calls.values()) == {1}
     assert set(calls) == {
         (genus, delta) for genus, n0 in keys for delta in compositions(n0 + 3 * genus - 3, n0)

@@ -4,7 +4,7 @@ new lines are paid for by deletions."""
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dtregge"
-LINE_CAP = 2800
+LINE_CAP = 2741
 
 
 def test_source_lines_within_cap():

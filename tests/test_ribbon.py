@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 from networkx.algorithms import isomorphism
 
+from conftest import feasible_q_vectors
 from dtregge import ribbon
 from dtregge.catalog import (
     _classes,
@@ -13,7 +14,6 @@ from dtregge.catalog import (
     enumerate_ribbon_cells,
     enumerate_triangulations,
     face_count,
-    feasible_q_vectors,
 )
 from dtregge.ribbon import (
     RibbonGraph,

@@ -58,12 +58,11 @@ def test_divisor_degree_matches_euler(theta_sphere, one_vertex_torus):
 
 
 def test_partner_and_slot_vertices(theta_sphere):
-    for s, t in theta_sphere.gluing:
-        assert theta_sphere.partner(s) == t
-        assert theta_sphere.partner(t) == s
-        a = theta_sphere.slot_vertices(s)
-        b = theta_sphere.slot_vertices(t)
-        assert a == (b[1], b[0])
+    """Glued slots carry reversed vertex pairs: slot (f, i) runs from corner
+    i to corner i + 1 of face f, and its partner runs the same edge back."""
+    faces = theta_sphere.faces
+    for (f, i), (g, j) in theta_sphere.gluing:
+        assert (faces[f][i], faces[f][(i + 1) % 3]) == (faces[g][(j + 1) % 3], faces[g][j])
 
 
 def test_rejects_self_glued_face():

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from conftest import (
     PAIRING_KEYS,
     all_bases_vertices,
+    feasible_q_vectors,
     kernel_vertices,
     system_classes,
     triangulated_leray_volume,
 )
 from linalg_oracles import rref
-from dtregge.catalog import enumerate_triangulations, feasible_q_vectors
+from dtregge.catalog import enumerate_triangulations
 from dtregge.linalg import det, kernel_and_particular, matrix_rank, solve_square
 from dtregge.measure import ConstraintSystem, edge_ends, incidence_matrix
 from dtregge.pairing import has_interior_point
